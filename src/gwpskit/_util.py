@@ -1,9 +1,6 @@
-"""Small shared helpers: exponent-tuple arithmetic and deterministic
-thread-pool mapping."""
+"""Small shared helpers: exponent-tuple arithmetic."""
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 
 def tadd(a, b):
@@ -12,17 +9,3 @@ def tadd(a, b):
 
 def tsub(a, b):
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3])
-
-
-def parallel_map(fn, items, threads: int):
-    """Map `fn` over `items`, preserving input order in the result.
-
-    threads <= 1 runs sequentially; otherwise a bounded worker pool is used.
-    Tasks must be independent and side-effect free for results to be
-    deterministic.
-    """
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))

@@ -37,7 +37,6 @@ class RunConfig:
     strict: bool = False
     primes: tuple[int, int] = (exactla.MERSENNE_PRIME_31, exactla.SECOND_PRIME)
     max_genus_for_heavy_checks: int = DEFAULT_MAX_GENUS
-    threads: int = 1
     cache_dir: str | None = None
     output_format: str = "tsv"
     check: bool = False
@@ -47,8 +46,6 @@ class RunConfig:
             raise ValueError("the two working primes must be distinct")
         for p in self.primes:
             FieldSpec(p)
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
         if self.output_format not in FORMATS:
             raise ValueError(f"format must be one of {FORMATS}")
 
@@ -191,14 +188,12 @@ def _load_or_build_ideal(sp: WeightedSpace, cache: Cache | None) -> toric.ToricI
     return ideal
 
 
-def _load_or_build_syzygies(sp, ideal, config: RunConfig, cache: Cache | None):
+def _load_or_build_syzygies(sp, ideal, cache: Cache | None):
     if cache is not None:
         text = cache.load(sp, "syzygies", "asc")
         if text is not None:
             return syzygies_from_text(sp, text, "asc")
-    syz = resolution.linear_syzygies(
-        ideal, fields=config.fields(), threads=config.threads
-    )
+    syz = resolution.linear_syzygies(ideal)
     if cache is not None:
         cache.store(sp, "syzygies", syzygies_to_text(sp, syz, "asc"), "asc")
     return syz
@@ -224,9 +219,9 @@ def cmd_betti(config: RunConfig) -> tuple[str, int]:
             row.append("pass" if generation.connected else "FAIL")
             if inv.g <= config.max_genus_for_heavy_checks or config.all_spaces:
                 ideal = _load_or_build_ideal(sp, cache)
-                syz = _load_or_build_syzygies(sp, ideal, config, cache)
+                syz = _load_or_build_syzygies(sp, ideal, cache)
                 quartic = resolution.check_no_quartic_syzygies(
-                    ideal, syz, fields=config.fields(), threads=config.threads
+                    ideal, syz, fields=config.fields()
                 )
                 if not quartic.ok:
                     failures.append(f"{sp}: quartic syzygy at {quartic.witness}")
@@ -282,7 +277,7 @@ def compute_alpha(sp: WeightedSpace, config: RunConfig) -> tangent.T1Report:
     cache = config.cache()
     fields = config.fields()
     ideal = _load_or_build_ideal(sp, cache)
-    syz = _load_or_build_syzygies(sp, ideal, config, cache)
+    syz = _load_or_build_syzygies(sp, ideal, cache)
     params = f"strict={int(config.strict)}"
     known = None
     progress = None
@@ -311,7 +306,6 @@ def compute_alpha(sp: WeightedSpace, config: RunConfig) -> tangent.T1Report:
         syz,
         fields=fields,
         strict=config.strict,
-        threads=config.threads,
         known=known,
         progress=progress,
     )
@@ -380,7 +374,6 @@ def _add_common(parser: argparse.ArgumentParser):
                         help="first working prime")
     parser.add_argument("--prime2", type=int, default=exactla.SECOND_PRIME,
                         help="second working prime")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--cache", default=None, help="cache directory")
     parser.add_argument("--max-genus", type=int, default=DEFAULT_MAX_GENUS,
                         help="heavy checks run by default only up to this genus")
@@ -398,7 +391,6 @@ def _config_from_args(args) -> RunConfig:
         strict=getattr(args, "strict", False),
         primes=(args.prime, args.prime2),
         max_genus_for_heavy_checks=args.max_genus,
-        threads=args.threads,
         cache_dir=cache_dir,
         output_format=args.format,
         check=args.check,

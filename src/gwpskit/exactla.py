@@ -1,10 +1,11 @@
-"""Exact linear algebra over prime fields with integer-lift safeguards.
+"""Exact linear algebra over prime fields.
 
-Rank, right-kernel bases and solution-space dimensions for the small dense
-blocks and moderate sparse systems produced by the toric, syzygy and tangent
-pipelines.  All arithmetic is exact: entries are reduced modulo an odd prime
-p < 2**31, so products of two reduced values stay below 2**62 and numpy int64
-elimination never overflows.  Solution dimensions are always computed under
+Ranks and solution-space dimensions for the small dense blocks and moderate
+sparse systems produced by the toric, syzygy and tangent pipelines, and
+right-kernel bases as a reference for the graph-based syzygy kernels.  All
+arithmetic is exact: entries are reduced modulo an odd prime p < 2**31, so
+products of two reduced values stay below 2**62 and numpy int64 elimination
+never overflows.  Solution dimensions are always computed under
 two independent primes and must agree.
 """
 
@@ -29,12 +30,13 @@ class ExactLinearAlgebraError(RuntimeError):
 class EntryVanishedError(ExactLinearAlgebraError):
     """A nonzero integer entry reduced to zero modulo the working prime.
 
-    The caller is expected to retry with the second prime.
+    No caller retries: the error propagates, and the run must be repeated
+    with other working primes.
     """
 
     def __init__(self, prime: int, row: int, col: int, value: int):
         super().__init__(
-            f"entry {value} at ({row}, {col}) vanishes mod {prime}; retry with another prime"
+            f"entry {value} at ({row}, {col}) vanishes mod {prime}; choose another working prime"
         )
         self.prime = prime
         self.row = row
@@ -43,7 +45,7 @@ class EntryVanishedError(ExactLinearAlgebraError):
 
 
 class ReproducibilityError(ExactLinearAlgebraError):
-    """Results under the two primes disagree (or integer lift failed twice)."""
+    """Results under the two primes disagree."""
 
 
 def _is_prime(n: int) -> bool:
@@ -282,7 +284,8 @@ def rank_mod_p(m: SparseMatrix, f: FieldSpec) -> int:
 def kernel_basis_mod_p(m: SparseMatrix, f: FieldSpec) -> list[tuple[int, ...]]:
     """Basis of the right kernel of `m` over F_p, one tuple per free column.
 
-    Pivot columns are chosen smallest-first, so the basis is deterministic.
+    Pivot columns are chosen smallest-first, so the basis is deterministic;
+    it is the reference for the spanning-forest kernels of `toric`.
     Every returned vector is re-checked to satisfy m @ v = 0 in the field.
     """
     p = f.prime
@@ -314,8 +317,9 @@ def solution_dim(m: SparseMatrix, f1: FieldSpec, f2: FieldSpec) -> int:
     """Dimension cols - rank of the solution space of m x = 0.
 
     Computed under both primes; the value is returned only when the two
-    agree.  A nonzero entry vanishing under one prime falls back to the other
-    prime alone only if both primes kill no entry simultaneously.
+    agree.  A nonzero entry that vanishes under either prime raises
+    EntryVanishedError, which propagates: there is no fallback to the other
+    prime alone.
     """
     if f1.prime == f2.prime:
         raise ValueError("solution_dim requires two distinct primes")
@@ -327,9 +331,3 @@ def solution_dim(m: SparseMatrix, f1: FieldSpec, f2: FieldSpec) -> int:
             f"matrix fingerprint {fingerprint(m)}"
         )
     return m.cols - r1
-
-
-def lift_symmetric(value: int, p: int) -> int:
-    """Lift a field element to the symmetric range (-p/2, p/2)."""
-    v = value % p
-    return v - p if v > p // 2 else v

@@ -1,13 +1,16 @@
 """Multigraded linear first syzygies and the quartic-syzygy vanishing check.
 
 The first syzygies of the quadric generators decompose by exponent-sum
-multidegree of weighted degree 3s.  Each local block is the kernel of the map
-sending an incident (variable, generator) pair to the cubic monomial
-difference it produces; kernels are extracted by exact elimination over a
-prime field and certified by an integer lift (the lifted combination must
-vanish identically as a polynomial).  Quartic minimal syzygies vanish iff,
-blockwise in weighted degree 4s, the degree-4 kernel equals the span of
-variable multiples of the cubic syzygies.
+multidegree of weighted degree 3s.  In each local block the incident
+(variable, generator) pair (i, k) sends y_i * q_k to the difference of two
+cubic monomials, so it is an edge between those monomials and the block's
+syzygies form the cycle space of that graph.  The basis is the set of
+fundamental cycles of a spanning forest grown over the pairs in ascending
+order: integral by construction, with coefficients +-1, and each element is
+checked to cancel as a polynomial.  The same holds in weighted degree 4s,
+where the kernel has dimension E - V + c.  Quartic minimal syzygies vanish
+iff, blockwise, that dimension equals the rank of the span of variable
+multiples of the cubic syzygies, an exact rank under two primes.
 """
 
 from __future__ import annotations
@@ -16,10 +19,10 @@ from dataclasses import dataclass
 from math import comb
 
 from . import exactla, lattice
-from ._util import parallel_map, tadd, tsub
-from .exactla import FieldSpec, ReproducibilityError, SparseMatrix
+from ._util import tadd, tsub
+from .exactla import FieldSpec, SparseMatrix
 from .lattice import Point
-from .toric import ConnectivityReport, ToricIdeal, check_degree3_generation
+from .toric import ConnectivityReport, ToricIdeal, check_degree3_generation, spanning_forest
 from .wps import WeightedSpace, invariants
 
 
@@ -81,84 +84,46 @@ def incident_pairs_degree3(ideal: ToricIdeal) -> dict[Point, list[tuple[int, int
     return grouped
 
 
-def _local_matrix(ideal: ToricIdeal, cols: list[tuple[int, int]]):
-    """Coefficient matrix of (i, k) -> y_i * q_k in the cubic monomial basis."""
-    rows: dict[tuple[int, int, int], int] = {}
-    entries = []
-    for col, (i, k) in enumerate(cols):
+def _edges(ideal: ToricIdeal, cols):
+    """The edge (plus, minus) of each column (monomial, k) of a block: the two
+    monomials of monomial * q_k, as sorted index tuples."""
+    out = []
+    for mono, k in cols:
         gen = ideal.generators[k]
-        plus = tuple(sorted((i,) + gen.lhs))
-        minus = tuple(sorted((i,) + gen.rhs))
-        for trip, val in ((plus, 1), (minus, -1)):
-            r = rows.setdefault(trip, len(rows))
-            entries.append((r, col, val))
-    return SparseMatrix(len(rows), len(cols), tuple(entries))
-
-
-def _lift_and_verify(ideal: ToricIdeal, cols, vec, prime: int, multidegree: Point):
-    """Lift a mod-p kernel vector to integers and verify the syzygy vanishes
-    identically: the signed cubic monomials must cancel over the integers."""
-    terms = []
-    acc: dict[tuple[int, int, int], int] = {}
-    for (i, k), value in zip(cols, vec):
-        c = exactla.lift_symmetric(value, prime)
-        if c == 0:
-            continue
-        terms.append((i, k, c))
-        gen = ideal.generators[k]
-        plus = tuple(sorted((i,) + gen.lhs))
-        minus = tuple(sorted((i,) + gen.rhs))
-        acc[plus] = acc.get(plus, 0) + c
-        acc[minus] = acc.get(minus, 0) - c
-    if any(acc.values()):
-        return None
-    return SyzygyElement(multidegree=multidegree, terms=tuple(terms))
+        out.append((tuple(sorted(mono + gen.lhs)), tuple(sorted(mono + gen.rhs))))
+    return out
 
 
 def linear_syzygies(
     ideal: ToricIdeal,
     fields: tuple[FieldSpec, FieldSpec] | None = None,
-    pivot: str = "asc",
-    threads: int = 1,
 ) -> SyzygyBasis:
     """Explicit bases of the local degree-3 syzygy kernels.
 
-    pivot="asc" eliminates columns in ascending (i, k) order; "desc" reverses
-    the column order (used to verify basis-choice independence downstream).
-    Kernel vectors failing the integer-lift certificate under the first prime
-    are recomputed under the second; a second failure aborts.
+    Each local basis is the set of fundamental cycles of the spanning forest
+    grown over the block's (i, k) pairs in ascending order, which is the
+    basis that elimination with smallest-first pivots would give.  Every
+    element is checked to vanish identically as a polynomial.  `fields` is
+    accepted for compatibility and unused: no prime field is involved.
     """
-    if fields is None:
-        fields = exactla.default_fields()
-    if pivot not in ("asc", "desc"):
-        raise ValueError("pivot must be 'asc' or 'desc'")
+    by_multidegree = {}
     grouped = incident_pairs_degree3(ideal)
-    keys = sorted(grouped, reverse=True)
-
-    def solve(key: Point):
+    for key in sorted(grouped, reverse=True):
         cols = grouped[key]
-        if pivot == "desc":
-            cols = list(reversed(cols))
-        mat = _local_matrix(ideal, cols)
-        for f in fields:
-            try:
-                basis = exactla.kernel_basis_mod_p(mat, f)
-            except exactla.EntryVanishedError:
-                continue
-            elems = []
-            for vec in basis:
-                elem = _lift_and_verify(ideal, cols, vec, f.prime, key)
-                if elem is None:
-                    break
-                elems.append(elem)
-            else:
-                return key, tuple(elems)
-        raise ReproducibilityError(
-            f"syzygy integer lift failed under both primes at multidegree {key}"
-        )
-
-    results = parallel_map(solve, keys, threads)
-    by_multidegree = {key: elems for key, elems in results if elems}
+        edges = _edges(ideal, [((i,), k) for i, k in cols])
+        elems = []
+        for cycle in spanning_forest(edges)[2]:
+            acc: dict[tuple[int, ...], int] = {}
+            for j, c in cycle:
+                plus, minus = edges[j]
+                acc[plus] = acc.get(plus, 0) + c
+                acc[minus] = acc.get(minus, 0) - c
+            if any(acc.values()):
+                raise AssertionError(f"syzygy at multidegree {key} does not cancel")
+            terms = tuple(cols[j] + (c,) for j, c in cycle)
+            elems.append(SyzygyElement(multidegree=key, terms=terms))
+        if elems:
+            by_multidegree[key] = tuple(elems)
     total = sum(len(v) for v in by_multidegree.values())
     return SyzygyBasis(by_multidegree=by_multidegree, total_count=total)
 
@@ -177,19 +142,6 @@ def incident_pairs_degree4(ideal: ToricIdeal) -> dict[Point, list[tuple[tuple[in
     for pairs in grouped.values():
         pairs.sort()
     return grouped
-
-
-def _quartic_matrix(ideal: ToricIdeal, cols):
-    rows: dict[tuple[int, ...], int] = {}
-    entries = []
-    for col, ((i, j), k) in enumerate(cols):
-        gen = ideal.generators[k]
-        plus = tuple(sorted((i, j) + gen.lhs))
-        minus = tuple(sorted((i, j) + gen.rhs))
-        for quad, val in ((plus, 1), (minus, -1)):
-            r = rows.setdefault(quad, len(rows))
-            entries.append((r, col, val))
-    return SparseMatrix(len(rows), len(cols), tuple(entries))
 
 
 def _span_matrix(ideal: ToricIdeal, syzygies: SyzygyBasis, key: Point, cols):
@@ -228,14 +180,12 @@ def check_no_quartic_syzygies(
     ideal: ToricIdeal,
     syzygies: SyzygyBasis,
     fields: tuple[FieldSpec, FieldSpec] | None = None,
-    threads: int = 1,
-    progress=None,
 ) -> QuarticSyzygyReport:
     """Blockwise verification that there are no minimal quartic syzygies.
 
-    For every weighted-degree-4s multidegree the degree-4 kernel dimension
-    must equal the rank of the span of variable multiples of the cubic
-    syzygies; both sides are exact ranks under two primes.
+    For every weighted-degree-4s multidegree the degree-4 kernel dimension,
+    E - V + c of the block's graph, must equal the rank of the span of
+    variable multiples of the cubic syzygies, an exact rank under two primes.
     """
     if fields is None:
         fields = exactla.default_fields()
@@ -243,20 +193,13 @@ def check_no_quartic_syzygies(
         return QuarticSyzygyReport(ok=True, witness=None, blocks_checked=0)
     grouped = incident_pairs_degree4(ideal)
     keys = sorted(grouped, reverse=True)
-
-    def check(key: Point):
+    witness = None
+    for key in keys:
         cols = grouped[key]
-        kernel_dim = exactla.solution_dim(_quartic_matrix(ideal, cols), *fields)
+        vertices, components, _ = spanning_forest(_edges(ideal, cols))
+        kernel_dim = len(cols) - vertices + components
         span = _span_matrix(ideal, syzygies, key, cols)
         span_rank = span.cols - exactla.solution_dim(span, *fields)
-        return key, kernel_dim, span_rank
-
-    done = 0
-    witness = None
-    for key, kernel_dim, span_rank in parallel_map(check, keys, threads):
-        done += 1
-        if progress is not None:
-            progress(done, len(keys))
         if kernel_dim != span_rank and witness is None:
             witness = key
     return QuarticSyzygyReport(ok=witness is None, witness=witness, blocks_checked=len(keys))
@@ -264,50 +207,18 @@ def check_no_quartic_syzygies(
 
 def quartic_kernel_basis(
     ideal: ToricIdeal,
-    fields: tuple[FieldSpec, FieldSpec] | None = None,
-    threads: int = 1,
 ) -> dict[Point, tuple[tuple[tuple[tuple[int, int], int, int], ...], ...]]:
-    """Integer-lifted bases of the degree-4 syzygy kernels, keyed by
-    multidegree; each element is a tuple of ((i, j), k, coefficient) terms.
+    """Bases of the degree-4 syzygy kernels, keyed by multidegree: the
+    fundamental cycles of each block's graph, each a tuple of
+    ((i, j), k, coefficient) terms.
 
     Used by the strict tangent mode to impose the (redundant, once the
     quartic check passes) degree-4 constraints.
     """
-    if fields is None:
-        fields = exactla.default_fields()
     grouped = incident_pairs_degree4(ideal)
-    keys = sorted(grouped, reverse=True)
-
-    def solve(key: Point):
+    table = {}
+    for key in sorted(grouped, reverse=True):
         cols = grouped[key]
-        mat = _quartic_matrix(ideal, cols)
-        for f in fields:
-            try:
-                basis = exactla.kernel_basis_mod_p(mat, f)
-            except exactla.EntryVanishedError:
-                continue
-            elems = []
-            for vec in basis:
-                terms = []
-                acc: dict[tuple[int, ...], int] = {}
-                for (pair, k), value in zip(cols, vec):
-                    c = exactla.lift_symmetric(value, f.prime)
-                    if c == 0:
-                        continue
-                    terms.append((pair, k, c))
-                    gen = ideal.generators[k]
-                    plus = tuple(sorted(pair + gen.lhs))
-                    minus = tuple(sorted(pair + gen.rhs))
-                    acc[plus] = acc.get(plus, 0) + c
-                    acc[minus] = acc.get(minus, 0) - c
-                if any(acc.values()):
-                    break
-                elems.append(tuple(terms))
-            else:
-                return key, tuple(elems)
-        raise ReproducibilityError(
-            f"quartic kernel lift failed under both primes at multidegree {key}"
-        )
-
-    results = parallel_map(solve, keys, threads)
-    return {key: elems for key, elems in results}
+        cycles = spanning_forest(_edges(ideal, cols))[2]
+        table[key] = tuple(tuple(cols[j] + (c,) for j, c in cycle) for cycle in cycles)
+    return table

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import exactla, lattice
-from ._util import parallel_map, tadd, tsub
+from ._util import tadd, tsub
 from .exactla import FieldSpec, SparseMatrix
 from .lattice import Point
 from .resolution import SyzygyBasis, linear_syzygies, quartic_kernel_basis
@@ -170,7 +170,6 @@ def hom_dimension_minus1(
     syzygies: SyzygyBasis,
     fields: tuple[FieldSpec, FieldSpec] | None = None,
     strict: bool = False,
-    threads: int = 1,
     known: dict[Point, int] | None = None,
     progress=None,
 ) -> HomTable:
@@ -183,22 +182,19 @@ def hom_dimension_minus1(
     if fields is None:
         fields = exactla.default_fields()
     syz_by_gen = _syzygies_by_generator(syzygies)
-    strict_kernel = quartic_kernel_basis(ideal, fields=fields) if strict else None
+    strict_kernel = quartic_kernel_basis(ideal) if strict else None
     shifts = enumerate_shifts(ideal)
     todo = [s for s in shifts if known is None or s not in known]
 
-    def solve(shift: Point):
+    by_shift: dict[Point, int] = dict(known) if known else {}
+    for done, shift in enumerate(todo, start=1):
         block = build_block(ideal, syzygies, shift, syz_by_gen, strict_kernel)
         if block is None:
-            return shift, 0
-        mat = SparseMatrix.from_rows(block.constraints, len(block.unknowns))
-        return shift, exactla.solution_dim(mat, *fields)
-
-    by_shift: dict[Point, int] = dict(known) if known else {}
-    done = 0
-    for shift, dim in parallel_map(solve, todo, threads):
+            dim = 0
+        else:
+            mat = SparseMatrix.from_rows(block.constraints, len(block.unknowns))
+            dim = exactla.solution_dim(mat, *fields)
         by_shift[shift] = dim
-        done += 1
         if progress is not None:
             progress(shift, dim, done, len(todo))
     by_shift = {s: by_shift[s] for s in shifts}
@@ -332,7 +328,6 @@ def alpha_report(
     space: WeightedSpace,
     fields: tuple[FieldSpec, FieldSpec] | None = None,
     strict: bool = False,
-    threads: int = 1,
 ) -> T1Report:
     """Full pipeline: ideal, degree-3 generation, syzygies, derivation
     assertions, block solve; then alpha and the extendability count."""
@@ -342,10 +337,8 @@ def alpha_report(
     if not inv.gorenstein:
         raise ValueError("alpha is computed for Gorenstein spaces only")
     ideal = quadric_generators(space)
-    syzygies = linear_syzygies(ideal, fields=fields, threads=threads)
-    hom = hom_dimension_minus1(
-        ideal, syzygies, fields=fields, strict=strict, threads=threads
-    )
+    syzygies = linear_syzygies(ideal)
+    hom = hom_dimension_minus1(ideal, syzygies, fields=fields, strict=strict)
     return assemble_report(space, ideal, syzygies, hom)
 
 
@@ -413,7 +406,7 @@ def t1_section_minus1(
     if fields is None:
         fields = exactla.default_fields()
     if syzygies is None:
-        syzygies = linear_syzygies(ideal, fields=fields)
+        syzygies = linear_syzygies(ideal)
     pts = ideal.slice_s.points
     n = len(pts)
     pairs = [tuple(p) for p in identifications]

@@ -239,26 +239,7 @@ def _exponent_vectors(degrees: list[int], total: int):
 def _extra_components(members: list[tuple[int, ...]]) -> int:
     """Number of connected components minus one, where two exponent vectors
     are adjacent iff some coordinate is positive in both."""
-    parent = list(range(len(members)))
+    from .toric import shared_member_components
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    by_factor: dict[int, int] = {}
-    for idx, expo in enumerate(members):
-        for gi, e in enumerate(expo):
-            if e:
-                if gi in by_factor:
-                    union(by_factor[gi], idx)
-                else:
-                    by_factor[gi] = idx
-    roots = {find(i) for i in range(len(members))}
-    return len(roots) - 1
+    supports = [[gi for gi, e in enumerate(expo) if e] for expo in members]
+    return shared_member_components(supports) - 1

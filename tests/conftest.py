@@ -2,7 +2,8 @@
 
 Oracles are deliberately written along different paths than the library code
 they validate: counting by exhaustive loops instead of the coin DP, ranks by
-fraction-exact Gaussian elimination instead of mod-p elimination.
+fraction-exact Gaussian elimination instead of mod-p elimination, syzygy
+bases by mod-p elimination instead of spanning forests.
 """
 
 from __future__ import annotations
@@ -11,7 +12,13 @@ from fractions import Fraction
 
 import pytest
 
-from gwpskit.resolution import linear_syzygies
+from gwpskit.exactla import SparseMatrix, default_fields, kernel_basis_mod_p
+from gwpskit.resolution import (
+    SyzygyBasis,
+    SyzygyElement,
+    incident_pairs_degree3,
+    linear_syzygies,
+)
 from gwpskit.tangent import hom_dimension_minus1
 from gwpskit.toric import quadric_generators
 from gwpskit.wps import enumerate_gorenstein, weighted_space
@@ -55,6 +62,56 @@ def rational_rank(rows) -> int:
                 mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
         rank += 1
     return rank
+
+
+def binomial_edges(ideal, cols):
+    """(plus, minus) for each (monomial, k) in cols: the two monomials of
+    monomial * q_k, as sorted tuples of variable indices."""
+    out = []
+    for mono, k in cols:
+        gen = ideal.generators[k]
+        out.append((tuple(sorted(mono + gen.lhs)), tuple(sorted(mono + gen.rhs))))
+    return out
+
+
+def incidence_matrix(edges) -> SparseMatrix:
+    """Column j is e_plus - e_minus of edges[j], rows in first-seen order."""
+    rows = {}
+    entries = []
+    for col, (plus, minus) in enumerate(edges):
+        entries.append((rows.setdefault(plus, len(rows)), col, 1))
+        entries.append((rows.setdefault(minus, len(rows)), col, -1))
+    return SparseMatrix(len(rows), len(edges), tuple(entries))
+
+
+def elimination_syzygies(ideal, reverse=False) -> SyzygyBasis:
+    """The cubic syzygy basis by elimination: the mod-p kernel of each local
+    block under the first default prime, lifted to the symmetric range and
+    checked to cancel over Z.  reverse=True eliminates the (i, k) columns in
+    descending order, which picks other pivots and so another basis."""
+    field = default_fields()[0]
+    p = field.prime
+    by_multidegree = {}
+    grouped = incident_pairs_degree3(ideal)
+    for key in sorted(grouped, reverse=True):
+        cols = grouped[key][::-1] if reverse else grouped[key]
+        edges = binomial_edges(ideal, [((i,), k) for i, k in cols])
+        elems = []
+        for vec in kernel_basis_mod_p(incidence_matrix(edges), field):
+            terms = []
+            acc = {}
+            for (i, k), (plus, minus), v in zip(cols, edges, vec):
+                c = v - p if v > p // 2 else v
+                if c:
+                    terms.append((i, k, c))
+                    acc[plus] = acc.get(plus, 0) + c
+                    acc[minus] = acc.get(minus, 0) - c
+            assert not any(acc.values()), f"lifted syzygy at {key} does not cancel"
+            elems.append(SyzygyElement(multidegree=key, terms=tuple(terms)))
+        if elems:
+            by_multidegree[key] = tuple(elems)
+    total = sum(len(v) for v in by_multidegree.values())
+    return SyzygyBasis(by_multidegree=by_multidegree, total_count=total)
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,7 @@ from math import comb
 
 import pytest
 
+from conftest import elimination_syzygies
 from gwpskit import cache as cache_mod
 from gwpskit.cli import RunConfig, cmd_alpha, cmd_classify, cmd_veronese, load_expected
 from gwpskit.lattice import count_points, degree_slice, h_vector
@@ -50,7 +51,7 @@ def desk_pipelines(session_cache_dir):
     for w in DESK_SCALE:
         sp = weighted_space(*w)
         ideal = _load_or_build_ideal(sp, cache)
-        syz = _load_or_build_syzygies(sp, ideal, cfg, cache)
+        syz = _load_or_build_syzygies(sp, ideal, cache)
         out[w] = (sp, ideal, syz)
     return out
 
@@ -167,9 +168,8 @@ def test_criterion_8_property_suites(desk_pipelines, session_cache_dir, tmp_path
     sp = weighted_space(2, 3, 3, 4)
     dims = set()
     for tree in ("min", "max"):
-        for pivot in ("asc", "desc"):
-            ideal = quadric_generators(sp, tree=tree)
-            syz = linear_syzygies(ideal, pivot=pivot)
+        ideal = quadric_generators(sp, tree=tree)
+        for syz in (linear_syzygies(ideal), elimination_syzygies(ideal, reverse=True)):
             dims.add(hom_dimension_minus1(ideal, syz).total)
     ok = ok and dims == {20}
 

@@ -113,8 +113,6 @@ def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(primes=(9, 11))
     with pytest.raises(ValueError):
-        RunConfig(threads=0)
-    with pytest.raises(ValueError):
         RunConfig(output_format="html")
 
 

@@ -85,6 +85,11 @@ def test_entry_vanish_detection():
     assert rank_mod_p(m, F1) == 2
 
 
+def test_solution_dim_propagates_vanished_entry():
+    with pytest.raises(EntryVanishedError):
+        solution_dim(dense([[SECOND_PRIME, 1]]), F1, F2)
+
+
 def test_two_prime_disagreement_raises():
     p = F1.prime
     m = dense([[1, 1], [1, 1 + p]])

@@ -1,0 +1,50 @@
+"""The traced benchmark (perfbench/) wraps gwpskit functions by name and binds
+their parameters by name; this runs its two workloads' steps on (2,3,3,4)
+under the tracer, so that an API change which breaks the benchmark fails
+here."""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    run = importlib.import_module("run")
+    spans = importlib.import_module("spans")
+    gw = {name: importlib.import_module(f"gwpskit.{name}") for name in run.MODULES}
+    return run, spans, gw
+
+
+def test_traced_steps_on_smallest_space(bench, tmp_path):
+    run, spans, gw = bench
+    sp = gw["wps"].WeightedSpace((2, 3, 3, 4))
+    expected = gw["cli"].load_expected()
+    tracer = spans.Tracer()
+    tracer.install(gw)
+    try:
+        betti_errors = run.betti_step(gw, expected)(sp)
+        betti_counts = tracer.take_counts()
+        alpha_errors = run.alpha_step(gw, expected, str(tmp_path))(sp)
+        alpha_counts = tracer.take_counts()
+    finally:
+        tracer.uninstall()
+    assert betti_errors == [] and alpha_errors == []
+    assert betti_counts["resolution.syzygies"] == 320
+    assert alpha_counts["resolution.syzygies"] == 320
+    assert alpha_counts["cache.misses"] > 0
+    census = spans.census(gw, tracer.take_captured())
+    assert census["resolution.cubic_blocks"] > 0
+    assert census["resolution.quartic_cols"] > 0
+    assert census["tangent.blocks"] > 0
+    assert betti_counts["resolution.quartic_blocks"] == 334
+    names = {span[0] for span in tracer.spans}
+    assert {"resolution.linear_syzygies", "resolution.quartic_check",
+            "tangent.hom", "cli.compute_alpha"} <= names
+    assert not hasattr(gw["resolution"].linear_syzygies, "__wrapped__")

@@ -1,14 +1,18 @@
 import pytest
 
+from conftest import binomial_edges, elimination_syzygies, incidence_matrix
+from gwpskit.cache import syzygies_to_text
+from gwpskit.exactla import default_fields, solution_dim
 from gwpskit.lattice import degree_slice
 from gwpskit.resolution import (
     beta2,
     check_no_quartic_syzygies,
     incident_pairs_degree3,
+    incident_pairs_degree4,
     linear_syzygies,
     quartic_kernel_basis,
 )
-from gwpskit.toric import ConnectivityReport, ToricIdeal, quadric_generators
+from gwpskit.toric import ConnectivityReport, ToricIdeal, spanning_forest
 from gwpskit.wps import invariants, weighted_space
 
 
@@ -81,11 +85,20 @@ def test_quartic_check_vacuous_for_empty_ideal():
     assert rep.ok and rep.blocks_checked == 0
 
 
+def test_forest_basis_equals_elimination_basis(pipeline_2334, pipeline_231015):
+    for pipe in (pipeline_2334, pipeline_231015):
+        sp, ideal = pipe["space"], pipe["ideal"]
+        assert syzygies_to_text(sp, pipe["syzygies"], "asc") == syzygies_to_text(
+            sp, elimination_syzygies(ideal), "asc"
+        )
+
+
 def test_pivot_order_changes_basis_not_count(pipeline_2334):
     ideal = pipeline_2334["ideal"]
     asc = pipeline_2334["syzygies"]
-    desc = linear_syzygies(ideal, pivot="desc")
+    desc = elimination_syzygies(ideal, reverse=True)
     assert desc.total_count == asc.total_count == 320
+    assert list(desc.elements()) != list(asc.elements())
     assert {k: len(v) for k, v in desc.by_multidegree.items()} == {
         k: len(v) for k, v in asc.by_multidegree.items()
     }
@@ -98,6 +111,19 @@ def test_swapped_primes_agree(pipeline_2334):
     ideal = pipeline_2334["ideal"]
     swapped = linear_syzygies(ideal, fields=(f2, f1))
     assert swapped.total_count == 320
+
+
+def test_quartic_graph_dimension_matches_elimination(pipeline_2334):
+    ideal = pipeline_2334["ideal"]
+    fields = default_fields()
+    blocks = incident_pairs_degree4(ideal)
+    assert len(blocks) == 334
+    for cols in blocks.values():
+        edges = binomial_edges(ideal, cols)
+        vertices, components, _ = spanning_forest(edges)
+        assert len(cols) - vertices + components == solution_dim(
+            incidence_matrix(edges), *fields
+        )
 
 
 def test_quartic_kernel_dimensions(pipeline_2334):

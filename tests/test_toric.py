@@ -1,16 +1,20 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import binomial_edges, rational_rank
 from gwpskit.exactla import SparseMatrix, default_fields, solution_dim
 from gwpskit.lattice import count_points, degree_slice
+from gwpskit.resolution import incident_pairs_degree3
 from gwpskit.toric import (
     BettiConsistencyError,
     beta1,
     check_degree3_generation,
     degree2_span_crosscheck,
-    degree3_image_dimension,
     quadric_generators,
+    spanning_forest,
 )
 from gwpskit.wps import invariants, weighted_space
 
@@ -105,10 +109,63 @@ def test_connectivity_agrees_with_rank_test():
         inv = invariants(sp)
         assert check_degree3_generation(sp).connected
         expected_i3 = comb(inv.g + 4, 3) - count_points(sp, 3 * inv.s)
-        assert degree3_image_dimension(sp) == expected_i3
+        # dim of the cubic part generated by the quadrics: per multidegree,
+        # the rank of the products y_i * q_k in the cubic monomial basis
+        ideal = quadric_generators(sp)
+        image = 0
+        for cols in incident_pairs_degree3(ideal).values():
+            edges = binomial_edges(ideal, [((i,), k) for i, k in cols])
+            monos = {m: r for r, m in enumerate({m for e in edges for m in e})}
+            rows = []
+            for plus, minus in edges:
+                row = [0] * len(monos)
+                row[monos[plus]], row[monos[minus]] = 1, -1
+                rows.append(row)
+            image += rational_rank(rows)
+        assert image == expected_i3
 
 
 def test_generators_deterministic():
     a = quadric_generators(weighted_space(2, 3, 3, 4))
     b = quadric_generators(weighted_space(2, 3, 3, 4))
     assert a.generators == b.generators
+
+
+@st.composite
+def multigraphs(draw):
+    """Up to 9 vertices and 18 edges, without loops; parallel edges and
+    several components occur."""
+    n = draw(st.integers(2, 9))
+    vertex = st.integers(0, n - 1)
+    edge = st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1])
+    return draw(st.lists(edge, max_size=18))
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs())
+def test_spanning_forest_cycles_are_a_kernel_basis(edges):
+    vertices, components, cycles = spanning_forest(edges)
+    cycles = list(cycles)
+    labels = sorted({v for e in edges for v in e})
+    assert vertices == len(labels)
+    incidence = [[0] * len(edges) for _ in labels]
+    for j, (plus, minus) in enumerate(edges):
+        incidence[labels.index(plus)][j] += 1
+        incidence[labels.index(minus)][j] -= 1
+    own_edges = []
+    for cycle in cycles:
+        coeff = dict(cycle)
+        assert [j for j, _ in cycle] == sorted(coeff)
+        assert set(coeff.values()) <= {1, -1}
+        for row in incidence:
+            assert sum(row[j] * c for j, c in cycle) == 0
+        # Kruskal closes a cycle with earlier edges only, so the cycle's own
+        # non-tree edge is its last one.
+        own = cycle[-1][0]
+        assert coeff[own] == 1
+        own_edges.append(own)
+    for own in own_edges:
+        assert sum(own in dict(other) for other in cycles) == 1
+    assert own_edges == sorted(set(own_edges))
+    assert len(cycles) == len(edges) - vertices + components
+    assert len(cycles) == len(edges) - rational_rank(incidence)
