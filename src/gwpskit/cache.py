@@ -7,10 +7,11 @@ Every cache file starts with the header
 followed by one record per line: lattice points as space-separated exponents,
 generators as "gen a b g d" (slice indices of the two pairs), syzygies as
 "syz d0 d1 d2 d3 : (i,k,c) ...", and block tables as "blk d0 d1 d2 d3 dim".
+Entries are keyed by params "min" (ideal), "asc" (syzygies) and "" (blocks).
 The format is plain text, diffable, and round-trip stable bit for bit.
-Writes go to a temp file and are renamed into place atomically.  Partially
-completed block tables append to a ".part" sidecar so interrupted long runs
-can resume.
+Writes go to a uniquely named temp file and are renamed into place
+atomically.  Partially completed block tables append to a ".part" sidecar so
+interrupted long runs can resume.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ def syzygies_from_text(space: WeightedSpace, text: str, params: str = "") -> Syz
             continue
         head, _, tail = line.partition(" : ")
         tok = head.split()
-        if tok[0] != "syz" or len(tok) != 5:
+        if len(tok) != 5 or tok[0] != "syz":
             raise CacheFormatError(f"bad syzygy record: {line!r}")
         key = tuple(int(t) for t in tok[1:])
         terms = []
@@ -181,9 +182,12 @@ class Cache:
 
     def store(self, space: WeightedSpace, kind: str, text: str, params: str = "") -> Path:
         path = self.path_for(space, kind, params)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(text)
-        os.replace(tmp, path)
+        tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+        try:
+            tmp.write_text(text)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
         return path
 
     # Partial block tables: appended as they complete, finalized atomically.
@@ -192,11 +196,18 @@ class Cache:
         return self.path_for(space, "blocks", params).with_suffix(".part")
 
     def load_partial_blocks(self, space: WeightedSpace, params: str = "") -> dict[Point, int]:
+        """The shifts solved so far.  A torn last line is cut off, so the next
+        append starts a line of its own; a torn or stale header deletes the file."""
         path = self.partial_blocks_path(space, params)
         if not path.exists():
             return {}
-        lines = path.read_text().splitlines()
+        text = path.read_text()
+        complete = text[: text.rfind("\n") + 1]
+        if complete != text:
+            os.truncate(path, len(complete.encode()))
+        lines = complete.splitlines()
         if not lines or lines[0] != header_line(space, "blocks", params):
+            path.unlink()
             return {}
         return _parse_block_lines(lines[1:])
 

@@ -34,7 +34,6 @@ class RunConfig:
     bound: int = DEFAULT_BOUND
     verify: bool = False
     all_spaces: bool = False
-    strict: bool = False
     primes: tuple[int, int] = (exactla.MERSENNE_PRIME_31, exactla.SECOND_PRIME)
     max_genus_for_heavy_checks: int = DEFAULT_MAX_GENUS
     cache_dir: str | None = None
@@ -189,10 +188,17 @@ def _load_or_build_ideal(sp: WeightedSpace, cache: Cache | None) -> toric.ToricI
 
 
 def _load_or_build_syzygies(sp, ideal, cache: Cache | None):
+    """The cached syzygy basis when it parses and every element is a syzygy
+    of the ideal; otherwise a fresh basis, which overwrites the entry."""
     if cache is not None:
         text = cache.load(sp, "syzygies", "asc")
         if text is not None:
-            return syzygies_from_text(sp, text, "asc")
+            try:
+                syz = syzygies_from_text(sp, text, "asc")
+            except ValueError:  # a bad record or a stale header
+                syz = None
+            if syz is not None and resolution.syzygies_cancel(ideal, syz):
+                return syz
     syz = resolution.linear_syzygies(ideal)
     if cache is not None:
         cache.store(sp, "syzygies", syzygies_to_text(sp, syz, "asc"), "asc")
@@ -278,18 +284,17 @@ def compute_alpha(sp: WeightedSpace, config: RunConfig) -> tangent.T1Report:
     fields = config.fields()
     ideal = _load_or_build_ideal(sp, cache)
     syz = _load_or_build_syzygies(sp, ideal, cache)
-    params = f"strict={int(config.strict)}"
     known = None
     progress = None
     if cache is not None:
-        final = cache.load(sp, "blocks", params)
+        final = cache.load(sp, "blocks")
         if final is not None:
-            known = blocks_from_text(sp, final, params)
+            known = blocks_from_text(sp, final)
         else:
-            known = cache.load_partial_blocks(sp, params) or None
+            known = cache.load_partial_blocks(sp) or None
 
-            def progress(shift, dim, done, total, _sp=sp, _params=params):
-                cache.append_partial_block(_sp, shift, dim, _params)
+            def progress(shift, dim, done, total, _sp=sp):
+                cache.append_partial_block(_sp, shift, dim)
 
     heavy = invariants(sp).g > config.max_genus_for_heavy_checks
     if heavy:
@@ -305,12 +310,11 @@ def compute_alpha(sp: WeightedSpace, config: RunConfig) -> tangent.T1Report:
         ideal,
         syz,
         fields=fields,
-        strict=config.strict,
         known=known,
         progress=progress,
     )
     if cache is not None:
-        cache.finalize_blocks(sp, hom.by_shift, params)
+        cache.finalize_blocks(sp, hom.by_shift)
     return tangent.assemble_report(sp, ideal, syz, hom)
 
 
@@ -388,7 +392,6 @@ def _config_from_args(args) -> RunConfig:
         bound=getattr(args, "bound", DEFAULT_BOUND),
         verify=getattr(args, "verify", False),
         all_spaces=getattr(args, "all", False),
-        strict=getattr(args, "strict", False),
         primes=(args.prime, args.prime2),
         max_genus_for_heavy_checks=args.max_genus,
         cache_dir=cache_dir,
@@ -421,8 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
     p.add_argument("--all", action="store_true",
                    help="also compute the over-budget spaces")
-    p.add_argument("--strict", action="store_true",
-                   help="impose the redundant quartic constraints as well")
     _add_common(p)
 
     p = sub.add_parser("veronese", help="Veronese subring presentation")

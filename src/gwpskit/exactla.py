@@ -1,12 +1,12 @@
 """Exact linear algebra over prime fields.
 
-Ranks and solution-space dimensions for the small dense blocks and moderate
-sparse systems produced by the toric, syzygy and tangent pipelines, and
-right-kernel bases as a reference for the graph-based syzygy kernels.  All
-arithmetic is exact: entries are reduced modulo an odd prime p < 2**31, so
-products of two reduced values stay below 2**62 and numpy int64 elimination
-never overflows.  Solution dimensions are always computed under
-two independent primes and must agree.
+Ranks and solution-space dimensions for the validated sparse systems of the
+syzygy and section pipelines and the int64 arrays of the tangent shift
+blocks, and right-kernel bases as a reference for the graph-based syzygy
+kernels.  All arithmetic is exact: entries are reduced modulo an odd prime
+p < 2**31, so products of two reduced values stay below 2**62 and numpy
+int64 elimination never overflows.  Solution dimensions of both kinds of
+matrix are computed under two independent primes and must agree.
 """
 
 from __future__ import annotations
@@ -125,24 +125,16 @@ class SparseMatrix:
         ncols = len(data[0]) if data else 0
         return cls(len(data), ncols, tuple(entries))
 
-    @classmethod
-    def from_rows(cls, rows, cols: int) -> "SparseMatrix":
-        """Build from an iterable of dense coefficient rows of length `cols`."""
-        entries = []
-        nrows = 0
-        for r, row in enumerate(rows):
-            nrows += 1
-            for c, v in enumerate(row):
-                if v:
-                    entries.append((r, c, int(v)))
-        return cls(nrows, cols, tuple(entries))
 
-
-def fingerprint(m: SparseMatrix) -> str:
-    """Content hash used in reproducibility diagnostics."""
-    h = hashlib.sha256()
-    h.update(f"{m.rows} {m.cols}".encode())
-    for r, c, v in sorted(m.entries):
+def fingerprint(m: SparseMatrix | np.ndarray) -> str:
+    """Content hash used in reproducibility diagnostics; a SparseMatrix and
+    the integer array with the same entries hash alike."""
+    if isinstance(m, np.ndarray):
+        (rows, cols), entries = m.shape, ((r, c, m[r, c]) for r, c in zip(*np.nonzero(m)))
+    else:
+        rows, cols, entries = m.rows, m.cols, sorted(m.entries)
+    h = hashlib.sha256(f"{rows} {cols}".encode())
+    for r, c, v in entries:
         h.update(f" {r},{c},{v}".encode())
     return h.hexdigest()[:16]
 
@@ -313,21 +305,38 @@ def kernel_basis_mod_p(m: SparseMatrix, f: FieldSpec) -> list[tuple[int, ...]]:
     return basis
 
 
-def solution_dim(m: SparseMatrix, f1: FieldSpec, f2: FieldSpec) -> int:
-    """Dimension cols - rank of the solution space of m x = 0.
+def _array_rank_mod_p(a: np.ndarray, f: FieldSpec) -> int:
+    """rank_mod_p of an int64 array, by dense elimination whatever its width."""
+    p = f.prime
+    reduced = a % p
+    vanished = np.argwhere((reduced == 0) & (a != 0))
+    if len(vanished):
+        r, c = (int(x) for x in vanished[0])
+        raise EntryVanishedError(p, r, c, int(a[r, c]))
+    return _dense_rank(reduced, p)
 
-    Computed under both primes; the value is returned only when the two
-    agree.  A nonzero entry that vanishes under either prime raises
-    EntryVanishedError, which propagates: there is no fallback to the other
-    prime alone.
-    """
+
+def _agreed_rank(m, rank_mod, f1: FieldSpec, f2: FieldSpec) -> int:
+    """The two-prime protocol: rank_mod(m, f) under two distinct primes, only
+    when they agree.  EntryVanishedError from either prime propagates: there
+    is no fallback to the other prime alone."""
     if f1.prime == f2.prime:
         raise ValueError("solution_dim requires two distinct primes")
-    r1 = rank_mod_p(m, f1)
-    r2 = rank_mod_p(m, f2)
+    r1 = rank_mod(m, f1)
+    r2 = rank_mod(m, f2)
     if r1 != r2:
         raise ReproducibilityError(
             f"rank disagreement mod {f1.prime} ({r1}) vs mod {f2.prime} ({r2}); "
             f"matrix fingerprint {fingerprint(m)}"
         )
-    return m.cols - r1
+    return r1
+
+
+def solution_dim(m: SparseMatrix, f1: FieldSpec, f2: FieldSpec) -> int:
+    """Dimension cols - rank of the solution space of m x = 0."""
+    return m.cols - _agreed_rank(m, rank_mod_p, f1, f2)
+
+
+def array_solution_dim(a: np.ndarray, f1: FieldSpec, f2: FieldSpec) -> int:
+    """solution_dim of a two-dimensional int64 array."""
+    return a.shape[1] - _agreed_rank(a, _array_rank_mod_p, f1, f2)

@@ -94,6 +94,17 @@ def _edges(ideal: ToricIdeal, cols):
     return out
 
 
+def _cancels(edges, cycle) -> bool:
+    """Whether sum c * (plus - minus) of edges[j] over the (j, c) in cycle
+    vanishes: the syzygy cancels as a polynomial."""
+    acc: dict[tuple[int, ...], int] = {}
+    for j, c in cycle:
+        plus, minus = edges[j]
+        acc[plus] = acc.get(plus, 0) + c
+        acc[minus] = acc.get(minus, 0) - c
+    return not any(acc.values())
+
+
 def linear_syzygies(
     ideal: ToricIdeal,
     fields: tuple[FieldSpec, FieldSpec] | None = None,
@@ -113,12 +124,7 @@ def linear_syzygies(
         edges = _edges(ideal, [((i,), k) for i, k in cols])
         elems = []
         for cycle in spanning_forest(edges)[2]:
-            acc: dict[tuple[int, ...], int] = {}
-            for j, c in cycle:
-                plus, minus = edges[j]
-                acc[plus] = acc.get(plus, 0) + c
-                acc[minus] = acc.get(minus, 0) - c
-            if any(acc.values()):
+            if not _cancels(edges, cycle):
                 raise AssertionError(f"syzygy at multidegree {key} does not cancel")
             terms = tuple(cols[j] + (c,) for j, c in cycle)
             elems.append(SyzygyElement(multidegree=key, terms=terms))
@@ -126,6 +132,25 @@ def linear_syzygies(
             by_multidegree[key] = tuple(elems)
     total = sum(len(v) for v in by_multidegree.values())
     return SyzygyBasis(by_multidegree=by_multidegree, total_count=total)
+
+
+def syzygies_cancel(ideal: ToricIdeal, basis: SyzygyBasis) -> bool:
+    """Whether every element of a basis read from a cache file is a nonzero
+    syzygy of the ideal: its terms exist and sit at its multidegree, and it
+    passes the cancellation check that linear_syzygies runs."""
+    pts, gens = ideal.slice_s.points, ideal.generators
+    for key, elems in basis.by_multidegree.items():
+        for syz in elems:
+            if not syz.terms or not all(
+                0 <= i < len(pts) and 0 <= k < len(gens)
+                and tadd(pts[i], gens[k].multidegree) == key
+                for i, k, _ in syz.terms
+            ):
+                return False
+            edges = _edges(ideal, [((i,), k) for i, k, _ in syz.terms])
+            if not _cancels(edges, enumerate(c for _, _, c in syz.terms)):
+                return False
+    return True
 
 
 def incident_pairs_degree4(ideal: ToricIdeal) -> dict[Point, list[tuple[tuple[int, int], int]]]:
@@ -203,22 +228,3 @@ def check_no_quartic_syzygies(
         if kernel_dim != span_rank and witness is None:
             witness = key
     return QuarticSyzygyReport(ok=witness is None, witness=witness, blocks_checked=len(keys))
-
-
-def quartic_kernel_basis(
-    ideal: ToricIdeal,
-) -> dict[Point, tuple[tuple[tuple[tuple[int, int], int, int], ...], ...]]:
-    """Bases of the degree-4 syzygy kernels, keyed by multidegree: the
-    fundamental cycles of each block's graph, each a tuple of
-    ((i, j), k, coefficient) terms.
-
-    Used by the strict tangent mode to impose the (redundant, once the
-    quartic check passes) degree-4 constraints.
-    """
-    grouped = incident_pairs_degree4(ideal)
-    table = {}
-    for key in sorted(grouped, reverse=True):
-        cols = grouped[key]
-        cycles = spanning_forest(_edges(ideal, cols))[2]
-        table[key] = tuple(tuple(cols[j] + (c,) for j, c in cycle) for cycle in cycles)
-    return table

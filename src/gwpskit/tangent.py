@@ -20,17 +20,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import exactla, lattice
 from ._util import tadd, tsub
 from .exactla import FieldSpec, SparseMatrix
 from .lattice import Point
-from .resolution import SyzygyBasis, linear_syzygies, quartic_kernel_basis
+from .resolution import SyzygyBasis, linear_syzygies
 from .toric import ToricIdeal
 from .wps import WeightedSpace, invariants
 
 ASSUMPTION_NOTE = (
     "constraints use the minimal cubic syzygies; degree-4 redundancy is "
-    "verifiable via the quartic check or strict mode, higher degrees rest on "
+    "verified by the quartic check (betti --verify), higher degrees rest on "
     "the quadratic-linear resolution shape"
 )
 
@@ -38,12 +40,13 @@ ASSUMPTION_NOTE = (
 @dataclass(frozen=True)
 class ShiftBlock:
     """One shift's linear system: unknowns are generator indices whose
-    multidegree plus the shift lands in the degree-s slice; each row is a
-    syzygy constraint restricted to those unknowns."""
+    multidegree plus the shift lands in the degree-s slice; the int64 array
+    constraints holds the distinct syzygy constraints on those unknowns, one
+    nonzero primitive row each with a positive leading entry."""
 
     shift: Point
     unknowns: tuple[int, ...]
-    constraints: tuple[tuple[int, ...], ...]
+    constraints: np.ndarray
 
 
 @dataclass
@@ -77,20 +80,29 @@ class T1Report:
     assumption_note: str = ASSUMPTION_NOTE
 
 
-def _rank(mat: SparseMatrix, fields) -> int:
-    """Two-prime rank via the agreed solution dimension."""
-    return mat.cols - exactla.solution_dim(mat, *fields)
+def _syzygies_by_generator(syzygies: SyzygyBasis) -> np.ndarray:
+    """The terms of all syzygies in basis order as int64 rows (owner, gen,
+    coef); perfbench/spans.py looks this index up by name.  Coefficients below
+    2**31 in size keep the int64 products of derivation_vectors exact."""
+    terms = [(j, k, c) for j, syz in enumerate(syzygies.elements()) for (_, k, c) in syz.terms]
+    table = np.array(terms, dtype=np.int64).reshape(-1, 3).T
+    if np.abs(table[2]).max(initial=0) >> 31:
+        raise ValueError("syzygy coefficient of size 2**31 or more")
+    return table
 
 
-def _syzygies_by_generator(syzygies: SyzygyBasis) -> dict[int, list]:
-    index: dict[int, list] = {}
-    for syz in syzygies.elements():
-        seen = set()
-        for (_, k, _) in syz.terms:
-            if k not in seen:
-                seen.add(k)
-                index.setdefault(k, []).append(syz)
-    return index
+def _primitive_distinct_rows(a: np.ndarray) -> np.ndarray:
+    """The nonzero rows of a, each divided by its gcd and signed to a positive
+    leading entry, without repeats, in first-seen order."""
+    g = np.gcd.reduce(a, axis=1)
+    a //= np.maximum(g, 1)[:, None]
+    a *= np.sign(a[np.arange(len(a)), np.argmax(a != 0, axis=1)])[:, None]
+    # Each row as one opaque bytes value, so that equal rows are equal bytes;
+    # as int8 when every entry fits, which keeps np.unique's copies small.
+    keys = a.astype(np.int8) if -128 <= a.min(initial=0) and a.max(initial=0) < 128 else a
+    rows = keys.view(np.dtype((np.void, keys.itemsize * a.shape[1]))).ravel()
+    _, first = np.unique(rows, return_index=True)
+    return a[np.sort(first[g[first] > 0])]
 
 
 def _generator_multidegree_groups(ideal: ToricIdeal) -> dict[Point, list[int]]:
@@ -114,13 +126,13 @@ def build_block(
     ideal: ToricIdeal,
     syzygies: SyzygyBasis,
     shift: Point,
-    syz_by_gen: dict[int, list] | None = None,
-    strict_kernel=None,
+    syz_by_gen: np.ndarray | None = None,
 ) -> ShiftBlock | None:
     """Assemble the linear system of one shift; None when it has no unknowns.
 
-    With strict_kernel (a degree-4 kernel table from quartic_kernel_basis),
-    the redundant quartic constraints are appended as extra rows.
+    Every syzygy that involves an unknown gives one row, summed from its terms
+    in the table of _syzygies_by_generator (built here when not supplied), so
+    the rows that remain are in basis order.
     """
     slice_index = ideal.slice_s.index_map()
     if syz_by_gen is None:
@@ -132,44 +144,23 @@ def build_block(
     ]
     if not unknowns:
         return None
-    pos = {k: idx for idx, k in enumerate(unknowns)}
-    rows: list[tuple[int, ...]] = []
-    seen_syz = set()
-    for k in unknowns:
-        for syz in syz_by_gen.get(k, ()):
-            key = id(syz)
-            if key in seen_syz:
-                continue
-            seen_syz.add(key)
-            row = [0] * len(unknowns)
-            hit = False
-            for (_, kk, c) in syz.terms:
-                idx = pos.get(kk)
-                if idx is not None:
-                    row[idx] += c
-                    hit = True
-            if hit and any(row):
-                rows.append(tuple(row))
-    if strict_kernel is not None:
-        for elems in strict_kernel.values():
-            for terms in elems:
-                row = [0] * len(unknowns)
-                hit = False
-                for (_, kk, c) in terms:
-                    idx = pos.get(kk)
-                    if idx is not None:
-                        row[idx] += c
-                        hit = True
-                if hit and any(row):
-                    rows.append(tuple(row))
-    return ShiftBlock(shift=shift, unknowns=tuple(unknowns), constraints=tuple(rows))
+    owner, gen, coef = syz_by_gen
+    col_of = np.full(len(ideal.generators), -1, dtype=np.int64)
+    col_of[unknowns] = np.arange(len(unknowns))
+    cols = col_of[gen]
+    hit = cols >= 0
+    owners, rows = np.unique(owner[hit], return_inverse=True)
+    a = np.zeros((len(owners), len(unknowns)), dtype=np.int64)
+    np.add.at(a, (rows, cols[hit]), coef[hit])
+    return ShiftBlock(
+        shift=shift, unknowns=tuple(unknowns), constraints=_primitive_distinct_rows(a)
+    )
 
 
 def hom_dimension_minus1(
     ideal: ToricIdeal,
     syzygies: SyzygyBasis,
     fields: tuple[FieldSpec, FieldSpec] | None = None,
-    strict: bool = False,
     known: dict[Point, int] | None = None,
     progress=None,
 ) -> HomTable:
@@ -182,18 +173,13 @@ def hom_dimension_minus1(
     if fields is None:
         fields = exactla.default_fields()
     syz_by_gen = _syzygies_by_generator(syzygies)
-    strict_kernel = quartic_kernel_basis(ideal) if strict else None
     shifts = enumerate_shifts(ideal)
     todo = [s for s in shifts if known is None or s not in known]
 
     by_shift: dict[Point, int] = dict(known) if known else {}
     for done, shift in enumerate(todo, start=1):
-        block = build_block(ideal, syzygies, shift, syz_by_gen, strict_kernel)
-        if block is None:
-            dim = 0
-        else:
-            mat = SparseMatrix.from_rows(block.constraints, len(block.unknowns))
-            dim = exactla.solution_dim(mat, *fields)
+        block = build_block(ideal, syzygies, shift, syz_by_gen)
+        dim = 0 if block is None else exactla.array_solution_dim(block.constraints, *fields)
         by_shift[shift] = dim
         if progress is not None:
             progress(shift, dim, done, len(todo))
@@ -223,32 +209,22 @@ def derivation_vectors(
             raise AssertionError(
                 f"coordinate {m} has no incident generators; derivation vanishes"
             )
-        values = {}
-        for k in block.unknowns:
-            gen = ideal.generators[k]
-            coeff = 0
-            for pair, sign in ((gen.lhs, 1), (gen.rhs, -1)):
-                coeff += sign * ((pair[0] == m) + (pair[1] == m))
-            values[k] = coeff
-        if not any(values.values()):
+        gens = [ideal.generators[k] for k in block.unknowns]
+        vec = np.array([g.lhs.count(m) - g.rhs.count(m) for g in gens], dtype=np.int64)
+        if not vec.any():
             raise AssertionError(f"derivation for coordinate {m} is the zero vector")
-        vec = [values[k] for k in block.unknowns]
-        for row in block.constraints:
-            if sum(r * v for r, v in zip(row, vec)) != 0:
-                raise AssertionError(
-                    f"derivation for coordinate {m} violates a syzygy constraint; "
-                    "the syzygy basis is incomplete"
-                )
+        # Syzygy coefficients below 2**31 and components of size at most 2:
+        # the int64 product is exact.
+        if (block.constraints @ vec).any():
+            raise AssertionError(
+                f"derivation for coordinate {m} violates a syzygy constraint; "
+                "the syzygy basis is incomplete"
+            )
         if shift in shifts_seen:
             raise AssertionError("derivation shifts are not pairwise distinct")
         shifts_seen.add(shift)
-        out.append(
-            DerivationVector(
-                coordinate=m,
-                shift=shift,
-                components=tuple((k, values[k]) for k in block.unknowns),
-            )
-        )
+        components = tuple(zip(block.unknowns, vec.tolist()))
+        out.append(DerivationVector(coordinate=m, shift=shift, components=components))
     return tuple(out)
 
 
@@ -327,7 +303,6 @@ def assemble_report(
 def alpha_report(
     space: WeightedSpace,
     fields: tuple[FieldSpec, FieldSpec] | None = None,
-    strict: bool = False,
 ) -> T1Report:
     """Full pipeline: ideal, degree-3 generation, syzygies, derivation
     assertions, block solve; then alpha and the extendability count."""
@@ -338,7 +313,7 @@ def alpha_report(
         raise ValueError("alpha is computed for Gorenstein spaces only")
     ideal = quadric_generators(space)
     syzygies = linear_syzygies(ideal)
-    hom = hom_dimension_minus1(ideal, syzygies, fields=fields, strict=strict)
+    hom = hom_dimension_minus1(ideal, syzygies, fields=fields)
     return assemble_report(space, ideal, syzygies, hom)
 
 
@@ -442,10 +417,8 @@ def t1_section_minus1(
     rel2_rank: dict[Point, int] = {}
     for key, vecs in rel2_by_class.items():
         cols = sorted({p for vec in vecs for p in vec})
-        mat = SparseMatrix.from_rows(
-            [[vec.get(p, 0) for p in cols] for vec in vecs], len(cols)
-        )
-        rel2_rank[key] = _rank(mat, fields)
+        mat = SparseMatrix.from_dense([[vec.get(p, 0) for p in cols] for vec in vecs])
+        rel2_rank[key] = mat.cols - exactla.solution_dim(mat, *fields)
 
     if pairs:
         total_rel2_rank = sum(rel2_rank.values())
@@ -460,7 +433,8 @@ def t1_section_minus1(
 
     subst = {b: a for a, b in pairs}
     gen_groups = _generator_multidegree_groups(ideal)
-    syz_by_gen = _syzygies_by_generator(syzygies)
+    elements = tuple(syzygies.elements())
+    owner, gen, _ = _syzygies_by_generator(syzygies)
 
     # Shift classes and the per-(multidegree, class) unknown targets.
     targets_by_c: dict[Point, dict[Point, list[int]]] = {}
@@ -531,46 +505,41 @@ def t1_section_minus1(
                 gauge_rows.append(row)
         gauge_rank = 0
         if gauge_rows:
-            gm = SparseMatrix.from_rows(gauge_rows, nt)
+            gm = SparseMatrix.from_dense(gauge_rows)
             gauge_rank = nt - exactla.solution_dim(gm, *fields)
 
         # Constraint system with per-syzygy slack columns for the degree-2s
         # quotient relations.
-        seen = set()
         sys_rows: list[dict[int, int]] = []
         slack_base = nt
         slack_nullity = 0
-        for k in ks:
-            for syz in syz_by_gen.get(k, ()):
-                if id(syz) in seen:
+        for j in np.unique(owner[np.isin(gen, ks)]):
+            point_rows: dict[Point, dict[int, int]] = {}
+            hit = False
+            for (i, kk, c) in substituted_terms(elements[j]):
+                vs = targets_by_c[ideal.generators[kk].multidegree].get(gamma)
+                if not vs:
                     continue
-                seen.add(id(syz))
-                point_rows: dict[Point, dict[int, int]] = {}
-                hit = False
-                for (i, kk, c) in substituted_terms(syz):
-                    vs = targets_by_c[ideal.generators[kk].multidegree].get(gamma)
-                    if not vs:
-                        continue
-                    hit = True
-                    ui = pts[i]
-                    for v in vs:
-                        p = tadd(ui, pts[v])
-                        row = point_rows.setdefault(p, {})
-                        col = pos[(kk, v)]
-                        row[col] = row.get(col, 0) + c
-                if not hit:
-                    continue
-                chi_s = cls(next(iter(point_rows)))
-                rels = rel2_by_class.get(chi_s, ())
-                for ridx, rel in enumerate(rels):
-                    for p, val in rel.items():
-                        row = point_rows.setdefault(p, {})
-                        row[slack_base + ridx] = val
-                if rels:
-                    slack_nullity += len(rels) - rel2_rank[chi_s]
-                    slack_base += len(rels)
-                for p in sorted(point_rows, reverse=True):
-                    sys_rows.append(point_rows[p])
+                hit = True
+                ui = pts[i]
+                for v in vs:
+                    p = tadd(ui, pts[v])
+                    row = point_rows.setdefault(p, {})
+                    col = pos[(kk, v)]
+                    row[col] = row.get(col, 0) + c
+            if not hit:
+                continue
+            chi_s = cls(next(iter(point_rows)))
+            rels = rel2_by_class.get(chi_s, ())
+            for ridx, rel in enumerate(rels):
+                for p, val in rel.items():
+                    row = point_rows.setdefault(p, {})
+                    row[slack_base + ridx] = val
+            if rels:
+                slack_nullity += len(rels) - rel2_rank[chi_s]
+                slack_base += len(rels)
+            for p in sorted(point_rows, reverse=True):
+                sys_rows.append(point_rows[p])
         ncols = slack_base
         entries = []
         for r, row in enumerate(sys_rows):
@@ -604,7 +573,7 @@ def t1_section_minus1(
                 if nonzero:
                     deriv_rows.append(row)
             if deriv_rows:
-                stacked = SparseMatrix.from_rows(deriv_rows + gauge_rows, nt)
+                stacked = SparseMatrix.from_dense(deriv_rows + gauge_rows)
                 stacked_rank = nt - exactla.solution_dim(stacked, *fields)
                 total_deriv_rank += stacked_rank - gauge_rank
 

@@ -3,7 +3,8 @@
 Oracles are deliberately written along different paths than the library code
 they validate: counting by exhaustive loops instead of the coin DP, ranks by
 fraction-exact Gaussian elimination instead of mod-p elimination, syzygy
-bases by mod-p elimination instead of spanning forests.
+bases by mod-p elimination instead of spanning forests, tangent shift blocks
+as undeduplicated Python rows instead of deduplicated int64 arrays.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from gwpskit._util import tadd
 from gwpskit.exactla import SparseMatrix, default_fields, kernel_basis_mod_p
 from gwpskit.resolution import (
     SyzygyBasis,
@@ -112,6 +114,37 @@ def elimination_syzygies(ideal, reverse=False) -> SyzygyBasis:
             by_multidegree[key] = tuple(elems)
     total = sum(len(v) for v in by_multidegree.values())
     return SyzygyBasis(by_multidegree=by_multidegree, total_count=total)
+
+
+def raw_block_rows(ideal, syzygies, shift):
+    """(unknowns, rows) of one shift block, built row by row: per unknown
+    generator in ascending order, every syzygy involving it not seen yet,
+    restricted to the unknowns; all-zero rows are skipped, repeats and
+    non-primitive rows kept."""
+    slice_index = ideal.slice_s.index_map()
+    unknowns = [
+        k for k, gen in enumerate(ideal.generators)
+        if tadd(gen.multidegree, shift) in slice_index
+    ]
+    by_gen = {}
+    for syz in syzygies.elements():
+        for k in dict.fromkeys(k for _, k, _ in syz.terms):
+            by_gen.setdefault(k, []).append(syz)
+    pos = {k: idx for idx, k in enumerate(unknowns)}
+    rows = []
+    seen = set()
+    for k in unknowns:
+        for syz in by_gen.get(k, ()):
+            if id(syz) in seen:
+                continue
+            seen.add(id(syz))
+            row = [0] * len(unknowns)
+            for (_, kk, c) in syz.terms:
+                if kk in pos:
+                    row[pos[kk]] += c
+            if any(row):
+                rows.append(tuple(row))
+    return unknowns, rows
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,7 @@ from gwpskit.cli import (
     cmd_betti,
     cmd_classify,
     cmd_veronese,
+    compute_alpha,
     load_expected,
     run,
 )
@@ -160,12 +161,84 @@ def test_partial_blocks_resume(tmp_path):
     syz = linear_syzygies(ideal)
     hom = hom_dimension_minus1(ideal, syz)
     first_shift, first_dim = next(iter(sorted(hom.by_shift.items())))
-    cache.append_partial_block(sp, first_shift, first_dim, "strict=0")
+    cache.append_partial_block(sp, first_shift, first_dim)
     rep = compute_alpha(sp, cfg)
     assert rep.alpha_S == 6
-    assert not cache.partial_blocks_path(sp, "strict=0").exists()
-    stored = cache_mod.blocks_from_text(sp, cache.load(sp, "blocks", "strict=0"), "strict=0")
+    assert not cache.partial_blocks_path(sp).exists()
+    stored = cache_mod.blocks_from_text(sp, cache.load(sp, "blocks"))
     assert stored == hom.by_shift
+
+
+def test_torn_partial_blocks_at_every_offset(tmp_path, pipeline_2334):
+    """A .part file cut at any byte, as an interrupted append leaves it, still
+    gives the reference alpha and the uncached block table."""
+    sp = pipeline_2334["space"]
+    by_shift = pipeline_2334["hom"].by_shift
+    cfg = _small_alpha_config(cache_dir=str(tmp_path))
+    cache = cfg.cache()
+    compute_alpha(sp, cfg)  # caches the ideal and the syzygies
+    cache.path_for(sp, "blocks").unlink()
+    for shift in sorted(by_shift)[:2]:
+        cache.append_partial_block(sp, shift, by_shift[shift])
+    part = cache.partial_blocks_path(sp)
+    data = part.read_bytes()
+    for cut in range(len(data) + 1):
+        part.write_bytes(data[:cut])
+        known = cache.load_partial_blocks(sp)
+        assert known.items() <= by_shift.items()
+        assert compute_alpha(sp, cfg).alpha_S == 6
+        assert not part.exists()
+        final = cache.path_for(sp, "blocks")
+        assert cache_mod.blocks_from_text(sp, final.read_text()) == by_shift
+        final.unlink()
+
+
+def test_append_after_torn_line_starts_a_new_line(tmp_path):
+    cache = cache_mod.Cache(tmp_path)
+    sp = weighted_space(2, 3, 3, 4)
+    cache.append_partial_block(sp, (-8, 0, 0, 1), 0)
+    part = cache.partial_blocks_path(sp)
+    part.write_text(part.read_text() + "blk -8 0")
+    assert cache.load_partial_blocks(sp) == {(-8, 0, 0, 1): 0}
+    cache.append_partial_block(sp, (-8, 0, 4, -2), 1)
+    assert cache.load_partial_blocks(sp) == {(-8, 0, 0, 1): 0, (-8, 0, 4, -2): 1}
+
+
+def test_store_uses_unique_temp_files(tmp_path):
+    cache = cache_mod.Cache(tmp_path)
+    sp = weighted_space(2, 3, 3, 4)
+    path = cache.path_for(sp, "blocks")
+    stray = path.with_suffix(".tmp")
+    stray.write_text("another writer's entry\n")
+    assert cache.store(sp, "blocks", "first\n") == path
+    cache.store(sp, "blocks", "second\n")
+    assert path.read_text() == "second\n"
+    assert stray.read_text() == "another writer's entry\n"
+    assert sorted(tmp_path.iterdir()) == sorted([path, stray])
+
+
+@pytest.mark.parametrize("corrupt", ["flip", "unparsable", "stale"])
+def test_corrupted_syzygy_cache_is_recomputed(tmp_path, pipeline_2334, corrupt):
+    sp = pipeline_2334["space"]
+    cfg = _small_alpha_config(cache_dir=str(tmp_path))
+    cache = cfg.cache()
+    compute_alpha(sp, cfg)
+    cache.path_for(sp, "blocks").unlink()
+    path = cache.path_for(sp, "syzygies", "asc")
+    good = path.read_text()
+    header, first, rest = good.split("\n", 2)
+    if corrupt == "flip":
+        i, k, c = first.split(" : ")[1].split()[0][1:-1].split(",")
+        bad = first.replace(f"({i},{k},{c})", f"({i},{k},{-int(c)})", 1)
+        text = "\n".join([header, bad, rest])
+    elif corrupt == "unparsable":
+        text = "\n".join([header, first.replace(" : ", " ; "), rest])
+    else:
+        text = "\n".join([header.replace("syzygies", "syzygy"), first, rest])
+    path.write_text(text)
+    assert compute_alpha(sp, cfg).alpha_S == 6
+    assert cache_mod.blocks_from_text(sp, cache.load(sp, "blocks")) == pipeline_2334["hom"].by_shift
+    assert path.read_text() == good
 
 
 # -- cache round trips ---------------------------------------------------------

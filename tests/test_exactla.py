@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,9 @@ from gwpskit.exactla import (
     ReproducibilityError,
     SECOND_PRIME,
     SparseMatrix,
+    array_solution_dim,
     default_fields,
+    fingerprint,
     kernel_basis_mod_p,
     rank_mod_p,
     solution_dim,
@@ -97,6 +100,30 @@ def test_two_prime_disagreement_raises():
         solution_dim(m, F1, F2)
 
 
+def test_array_solution_dim_examples():
+    assert array_solution_dim(np.zeros((0, 5), dtype=np.int64), F1, F2) == 5
+    assert array_solution_dim(np.eye(2, dtype=np.int64), F1, F2) == 0
+    assert array_solution_dim(np.array([[2, -4], [-1, 2]]), F1, F2) == 1
+    # wider than DENSE_COLUMN_LIMIT, still solved densely
+    n = DENSE_COLUMN_LIMIT + 44
+    wide = np.vstack([np.eye(n, dtype=np.int64)[1:], np.eye(n, dtype=np.int64)[:1] * 2])
+    assert array_solution_dim(wide, F1, F2) == 0
+    assert array_solution_dim(wide[1:], F1, F2) == 1
+
+
+def test_array_solution_dim_shares_the_two_prime_protocol():
+    with pytest.raises(ValueError):
+        array_solution_dim(np.eye(1, dtype=np.int64), F1, F1)
+    with pytest.raises(EntryVanishedError) as err:
+        array_solution_dim(np.array([[1, 0], [SECOND_PRIME, 1]]), F1, F2)
+    assert (err.value.prime, err.value.row, err.value.col) == (SECOND_PRIME, 1, 0)
+    rows = [[1, 1], [1, 1 + F1.prime]]
+    with pytest.raises(ReproducibilityError, match=fingerprint(dense(rows))):
+        array_solution_dim(np.array(rows, dtype=np.int64), F1, F2)
+    with pytest.raises(ReproducibilityError, match=fingerprint(dense(rows))):
+        solution_dim(dense(rows), F1, F2)
+
+
 def test_sparse_path_used_for_wide_matrices():
     n = DENSE_COLUMN_LIMIT + 44
     eye = SparseMatrix(n, n, tuple((i, i, 1) for i in range(n)))
@@ -119,6 +146,7 @@ def test_rank_matches_rational_oracle(rows):
     m = SparseMatrix.from_dense(rows)
     assert rank_mod_p(m, F1) == rational_rank(rows)
     assert solution_dim(m, F1, F2) == 5 - rational_rank(rows)
+    assert array_solution_dim(np.array(rows, dtype=np.int64), F1, F2) == 5 - rational_rank(rows)
 
 
 @settings(max_examples=40, deadline=None)

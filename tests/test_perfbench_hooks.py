@@ -43,6 +43,8 @@ def test_traced_steps_on_smallest_space(bench, tmp_path):
     assert census["resolution.cubic_blocks"] > 0
     assert census["resolution.quartic_cols"] > 0
     assert census["tangent.blocks"] > 0
+    # Blocks arrive deduplicated: no row left for the census to merge.
+    assert census["tangent.block_rows"] == census["tangent.block_rows_distinct"]
     assert betti_counts["resolution.quartic_blocks"] == 334
     names = {span[0] for span in tracer.spans}
     assert {"resolution.linear_syzygies", "resolution.quartic_check",

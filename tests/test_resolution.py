@@ -10,7 +10,6 @@ from gwpskit.resolution import (
     incident_pairs_degree3,
     incident_pairs_degree4,
     linear_syzygies,
-    quartic_kernel_basis,
 )
 from gwpskit.toric import ConnectivityReport, ToricIdeal, spanning_forest
 from gwpskit.wps import invariants, weighted_space
@@ -124,10 +123,3 @@ def test_quartic_graph_dimension_matches_elimination(pipeline_2334):
         assert len(cols) - vertices + components == solution_dim(
             incidence_matrix(edges), *fields
         )
-
-
-def test_quartic_kernel_dimensions(pipeline_2334):
-    # Summed quartic kernel dimensions are tree-independent data; spot-check
-    # that every multidegree has at least the span of cubic multiples.
-    table = quartic_kernel_basis(pipeline_2334["ideal"])
-    assert sum(len(v) for v in table.values()) > 0

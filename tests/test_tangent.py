@@ -1,6 +1,10 @@
+from math import gcd
+
+import numpy as np
 import pytest
 
-from conftest import elimination_syzygies
+from conftest import elimination_syzygies, raw_block_rows
+from gwpskit.exactla import SparseMatrix, default_fields, solution_dim
 from gwpskit.resolution import linear_syzygies
 from gwpskit.tangent import (
     alpha_report,
@@ -36,6 +40,40 @@ def test_shift_with_no_unknowns_is_skipped(pipeline_2334):
     syz = pipeline_2334["syzygies"]
     # a shift far outside the slice range yields no block
     assert build_block(ideal, syz, (99, 0, 0, -50)) is None
+
+
+def test_blocks_match_raw_rows(pipeline_2334):
+    """Every shift block of (2,3,3,4) against the rows built one by one: the
+    same solution dimension, and the block rows are the raw rows made
+    primitive with a positive leading entry, each once."""
+    ideal, syz = pipeline_2334["ideal"], pipeline_2334["syzygies"]
+    by_shift = pipeline_2334["hom"].by_shift
+    fields = default_fields()
+    raw_total = block_total = 0
+    for shift in enumerate_shifts(ideal):
+        unknowns, raw = raw_block_rows(ideal, syz, shift)
+        block = build_block(ideal, syz, shift)
+        if not unknowns:
+            assert block is None and by_shift[shift] == 0
+            continue
+        mat = SparseMatrix.from_dense(raw) if raw else SparseMatrix(0, len(unknowns), ())
+        assert solution_dim(mat, *fields) == by_shift[shift]
+        assert block.unknowns == tuple(unknowns)
+        assert block.constraints.dtype == np.int64
+        assert block.constraints.shape[1] == len(unknowns)
+        rows = [tuple(int(v) for v in row) for row in block.constraints]
+        for row in rows:
+            assert gcd(*row) == 1
+            assert next(v for v in row if v) > 0
+        assert len(set(rows)) == len(rows)
+        normalised = set()
+        for row in raw:
+            unit = gcd(*row) * (1 if next(v for v in row if v) > 0 else -1)
+            normalised.add(tuple(v // unit for v in row))
+        assert set(rows) == normalised
+        raw_total += len(raw)
+        block_total += len(rows)
+    assert block_total < raw_total
 
 
 def test_alpha_report_2334():
@@ -108,13 +146,6 @@ def test_t1_invariant_under_tree_and_basis_choice():
             hom = hom_dimension_minus1(ideal, syz)
             dims.add(hom.total)
     assert dims == {20}
-
-
-def test_strict_mode_unchanged(pipeline_2334):
-    hom = hom_dimension_minus1(
-        pipeline_2334["ideal"], pipeline_2334["syzygies"], strict=True
-    )
-    assert hom.total == 20
 
 
 def test_known_blocks_resume(pipeline_2334):
