@@ -20,6 +20,7 @@ import hashlib
 import os
 from pathlib import Path
 
+from ._util import tadd
 from .lattice import DegreeSlice, Point, degree_slice
 from .resolution import SyzygyBasis, SyzygyElement
 from .toric import BinomialGenerator, ToricIdeal
@@ -89,15 +90,14 @@ def ideal_from_text(space: WeightedSpace, text: str, tree: str = "min") -> Toric
         if not line:
             continue
         tok = line.split()
-        if tok[0] != "gen" or len(tok) != 5:
+        if len(tok) != 5 or tok[0] != "gen":
             raise CacheFormatError(f"bad generator record: {line!r}")
-        a, b, g, d = (int(t) for t in tok[1:])
-        key = (
-            pts[a][0] + pts[b][0],
-            pts[a][1] + pts[b][1],
-            pts[a][2] + pts[b][2],
-            pts[a][3] + pts[b][3],
-        )
+        a, b, g, d = idx = tuple(int(t) for t in tok[1:])
+        if not all(0 <= i < len(pts) for i in idx):
+            raise CacheFormatError(f"generator index outside the slice: {line!r}")
+        key = tadd(pts[a], pts[b])
+        if tadd(pts[g], pts[d]) != key:
+            raise CacheFormatError(f"generator pairs of different degrees: {line!r}")
         gens.append(BinomialGenerator(lhs=(a, b), rhs=(g, d), multidegree=key))
     fibers = {key: tuple(sorted(prs)) for key, prs in pair_sums(sl).items()}
     return ToricIdeal(space=space, slice_s=sl, generators=tuple(gens), fibers=fibers)
@@ -143,17 +143,12 @@ def blocks_to_text(space: WeightedSpace, by_shift: dict[Point, int], params: str
 
 
 def blocks_from_text(space: WeightedSpace, text: str, params: str = "") -> dict[Point, int]:
-    body = _check_header(text, space, "blocks", params)
-    return _parse_block_lines(body)
-
-
-def _parse_block_lines(lines) -> dict[Point, int]:
     out: dict[Point, int] = {}
-    for line in lines:
+    for line in _check_header(text, space, "blocks", params):
         if not line:
             continue
         tok = line.split()
-        if tok[0] != "blk" or len(tok) != 6:
+        if len(tok) != 6 or tok[0] != "blk":
             raise CacheFormatError(f"bad block record: {line!r}")
         out[tuple(int(t) for t in tok[1:5])] = int(tok[5])
     return out
@@ -197,7 +192,8 @@ class Cache:
 
     def load_partial_blocks(self, space: WeightedSpace, params: str = "") -> dict[Point, int]:
         """The shifts solved so far.  A torn last line is cut off, so the next
-        append starts a line of its own; a torn or stale header deletes the file."""
+        append starts a line of its own; a torn or stale header or a record
+        that does not parse deletes the file."""
         path = self.partial_blocks_path(space, params)
         if not path.exists():
             return {}
@@ -205,11 +201,11 @@ class Cache:
         complete = text[: text.rfind("\n") + 1]
         if complete != text:
             os.truncate(path, len(complete.encode()))
-        lines = complete.splitlines()
-        if not lines or lines[0] != header_line(space, "blocks", params):
+        try:
+            return blocks_from_text(space, complete, params)
+        except ValueError:
             path.unlink()
             return {}
-        return _parse_block_lines(lines[1:])
 
     def append_partial_block(
         self, space: WeightedSpace, shift: Point, dim: int, params: str = ""

@@ -177,10 +177,15 @@ def cmd_classify(config: RunConfig) -> tuple[str, int]:
 
 
 def _load_or_build_ideal(sp: WeightedSpace, cache: Cache | None) -> toric.ToricIdeal:
+    """The cached ideal when it parses; otherwise a fresh one, which
+    overwrites the entry."""
     if cache is not None:
         text = cache.load(sp, "ideal", "min")
         if text is not None:
-            return ideal_from_text(sp, text, "min")
+            try:
+                return ideal_from_text(sp, text, "min")
+            except ValueError:  # a bad record or a stale header
+                pass
     ideal = toric.quadric_generators(sp)
     if cache is not None:
         cache.store(sp, "ideal", ideal_to_text(ideal, "min"), "min")
@@ -288,9 +293,11 @@ def compute_alpha(sp: WeightedSpace, config: RunConfig) -> tangent.T1Report:
     progress = None
     if cache is not None:
         final = cache.load(sp, "blocks")
-        if final is not None:
-            known = blocks_from_text(sp, final)
-        else:
+        try:
+            known = None if final is None else blocks_from_text(sp, final)
+        except ValueError:  # a bad record or a stale header: recompute
+            known = None
+        if known is None:
             known = cache.load_partial_blocks(sp) or None
 
             def progress(shift, dim, done, total, _sp=sp):

@@ -1,12 +1,13 @@
 """Exact linear algebra over prime fields.
 
-Ranks and solution-space dimensions for the validated sparse systems of the
-syzygy and section pipelines and the int64 arrays of the tangent shift
-blocks, and right-kernel bases as a reference for the graph-based syzygy
-kernels.  All arithmetic is exact: entries are reduced modulo an odd prime
-p < 2**31, so products of two reduced values stay below 2**62 and numpy
-int64 elimination never overflows.  Solution dimensions of both kinds of
-matrix are computed under two independent primes and must agree.
+One solver: `solution_dim` takes a validated coordinate-form `SparseMatrix`
+(the tangent shift blocks, the quartic span blocks, the section systems)
+and computes its rank by Markowitz elimination under two independent
+primes, which must agree.  All arithmetic is exact: values are reduced
+modulo an odd prime p < 2**31 in one vectorized step, a nonzero value that
+p divides is an error, and elimination runs on Python integers.  Dense
+elimination (`_dense_rank`, `_dense_rref`) and right-kernel bases remain as
+references for the tests.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import numpy as np
 
 MERSENNE_PRIME_31 = 2147483647
 SECOND_PRIME = 1073741789
+# Selects nothing: every rank is a Markowitz elimination.  perfbench/spans.py
+# reads it to count the blocks wider than it.
 DENSE_COLUMN_LIMIT = 256
 
 _MAX_PRIME = 1 << 31
@@ -90,70 +93,88 @@ def default_fields() -> tuple[FieldSpec, FieldSpec]:
     return FieldSpec(MERSENNE_PRIME_31), FieldSpec(SECOND_PRIME)
 
 
-@dataclass(frozen=True)
+def _int64(data) -> np.ndarray:
+    try:
+        return np.asarray(data, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("matrix value outside the int64 range") from None
+
+
+@dataclass(frozen=True, eq=False)
 class SparseMatrix:
     """An integer matrix in coordinate form.
 
-    Entries are (row, col, value) with value != 0 and no duplicate positions.
-    Values are arbitrary Python integers; reduction happens per field.
+    entries is one (nnz, 3) int64 array of (row, col, value) rows, with every
+    value nonzero and no position twice; a sequence of triples is converted
+    on construction, and a value outside int64 is a ValueError.  Reduction
+    happens per field.  The array field makes instances neither comparable
+    nor hashable.
     """
 
     rows: int
     cols: int
-    entries: tuple[tuple[int, int, int], ...]
+    entries: np.ndarray
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
-        seen = set()
-        for r, c, v in self.entries:
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
-                raise ValueError(f"entry position ({r}, {c}) out of range")
-            if v == 0:
-                raise ValueError(f"explicit zero entry at ({r}, {c})")
-            if (r, c) in seen:
-                raise ValueError(f"duplicate entry at ({r}, {c})")
-            seen.add((r, c))
+        e = _int64(self.entries)
+        if e.size == 0:
+            e = e.reshape(0, 3)
+        if e.ndim != 2 or e.shape[1] != 3:
+            raise ValueError("entries must be (row, col, value) triples")
+        r, c, v = e.T
+        bad = np.flatnonzero((r < 0) | (r >= self.rows) | (c < 0) | (c >= self.cols))
+        if bad.size:
+            raise ValueError(f"entry position ({r[bad[0]]}, {c[bad[0]]}) out of range")
+        bad = np.flatnonzero(v == 0)
+        if bad.size:
+            raise ValueError(f"explicit zero entry at ({r[bad[0]]}, {c[bad[0]]})")
+        order = np.lexsort((c, r))
+        bad = order[1:][(r[order][1:] == r[order][:-1]) & (c[order][1:] == c[order][:-1])]
+        if bad.size:
+            raise ValueError(f"duplicate entry at ({r[bad[0]]}, {c[bad[0]]})")
+        object.__setattr__(self, "entries", e)
 
     @classmethod
     def from_dense(cls, data) -> "SparseMatrix":
-        entries = []
-        for r, row in enumerate(data):
-            for c, v in enumerate(row):
-                if v:
-                    entries.append((r, c, int(v)))
-        ncols = len(data[0]) if data else 0
-        return cls(len(data), ncols, tuple(entries))
+        """The nonzero entries of a list of rows or a 2-d array, row by row."""
+        a = _int64(data)
+        if a.ndim == 1 and a.size == 0:  # no rows
+            a = a.reshape(0, 0)
+        r, c = np.nonzero(a)
+        return cls(a.shape[0], a.shape[1], np.stack([r, c, a[r, c]], axis=1))
+
+    @classmethod
+    def summed(cls, rows: int, cols: int, at_row, at_col, values) -> "SparseMatrix":
+        """The matrix whose entry at each position is the sum of the values
+        listed there, given as three coordinate columns; zero sums are left
+        out, and the entries come row by row."""
+        at = np.stack([_int64(at_row), _int64(at_col)], axis=1)
+        pos, where = np.unique(at, axis=0, return_inverse=True)
+        total = np.zeros(len(pos), dtype=np.int64)
+        np.add.at(total, where.ravel(), _int64(values))
+        keep = total != 0
+        return cls(rows, cols, np.column_stack([pos[keep], total[keep]]))
 
 
-def fingerprint(m: SparseMatrix | np.ndarray) -> str:
-    """Content hash used in reproducibility diagnostics; a SparseMatrix and
-    the integer array with the same entries hash alike."""
-    if isinstance(m, np.ndarray):
-        (rows, cols), entries = m.shape, ((r, c, m[r, c]) for r, c in zip(*np.nonzero(m)))
-    else:
-        rows, cols, entries = m.rows, m.cols, sorted(m.entries)
-    h = hashlib.sha256(f"{rows} {cols}".encode())
-    for r, c, v in entries:
-        h.update(f" {r},{c},{v}".encode())
+def fingerprint(m: SparseMatrix) -> str:
+    """Content hash used in reproducibility diagnostics."""
+    e = m.entries[np.lexsort((m.entries[:, 1], m.entries[:, 0]))]
+    h = hashlib.sha256(f"{m.rows} {m.cols}".encode())
+    h.update("".join(f" {r},{c},{v}" for r, c, v in e.tolist()).encode())
     return h.hexdigest()[:16]
 
 
-def _reduced_entries(m: SparseMatrix, p: int):
-    out = []
-    for r, c, v in m.entries:
-        w = v % p
-        if w == 0:
-            raise EntryVanishedError(p, r, c, v)
-        out.append((r, c, w))
-    return out
-
-
-def _dense_array(rows: int, cols: int, entries, dtype=np.int64) -> np.ndarray:
-    a = np.zeros((rows, cols), dtype=dtype)
-    for r, c, v in entries:
-        a[r, c] = v
-    return a
+def _reduced_values(m: SparseMatrix, p: int) -> np.ndarray:
+    """The values of m reduced mod p, in entry order; EntryVanishedError names
+    the first nonzero value that p divides."""
+    w = m.entries[:, 2] % p
+    vanished = np.flatnonzero(w == 0)
+    if vanished.size:
+        r, c, v = m.entries[vanished[0]].tolist()
+        raise EntryVanishedError(p, r, c, v)
+    return w
 
 
 def _dense_rank(a: np.ndarray, p: int) -> int:
@@ -258,19 +279,13 @@ def _sparse_rank(rows: int, cols: int, entries, p: int) -> int:
 
 
 def rank_mod_p(m: SparseMatrix, f: FieldSpec) -> int:
-    """Exact rank of `m` over F_p.
+    """Exact rank of `m` over F_p by Markowitz elimination.
 
-    Dense elimination is used for narrow matrices (<= 256 columns), sparse
-    Markowitz elimination otherwise.  Raises EntryVanishedError when a nonzero
-    integer entry is divisible by p.
+    Raises EntryVanishedError when a nonzero integer entry is divisible by p.
     """
-    entries = _reduced_entries(m, f.prime)
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    if m.cols <= DENSE_COLUMN_LIMIT:
-        a = _dense_array(m.rows, m.cols, entries)
-        return _dense_rank(a, f.prime)
-    return _sparse_rank(m.rows, m.cols, entries, f.prime)
+    w = _reduced_values(m, f.prime)
+    r, c = m.entries[:, 0].tolist(), m.entries[:, 1].tolist()
+    return _sparse_rank(m.rows, m.cols, zip(r, c, w.tolist()), f.prime)
 
 
 def kernel_basis_mod_p(m: SparseMatrix, f: FieldSpec) -> list[tuple[int, ...]]:
@@ -281,8 +296,10 @@ def kernel_basis_mod_p(m: SparseMatrix, f: FieldSpec) -> list[tuple[int, ...]]:
     Every returned vector is re-checked to satisfy m @ v = 0 in the field.
     """
     p = f.prime
-    entries = _reduced_entries(m, p)
-    a = _dense_array(m.rows, m.cols, entries)
+    rows, cols = m.entries[:, 0], m.entries[:, 1]
+    w = _reduced_values(m, p)
+    a = np.zeros((m.rows, m.cols), dtype=np.int64)
+    a[rows, cols] = w
     rank, pivots = _dense_rref(a, p)
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
@@ -294,10 +311,9 @@ def kernel_basis_mod_p(m: SparseMatrix, f: FieldSpec) -> list[tuple[int, ...]]:
             v[pc] = (-int(a[r, fc])) % p
         basis.append(tuple(v))
     for v in basis:
-        acc: dict[int, int] = {}
-        for r, c, val in entries:
-            acc[r] = (acc.get(r, 0) + val * v[c]) % p
-        if any(acc.values()):
+        acc = np.zeros(m.rows, dtype=np.int64)
+        np.add.at(acc, rows, w * np.array(v, dtype=np.int64)[cols] % p)
+        if (acc % p).any():
             raise ExactLinearAlgebraError(
                 f"kernel self-check failed mod {p} (fingerprint {fingerprint(m)})"
             )
@@ -305,38 +321,17 @@ def kernel_basis_mod_p(m: SparseMatrix, f: FieldSpec) -> list[tuple[int, ...]]:
     return basis
 
 
-def _array_rank_mod_p(a: np.ndarray, f: FieldSpec) -> int:
-    """rank_mod_p of an int64 array, by dense elimination whatever its width."""
-    p = f.prime
-    reduced = a % p
-    vanished = np.argwhere((reduced == 0) & (a != 0))
-    if len(vanished):
-        r, c = (int(x) for x in vanished[0])
-        raise EntryVanishedError(p, r, c, int(a[r, c]))
-    return _dense_rank(reduced, p)
-
-
-def _agreed_rank(m, rank_mod, f1: FieldSpec, f2: FieldSpec) -> int:
-    """The two-prime protocol: rank_mod(m, f) under two distinct primes, only
-    when they agree.  EntryVanishedError from either prime propagates: there
-    is no fallback to the other prime alone."""
+def solution_dim(m: SparseMatrix, f1: FieldSpec, f2: FieldSpec) -> int:
+    """Dimension cols - rank of the solution space of m x = 0, from the ranks
+    under two distinct primes, which must agree.  EntryVanishedError from
+    either prime propagates: there is no fallback to the other prime alone."""
     if f1.prime == f2.prime:
         raise ValueError("solution_dim requires two distinct primes")
-    r1 = rank_mod(m, f1)
-    r2 = rank_mod(m, f2)
+    r1 = rank_mod_p(m, f1)
+    r2 = rank_mod_p(m, f2)
     if r1 != r2:
         raise ReproducibilityError(
             f"rank disagreement mod {f1.prime} ({r1}) vs mod {f2.prime} ({r2}); "
             f"matrix fingerprint {fingerprint(m)}"
         )
-    return r1
-
-
-def solution_dim(m: SparseMatrix, f1: FieldSpec, f2: FieldSpec) -> int:
-    """Dimension cols - rank of the solution space of m x = 0."""
-    return m.cols - _agreed_rank(m, rank_mod_p, f1, f2)
-
-
-def array_solution_dim(a: np.ndarray, f1: FieldSpec, f2: FieldSpec) -> int:
-    """solution_dim of a two-dimensional int64 array."""
-    return a.shape[1] - _agreed_rank(a, _array_rank_mod_p, f1, f2)
+    return m.cols - r1

@@ -171,27 +171,23 @@ def incident_pairs_degree4(ideal: ToricIdeal) -> dict[Point, list[tuple[tuple[in
 
 def _span_matrix(ideal: ToricIdeal, syzygies: SyzygyBasis, key: Point, cols):
     """Rows are y_i * sigma for every cubic syzygy sigma with multidegree
-    key - u_i, written in the (pair, generator) coordinates of the block."""
+    key - u_i, written in the (pair, generator) coordinates of the block;
+    repeated positions are summed and zero sums dropped."""
     col_index = {pk: idx for idx, pk in enumerate(cols)}
     pts = ideal.slice_s.points
-    rows = []
+    at_row, at_col, values = [], [], []
+    nrows = 0
     for i, u in enumerate(pts):
         sub = tsub(key, u)
         if min(sub) < 0:
             continue
         for syz in syzygies.by_multidegree.get(sub, ()):
-            row: dict[int, int] = {}
             for (j, k, c) in syz.terms:
-                pair = (i, j) if i <= j else (j, i)
-                col = col_index[(pair, k)]
-                row[col] = row.get(col, 0) + c
-            rows.append(row)
-    entries = []
-    for r, row in enumerate(rows):
-        for c, v in sorted(row.items()):
-            if v:
-                entries.append((r, c, v))
-    return SparseMatrix(len(rows), len(cols), tuple(entries))
+                at_row.append(nrows)
+                at_col.append(col_index[((i, j) if i <= j else (j, i), k)])
+                values.append(c)
+            nrows += 1
+    return SparseMatrix.summed(nrows, len(cols), at_row, at_col, values)
 
 
 @dataclass(frozen=True)

@@ -179,7 +179,9 @@ def hom_dimension_minus1(
     by_shift: dict[Point, int] = dict(known) if known else {}
     for done, shift in enumerate(todo, start=1):
         block = build_block(ideal, syzygies, shift, syz_by_gen)
-        dim = 0 if block is None else exactla.array_solution_dim(block.constraints, *fields)
+        dim = 0 if block is None else exactla.solution_dim(
+            SparseMatrix.from_dense(block.constraints), *fields
+        )
         by_shift[shift] = dim
         if progress is not None:
             progress(shift, dim, done, len(todo))
@@ -240,28 +242,17 @@ def monolithic_hom_dimension(
         fields = exactla.default_fields()
     pts = ideal.slice_s.points
     n = len(pts)
-    ncols = len(ideal.generators) * n
-    entries = []
+    at_row, at_col, values = [], [], []
     nrows = 0
     for syz in syzygies.elements():
-        targets: dict[Point, dict[int, int]] = {}
+        row_of: dict[Point, int] = {}
         for (i, k, c) in syz.terms:
-            ui = pts[i]
             for v in range(n):
-                p = tadd(ui, pts[v])
-                col = k * n + v
-                row = targets.setdefault(p, {})
-                row[col] = row.get(col, 0) + c
-        for p in sorted(targets, reverse=True):
-            row = targets[p]
-            wrote = False
-            for col, val in sorted(row.items()):
-                if val:
-                    entries.append((nrows, col, val))
-                    wrote = True
-            if wrote:
-                nrows += 1
-    mat = SparseMatrix(nrows, ncols, tuple(entries))
+                at_row.append(row_of.setdefault(tadd(pts[i], pts[v]), nrows + len(row_of)))
+                at_col.append(k * n + v)
+                values.append(c)
+        nrows += len(row_of)
+    mat = SparseMatrix.summed(nrows, len(ideal.generators) * n, at_row, at_col, values)
     return exactla.solution_dim(mat, *fields)
 
 
@@ -510,43 +501,32 @@ def t1_section_minus1(
 
         # Constraint system with per-syzygy slack columns for the degree-2s
         # quotient relations.
-        sys_rows: list[dict[int, int]] = []
+        at_row, at_col, values = [], [], []
+        nrows = 0
         slack_base = nt
         slack_nullity = 0
         for j in np.unique(owner[np.isin(gen, ks)]):
-            point_rows: dict[Point, dict[int, int]] = {}
-            hit = False
+            # one row per degree-2s point that the syzygy reaches
+            row_of: dict[Point, int] = {}
             for (i, kk, c) in substituted_terms(elements[j]):
-                vs = targets_by_c[ideal.generators[kk].multidegree].get(gamma)
-                if not vs:
-                    continue
-                hit = True
-                ui = pts[i]
-                for v in vs:
-                    p = tadd(ui, pts[v])
-                    row = point_rows.setdefault(p, {})
-                    col = pos[(kk, v)]
-                    row[col] = row.get(col, 0) + c
-            if not hit:
+                for v in targets_by_c[ideal.generators[kk].multidegree].get(gamma, ()):
+                    at_row.append(row_of.setdefault(tadd(pts[i], pts[v]), nrows + len(row_of)))
+                    at_col.append(pos[(kk, v)])
+                    values.append(c)
+            if not row_of:
                 continue
-            chi_s = cls(next(iter(point_rows)))
+            chi_s = cls(next(iter(row_of)))
             rels = rel2_by_class.get(chi_s, ())
             for ridx, rel in enumerate(rels):
                 for p, val in rel.items():
-                    row = point_rows.setdefault(p, {})
-                    row[slack_base + ridx] = val
+                    at_row.append(row_of.setdefault(p, nrows + len(row_of)))
+                    at_col.append(slack_base + ridx)
+                    values.append(val)
             if rels:
                 slack_nullity += len(rels) - rel2_rank[chi_s]
                 slack_base += len(rels)
-            for p in sorted(point_rows, reverse=True):
-                sys_rows.append(point_rows[p])
-        ncols = slack_base
-        entries = []
-        for r, row in enumerate(sys_rows):
-            for cidx, val in sorted(row.items()):
-                if val:
-                    entries.append((r, cidx, val))
-        mat = SparseMatrix(len(sys_rows), ncols, tuple(entries))
+            nrows += len(row_of)
+        mat = SparseMatrix.summed(nrows, slack_base, at_row, at_col, values)
         nullity = exactla.solution_dim(mat, *fields)
         sol_dim_t = nullity - slack_nullity
         block_dim = sol_dim_t - gauge_rank

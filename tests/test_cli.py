@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from gwpskit import cache as cache_mod
@@ -101,6 +106,19 @@ def test_run_entrypoint(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert out.count("\n") == 4
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-m", "gwpskit", "classify", "--check"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert len(done.stdout.splitlines()) == 15  # header + 14 rows
+    assert "CHECK OK (14 rows verified)" in done.stderr
 
 
 def test_run_rejects_bad_weights(capsys):
@@ -239,6 +257,67 @@ def test_corrupted_syzygy_cache_is_recomputed(tmp_path, pipeline_2334, corrupt):
     assert compute_alpha(sp, cfg).alpha_S == 6
     assert cache_mod.blocks_from_text(sp, cache.load(sp, "blocks")) == pipeline_2334["hom"].by_shift
     assert path.read_text() == good
+
+
+def _alpha_cli_with_cache(tmp_path) -> int:
+    return run(["alpha", "--bound", "4", "--max-genus", "15", "--check", "--cache", str(tmp_path)])
+
+
+@pytest.mark.parametrize("corrupt", ["stale", "index", "sums", "unparsable"])
+def test_corrupted_ideal_cache_is_recomputed(tmp_path, pipeline_2334, corrupt, capsys):
+    sp = pipeline_2334["space"]
+    cache = cache_mod.Cache(tmp_path)
+    assert _alpha_cli_with_cache(tmp_path) == 0
+    cache.path_for(sp, "blocks").unlink()
+    path = cache.path_for(sp, "ideal", "min")
+    good = path.read_text()
+    header, first, rest = good.split("\n", 2)
+    if corrupt == "stale":
+        header = header.replace(" ideal ", " ideals ")
+    else:
+        records = {"index": "gen 999 0 1 2", "sums": "gen 0 0 0 1", "unparsable": "gen 1 2 3"}
+        first = records[corrupt]
+    path.write_text("\n".join([header, first, rest]))
+    assert _alpha_cli_with_cache(tmp_path) == 0
+    assert path.read_text() == good
+    assert cache_mod.blocks_from_text(sp, cache.load(sp, "blocks")) == pipeline_2334["hom"].by_shift
+
+
+@pytest.mark.parametrize("corrupt", ["stale", "unparsable"])
+def test_corrupted_block_table_is_recomputed(tmp_path, pipeline_2334, corrupt, capsys):
+    sp = pipeline_2334["space"]
+    cache = cache_mod.Cache(tmp_path)
+    assert _alpha_cli_with_cache(tmp_path) == 0
+    path = cache.path_for(sp, "blocks")
+    good = path.read_text()
+    header, first, rest = good.split("\n", 2)
+    if corrupt == "stale":
+        header = header.replace(" blocks ", " block ")
+    else:
+        first = "blk 1 2"
+    path.write_text("\n".join([header, first, rest]))
+    assert _alpha_cli_with_cache(tmp_path) == 0
+    assert path.read_text() == good
+
+
+def test_unparsable_partial_block_table_is_discarded(tmp_path):
+    cache = cache_mod.Cache(tmp_path)
+    sp = weighted_space(2, 3, 3, 4)
+    cache.append_partial_block(sp, (-8, 0, 0, 1), 0)
+    part = cache.partial_blocks_path(sp)
+    part.write_text(part.read_text() + "blk -8 0 x 1 0\n")
+    assert cache.load_partial_blocks(sp) == {}
+    assert not part.exists()
+
+
+def test_ideal_from_text_rejects_bad_generators():
+    from gwpskit.toric import quadric_generators
+
+    sp = weighted_space(2, 3, 3, 4)
+    header = cache_mod.ideal_to_text(quadric_generators(sp)).split("\n", 1)[0]
+    for record in ("gen 999 0 1 2", "gen -1 0 1 2", "gen 0 0 0 1", "gen 0 1"):
+        with pytest.raises(cache_mod.CacheFormatError):
+            cache_mod.ideal_from_text(sp, f"{header}\n{record}\n")
 
 
 # -- cache round trips ---------------------------------------------------------

@@ -12,7 +12,8 @@ from gwpskit.exactla import (
     ReproducibilityError,
     SECOND_PRIME,
     SparseMatrix,
-    array_solution_dim,
+    _dense_rank,
+    _sparse_rank,
     default_fields,
     fingerprint,
     kernel_basis_mod_p,
@@ -46,6 +47,31 @@ def test_sparse_matrix_validation():
         SparseMatrix(2, 2, ((0, 0, 0),))
     with pytest.raises(ValueError, match="range"):
         SparseMatrix(2, 2, ((2, 0, 1),))
+    with pytest.raises(ValueError, match="range"):
+        SparseMatrix(2, 2, ((0, -1, 1),))
+
+
+def test_values_outside_int64_rejected():
+    with pytest.raises(ValueError, match="int64"):
+        SparseMatrix(1, 1, ((0, 0, 2**63),))
+    with pytest.raises(ValueError, match="int64"):
+        SparseMatrix.from_dense([[1, -(2**63) - 1]])
+    edge = SparseMatrix(1, 2, ((0, 0, 2**63 - 1), (0, 1, -(2**63))))
+    assert edge.entries.dtype == np.int64
+    assert edge.entries.tolist() == [[0, 0, 2**63 - 1], [0, 1, -(2**63)]]
+
+
+def test_from_dense_entries():
+    rows = [[0, 2, 0], [0, 0, 0], [-1, 0, 5]]
+    for data in (rows, np.array(rows)):
+        m = SparseMatrix.from_dense(data)
+        assert (m.rows, m.cols) == (3, 3)
+        assert m.entries.dtype == np.int64
+        assert m.entries.tolist() == [[0, 1, 2], [2, 0, -1], [2, 2, 5]]
+    empty = SparseMatrix.from_dense([])
+    assert (empty.rows, empty.cols, empty.entries.shape) == (0, 0, (0, 3))
+    blank = SparseMatrix.from_dense(np.zeros((0, 5), dtype=np.int64))
+    assert (blank.rows, blank.cols, blank.entries.shape) == (0, 5, (0, 3))
 
 
 def test_rank_examples():
@@ -100,28 +126,58 @@ def test_two_prime_disagreement_raises():
         solution_dim(m, F1, F2)
 
 
-def test_array_solution_dim_examples():
-    assert array_solution_dim(np.zeros((0, 5), dtype=np.int64), F1, F2) == 5
-    assert array_solution_dim(np.eye(2, dtype=np.int64), F1, F2) == 0
-    assert array_solution_dim(np.array([[2, -4], [-1, 2]]), F1, F2) == 1
-    # wider than DENSE_COLUMN_LIMIT, still solved densely
+@settings(max_examples=60, deadline=None)
+@given(
+    triples=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=3),
+            st.integers(min_value=0, max_value=4),
+            st.integers(min_value=-2, max_value=2),
+        ),
+        max_size=25,
+    )
+)
+def test_summed_matches_dict_accumulation(triples):
+    """SparseMatrix.summed against the row-dict builder it replaced: sums per
+    position, zero sums dropped, entries row by row and column by column."""
+    rows: dict[int, dict[int, int]] = {}
+    for r, c, v in triples:
+        rows.setdefault(r, {})[c] = rows.get(r, {}).get(c, 0) + v
+    expected = [[r, c, v] for r in sorted(rows) for c, v in sorted(rows[r].items()) if v]
+    m = SparseMatrix.summed(4, 5, *([t[i] for t in triples] for i in range(3)))
+    assert m.entries.tolist() == expected
+    assert (m.rows, m.cols) == (4, 5)
+
+
+def test_summed_validates_positions():
+    with pytest.raises(ValueError, match="range"):
+        SparseMatrix.summed(2, 2, [0], [2], [1])
+
+
+def test_solution_dim_from_dense_examples():
+    assert solution_dim(dense(np.zeros((0, 5), dtype=np.int64)), F1, F2) == 5
+    assert solution_dim(dense(np.eye(2, dtype=np.int64)), F1, F2) == 0
+    assert solution_dim(dense(np.array([[2, -4], [-1, 2]])), F1, F2) == 1
+    # wider than DENSE_COLUMN_LIMIT
     n = DENSE_COLUMN_LIMIT + 44
     wide = np.vstack([np.eye(n, dtype=np.int64)[1:], np.eye(n, dtype=np.int64)[:1] * 2])
-    assert array_solution_dim(wide, F1, F2) == 0
-    assert array_solution_dim(wide[1:], F1, F2) == 1
+    assert solution_dim(dense(wide), F1, F2) == 0
+    assert solution_dim(dense(wide[1:]), F1, F2) == 1
 
 
-def test_array_solution_dim_shares_the_two_prime_protocol():
+def test_solution_dim_two_prime_protocol():
     with pytest.raises(ValueError):
-        array_solution_dim(np.eye(1, dtype=np.int64), F1, F1)
+        solution_dim(dense(np.eye(1, dtype=np.int64)), F1, F1)
     with pytest.raises(EntryVanishedError) as err:
-        array_solution_dim(np.array([[1, 0], [SECOND_PRIME, 1]]), F1, F2)
+        solution_dim(dense(np.array([[1, 0], [SECOND_PRIME, 1]])), F1, F2)
     assert (err.value.prime, err.value.row, err.value.col) == (SECOND_PRIME, 1, 0)
     rows = [[1, 1], [1, 1 + F1.prime]]
     with pytest.raises(ReproducibilityError, match=fingerprint(dense(rows))):
-        array_solution_dim(np.array(rows, dtype=np.int64), F1, F2)
+        solution_dim(dense(np.array(rows, dtype=np.int64)), F1, F2)
+    # the fingerprint hashes the entries, not the order they are listed in
+    reordered = SparseMatrix(2, 2, dense(rows).entries[::-1])
     with pytest.raises(ReproducibilityError, match=fingerprint(dense(rows))):
-        solution_dim(dense(rows), F1, F2)
+        solution_dim(reordered, F1, F2)
 
 
 def test_sparse_path_used_for_wide_matrices():
@@ -146,7 +202,43 @@ def test_rank_matches_rational_oracle(rows):
     m = SparseMatrix.from_dense(rows)
     assert rank_mod_p(m, F1) == rational_rank(rows)
     assert solution_dim(m, F1, F2) == 5 - rational_rank(rows)
-    assert array_solution_dim(np.array(rows, dtype=np.int64), F1, F2) == 5 - rational_rank(rows)
+
+
+def _eliminations_agree(rows):
+    """_sparse_rank and _dense_rank under both default primes, and the
+    rational oracle, give one rank; returns it."""
+    m = SparseMatrix.from_dense(rows)
+    expected = rational_rank(rows)
+    for p in (F1.prime, F2.prime):
+        entries = ((r, c, v % p) for r, c, v in m.entries.tolist())
+        assert _sparse_rank(m.rows, m.cols, entries, p) == expected
+        assert _dense_rank(np.array(rows, dtype=np.int64) % p, p) == expected
+    return expected
+
+
+# Entries of size <= 3 in at most 8 columns: every minor is below 10**8 by
+# Hadamard's bound, so no default prime divides one and the ranks mod p are
+# the rational rank.
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=st.integers(min_value=1, max_value=8).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n),
+            min_size=1,
+            max_size=8,
+        )
+    )
+)
+def test_sparse_and_dense_eliminations_match_rational_oracle(rows):
+    _eliminations_agree(rows)
+
+
+def test_eliminations_agree_on_a_wide_matrix():
+    rng = np.random.default_rng(7)
+    a = rng.integers(-2, 3, size=(12, DENSE_COLUMN_LIMIT + 44))
+    a = np.vstack([a, a[0] - 2 * a[5], np.zeros_like(a[0])])
+    assert _eliminations_agree(a.tolist()) == 12
+    assert _eliminations_agree(a.T.tolist()) == 12
 
 
 @settings(max_examples=40, deadline=None)

@@ -31,6 +31,7 @@ def test_traced_steps_on_smallest_space(bench, tmp_path):
     try:
         betti_errors = run.betti_step(gw, expected)(sp)
         betti_counts = tracer.take_counts()
+        first = len(tracer.spans)
         alpha_errors = run.alpha_step(gw, expected, str(tmp_path))(sp)
         alpha_counts = tracer.take_counts()
     finally:
@@ -39,6 +40,11 @@ def test_traced_steps_on_smallest_space(bench, tmp_path):
     assert betti_counts["resolution.syzygies"] == 320
     assert alpha_counts["resolution.syzygies"] == 320
     assert alpha_counts["cache.misses"] > 0
+    # Every block solve goes through solution_dim; nothing eliminates densely.
+    alpha_layers = spans.summarize(tracer.spans, first, len(tracer.spans))
+    assert alpha_layers["exactla.solution_dim_calls"] > 0
+    assert alpha_layers["exactla.sparse_calls"] > 0
+    assert alpha_layers["exactla.dense_calls"] == 0
     census = spans.census(gw, tracer.take_captured())
     assert census["resolution.cubic_blocks"] > 0
     assert census["resolution.quartic_cols"] > 0
