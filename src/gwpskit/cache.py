@@ -1,17 +1,20 @@
-"""Line-oriented on-disk cache for expensive intermediates.
+"""Line-oriented on-disk cache of per-shift block tables.
 
 Every cache file starts with the header
 
     GWPSKIT v1 <kind> <weights> <fingerprint>
 
-followed by one record per line: lattice points as space-separated exponents,
-generators as "gen a b g d" (slice indices of the two pairs), syzygies as
-"syz d0 d1 d2 d3 : (i,k,c) ...", and block tables as "blk d0 d1 d2 d3 dim".
-Entries are keyed by params "min" (ideal), "asc" (syzygies) and "" (blocks).
+followed by one record per line.  The only stored kind is "blocks", under
+empty params, with records "blk d0 d1 d2 d3 dim": the block solve is nearly
+all of an alpha run, while the ideal and the syzygy basis are recomputed
+faster than they could be loaded and re-verified.  The ideal ("gen a b g d",
+slice indices of the two pairs) and syzygy ("syz d0 d1 d2 d3 : (i,k,c) ...")
+serializers are kept as round-trip oracles for the tests.
 The format is plain text, diffable, and round-trip stable bit for bit.
 Writes go to a uniquely named temp file and are renamed into place
 atomically.  Partially completed block tables append to a ".part" sidecar so
-interrupted long runs can resume.
+interrupted long runs can resume; another run may delete that sidecar at any
+moment, so a missing one reads as empty.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import os
 from pathlib import Path
 
 from ._util import tadd
-from .lattice import DegreeSlice, Point, degree_slice
+from .lattice import Point, degree_slice
 from .resolution import SyzygyBasis, SyzygyElement
 from .toric import BinomialGenerator, ToricIdeal
 from .wps import WeightedSpace
@@ -56,19 +59,6 @@ def _check_header(text: str, space: WeightedSpace, kind: str, params: str) -> li
 
 
 # -- serializers -------------------------------------------------------------
-
-
-def slice_to_text(space: WeightedSpace, sl: DegreeSlice) -> str:
-    kind = f"slice-{sl.degree}"
-    lines = [header_line(space, kind)]
-    lines.extend(" ".join(str(x) for x in p) for p in sl.points)
-    return "\n".join(lines) + "\n"
-
-
-def slice_from_text(space: WeightedSpace, degree: int, text: str) -> DegreeSlice:
-    body = _check_header(text, space, f"slice-{degree}", "")
-    pts = tuple(tuple(int(x) for x in line.split()) for line in body if line)
-    return DegreeSlice(degree, pts)
 
 
 def ideal_to_text(ideal: ToricIdeal, tree: str = "min") -> str:
@@ -195,31 +185,29 @@ class Cache:
         append starts a line of its own; a torn or stale header or a record
         that does not parse deletes the file."""
         path = self.partial_blocks_path(space, params)
-        if not path.exists():
+        try:
+            text = path.read_text()
+            complete = text[: text.rfind("\n") + 1]
+            if complete != text:
+                os.truncate(path, len(complete.encode()))
+        except FileNotFoundError:
             return {}
-        text = path.read_text()
-        complete = text[: text.rfind("\n") + 1]
-        if complete != text:
-            os.truncate(path, len(complete.encode()))
         try:
             return blocks_from_text(space, complete, params)
         except ValueError:
-            path.unlink()
+            path.unlink(missing_ok=True)
             return {}
 
     def append_partial_block(
         self, space: WeightedSpace, shift: Point, dim: int, params: str = ""
     ) -> None:
-        path = self.partial_blocks_path(space, params)
-        if not path.exists():
-            path.write_text(header_line(space, "blocks", params) + "\n")
-        with path.open("a") as fh:
+        with self.partial_blocks_path(space, params).open("a") as fh:
+            if fh.tell() == 0:
+                fh.write(header_line(space, "blocks", params) + "\n")
             fh.write(f"blk {shift[0]} {shift[1]} {shift[2]} {shift[3]} {dim}\n")
 
     def finalize_blocks(
         self, space: WeightedSpace, by_shift: dict[Point, int], params: str = ""
     ) -> None:
         self.store(space, "blocks", blocks_to_text(space, by_shift, params), params)
-        part = self.partial_blocks_path(space, params)
-        if part.exists():
-            part.unlink()
+        self.partial_blocks_path(space, params).unlink(missing_ok=True)

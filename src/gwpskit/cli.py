@@ -1,6 +1,6 @@
 """Command-line frontend: classification, Betti and extendability tables,
 Veronese presentations, value checking against the shipped reference table,
-and the persistent cache of expensive intermediates."""
+and the persistent cache of per-shift block tables."""
 
 from __future__ import annotations
 
@@ -12,15 +12,9 @@ from importlib.resources import files
 from math import comb
 
 from . import __version__, exactla, lattice, resolution, tangent, toric, wps
-from .cache import (
-    Cache,
-    blocks_from_text,
-    blocks_to_text,
-    ideal_from_text,
-    ideal_to_text,
-    syzygies_from_text,
-    syzygies_to_text,
-)
+from .cache import Cache, blocks_from_text
+# Unused here: perfbench/spans.py wraps these by name as cli attributes.
+from .cache import ideal_from_text, ideal_to_text, syzygies_from_text, syzygies_to_text  # noqa: F401
 from .exactla import FieldSpec
 from .wps import WeightedSpace, invariants
 
@@ -176,43 +170,8 @@ def cmd_classify(config: RunConfig) -> tuple[str, int]:
     return text, code
 
 
-def _load_or_build_ideal(sp: WeightedSpace, cache: Cache | None) -> toric.ToricIdeal:
-    """The cached ideal when it parses; otherwise a fresh one, which
-    overwrites the entry."""
-    if cache is not None:
-        text = cache.load(sp, "ideal", "min")
-        if text is not None:
-            try:
-                return ideal_from_text(sp, text, "min")
-            except ValueError:  # a bad record or a stale header
-                pass
-    ideal = toric.quadric_generators(sp)
-    if cache is not None:
-        cache.store(sp, "ideal", ideal_to_text(ideal, "min"), "min")
-    return ideal
-
-
-def _load_or_build_syzygies(sp, ideal, cache: Cache | None):
-    """The cached syzygy basis when it parses and every element is a syzygy
-    of the ideal; otherwise a fresh basis, which overwrites the entry."""
-    if cache is not None:
-        text = cache.load(sp, "syzygies", "asc")
-        if text is not None:
-            try:
-                syz = syzygies_from_text(sp, text, "asc")
-            except ValueError:  # a bad record or a stale header
-                syz = None
-            if syz is not None and resolution.syzygies_cancel(ideal, syz):
-                return syz
-    syz = resolution.linear_syzygies(ideal)
-    if cache is not None:
-        cache.store(sp, "syzygies", syzygies_to_text(sp, syz, "asc"), "asc")
-    return syz
-
-
 def cmd_betti(config: RunConfig) -> tuple[str, int]:
     spaces = table_order(wps.enumerate_gorenstein(config.bound))
-    cache = config.cache()
     headers = ["#", "weights", "g_1", "i_S", "g", "beta_1", "beta_2"]
     if config.verify:
         headers += ["deg3_generation", "quartic_syzygies"]
@@ -229,8 +188,8 @@ def cmd_betti(config: RunConfig) -> tuple[str, int]:
         if config.verify:
             row.append("pass" if generation.connected else "FAIL")
             if inv.g <= config.max_genus_for_heavy_checks or config.all_spaces:
-                ideal = _load_or_build_ideal(sp, cache)
-                syz = _load_or_build_syzygies(sp, ideal, cache)
+                ideal = toric.quadric_generators(sp)
+                syz = resolution.linear_syzygies(ideal)
                 quartic = resolution.check_no_quartic_syzygies(
                     ideal, syz, fields=config.fields()
                 )
@@ -287,8 +246,8 @@ def compute_alpha(sp: WeightedSpace, config: RunConfig) -> tangent.T1Report:
     tangent.alpha_report."""
     cache = config.cache()
     fields = config.fields()
-    ideal = _load_or_build_ideal(sp, cache)
-    syz = _load_or_build_syzygies(sp, ideal, cache)
+    ideal = toric.quadric_generators(sp)
+    syz = resolution.linear_syzygies(ideal)
     known = None
     progress = None
     if cache is not None:
@@ -380,27 +339,36 @@ def _parse_weights(token: str) -> WeightedSpace:
     return WeightedSpace(tuple(int(p) for p in parts))
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--prime", type=int, default=exactla.MERSENNE_PRIME_31,
-                        help="first working prime")
-    parser.add_argument("--prime2", type=int, default=exactla.SECOND_PRIME,
-                        help="second working prime")
-    parser.add_argument("--cache", default=None, help="cache directory")
-    parser.add_argument("--max-genus", type=int, default=DEFAULT_MAX_GENUS,
-                        help="heavy checks run by default only up to this genus")
+def _add_table_flags(parser: argparse.ArgumentParser):
+    parser.add_argument("--bound", type=int, default=DEFAULT_BOUND)
     parser.add_argument("--format", default="tsv", choices=FORMATS)
     parser.add_argument("--check", action="store_true",
                         help="compare against the shipped reference table")
 
 
+def _add_heavy_flags(parser: argparse.ArgumentParser, all_help: str):
+    parser.add_argument("--all", action="store_true", help=all_help)
+    parser.add_argument("--max-genus", type=int, default=DEFAULT_MAX_GENUS,
+                        help="heavy checks run by default only up to this genus")
+    parser.add_argument("--prime", type=int, default=exactla.MERSENNE_PRIME_31,
+                        help="first working prime")
+    parser.add_argument("--prime2", type=int, default=exactla.SECOND_PRIME,
+                        help="second working prime")
+
+
 def _config_from_args(args) -> RunConfig:
-    cache_dir = os.environ.get("GWPSKIT_CACHE") or args.cache
+    """The run configuration; a flag that the subcommand does not register
+    keeps its default."""
+    cache_dir = None
+    if args.command == "alpha":
+        cache_dir = os.environ.get("GWPSKIT_CACHE") or args.cache
     return RunConfig(
-        bound=getattr(args, "bound", DEFAULT_BOUND),
+        bound=args.bound,
         verify=getattr(args, "verify", False),
         all_spaces=getattr(args, "all", False),
-        primes=(args.prime, args.prime2),
-        max_genus_for_heavy_checks=args.max_genus,
+        primes=(getattr(args, "prime", exactla.MERSENNE_PRIME_31),
+                getattr(args, "prime2", exactla.SECOND_PRIME)),
+        max_genus_for_heavy_checks=getattr(args, "max_genus", DEFAULT_MAX_GENUS),
         cache_dir=cache_dir,
         output_format=args.format,
         check=args.check,
@@ -416,28 +384,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="classification table")
-    p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
-    _add_common(p)
+    _add_table_flags(p)
 
     p = sub.add_parser("betti", help="quadric generator and linear syzygy counts")
-    p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
+    _add_table_flags(p)
     p.add_argument("--verify", action="store_true",
                    help="run the generation and quartic-syzygy checks")
-    p.add_argument("--all", action="store_true",
-                   help="run heavy checks beyond the genus budget too")
-    _add_common(p)
+    _add_heavy_flags(p, "run heavy checks beyond the genus budget too")
 
     p = sub.add_parser("alpha", help="tangent dimensions and extendability counts")
-    p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
-    p.add_argument("--all", action="store_true",
-                   help="also compute the over-budget spaces")
-    _add_common(p)
+    _add_table_flags(p)
+    _add_heavy_flags(p, "also compute the over-budget spaces")
+    p.add_argument("--cache", default=None,
+                   help="block table cache directory (GWPSKIT_CACHE overrides it)")
 
     p = sub.add_parser("veronese", help="Veronese subring presentation")
     p.add_argument("weights", help="comma-separated weights, e.g. 1,1,4,6")
     p.add_argument("d", type=int, help="Veronese index")
     p.add_argument("--cutoff", type=int, default=8)
-    _add_common(p)
 
     return parser
 
@@ -466,3 +430,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

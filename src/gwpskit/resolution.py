@@ -134,25 +134,6 @@ def linear_syzygies(
     return SyzygyBasis(by_multidegree=by_multidegree, total_count=total)
 
 
-def syzygies_cancel(ideal: ToricIdeal, basis: SyzygyBasis) -> bool:
-    """Whether every element of a basis read from a cache file is a nonzero
-    syzygy of the ideal: its terms exist and sit at its multidegree, and it
-    passes the cancellation check that linear_syzygies runs."""
-    pts, gens = ideal.slice_s.points, ideal.generators
-    for key, elems in basis.by_multidegree.items():
-        for syz in elems:
-            if not syz.terms or not all(
-                0 <= i < len(pts) and 0 <= k < len(gens)
-                and tadd(pts[i], gens[k].multidegree) == key
-                for i, k, _ in syz.terms
-            ):
-                return False
-            edges = _edges(ideal, [((i,), k) for i, k, _ in syz.terms])
-            if not _cancels(edges, enumerate(c for _, _, c in syz.terms)):
-                return False
-    return True
-
-
 def incident_pairs_degree4(ideal: ToricIdeal) -> dict[Point, list[tuple[tuple[int, int], int]]]:
     """(quadratic monomial, generator) pairs grouped by multidegree."""
     pts = ideal.slice_s.points

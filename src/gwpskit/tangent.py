@@ -14,6 +14,29 @@ Linear sections cut by sums of two coordinates are handled by the same block
 method under the multigrading coarsened by the difference of the two exponent
 vectors; quotient relations enter as slack columns and per-generator gauge
 rows.
+
+Why the minimal cubic syzygies give all the constraints.  Let A = S/I be the
+anticanonical ring, S the polynomial ring on the g+2 points of the degree-s
+slice, and c = g - 2 the codimension.  The minimal first syzygies of I lie
+in degrees 3 and 4 only:
+
+- When the slice generates every degree-ds slice (projective normality), A
+  is the ring of a normal affine semigroup, hence Cohen-Macaulay (Hochster,
+  Ann. Math. 96 (1972)).
+- Its h-vector is (1, g-2, g-2, 1).  It is symmetric, so the
+  Cohen-Macaulay domain A is Gorenstein (Stanley, Adv. Math. 28 (1978)),
+  and it has degree 3, so reg A = 3 and Tor_2(A)_j = 0 for j >= 6.
+- The Gorenstein resolution is self-dual and ends in S(-c-3), so
+  Tor_i(A)_j = Tor_{c-i}(A)_{c+3-j}.  Hence Tor_2(A)_5 = Tor_{g-4}(A)_{g-4},
+  which is 0 because I has no linear forms, so Tor_i(A) starts in degree
+  i + 1.
+
+Degree 4, Tor_2(A)_4 = 0, is the quartic check
+(resolution.check_no_quartic_syzygies, run by `betti --verify`).  The tests
+check the premises: acceptance criterion 6 the h-vectors of all 14 spaces,
+and tests/test_lattice.py::test_normality_small_spaces projective normality
+up to degree 4s.  See Bruns-Herzog, Cohen-Macaulay Rings, sections 3.3,
+4.4 and 6.3; Schenzel, J. Algebra 64 (1980).
 """
 
 from __future__ import annotations
@@ -32,8 +55,8 @@ from .wps import WeightedSpace, invariants
 
 ASSUMPTION_NOTE = (
     "constraints use the minimal cubic syzygies; degree-4 redundancy is "
-    "verified by the quartic check (betti --verify), higher degrees rest on "
-    "the quadratic-linear resolution shape"
+    "verified by the quartic check (betti --verify), higher degrees vanish "
+    "by the Gorenstein duality argument in the gwpskit.tangent docstring"
 )
 
 

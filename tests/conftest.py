@@ -9,7 +9,9 @@ as undeduplicated Python rows instead of deduplicated int64 arrays.
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,16 @@ from gwpskit.resolution import (
 from gwpskit.tangent import hom_dimension_minus1
 from gwpskit.toric import quadric_generators
 from gwpskit.wps import enumerate_gorenstein, weighted_space
+
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def src_env() -> dict:
+    """The environment with the checkout's src/ on PYTHONPATH, for running
+    gwpskit in a subprocess from a checkout that is not installed."""
+    path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 def brute_count(weights, d: int) -> int:

@@ -41,18 +41,13 @@ def _report(num: int, name: str, ok: bool, started: float):
 
 
 @pytest.fixture(scope="module")
-def desk_pipelines(session_cache_dir):
-    """Ideal + syzygies for the eight desk-scale spaces, shared on disk."""
-    cfg = RunConfig(cache_dir=session_cache_dir)
-    cache = cfg.cache()
-    from gwpskit.cli import _load_or_build_ideal, _load_or_build_syzygies
-
+def desk_pipelines():
+    """Ideal + syzygies for the eight desk-scale spaces."""
     out = {}
     for w in DESK_SCALE:
         sp = weighted_space(*w)
-        ideal = _load_or_build_ideal(sp, cache)
-        syz = _load_or_build_syzygies(sp, ideal, cache)
-        out[w] = (sp, ideal, syz)
+        ideal = quadric_generators(sp)
+        out[w] = (sp, ideal, linear_syzygies(ideal))
     return out
 
 
