@@ -34,6 +34,7 @@ print(f"linear syzygies: {syz.total_count} (counting formula: {beta2(sp)})")
 
 quartic = check_no_quartic_syzygies(ideal, syz)
 print(f"no minimal quartic syzygies across {quartic.blocks_checked} blocks: {quartic.ok}")
+print(f"  blocks solved under two primes (GF(2) rank short of E - V + c): {quartic.fallbacks}")
 
 print("\nBetti numbers of all fourteen spaces:")
 print(f"{'weights':<16}{'g':>4}{'beta_1':>8}{'beta_2':>8}")

@@ -10,7 +10,6 @@ variety that is not a cone.
 
 from gwpskit import (
     alpha_report,
-    derivation_vectors,
     hom_dimension_minus1,
     linear_syzygies,
     quadric_generators,
@@ -27,8 +26,9 @@ hom = hom_dimension_minus1(ideal, syz)
 busy = {s: d for s, d in hom.by_shift.items() if d}
 print(f"{sp}: total solution dimension {hom.total} across {len(hom.by_shift)} shifts")
 print(f"shifts with nonzero dimension: {len(busy)}")
+print(f"shifts solved under two primes (GF(2) rank short of the upper bound): {hom.fallbacks}")
 
-derivs = derivation_vectors(ideal, syz)
+derivs = hom.derivations
 print(f"coordinate derivations: {len(derivs)} nonzero solutions in distinct blocks")
 
 rep = alpha_report(sp)

@@ -1,13 +1,20 @@
-"""Exact linear algebra over prime fields.
+"""Exact linear algebra: certified ranks, with prime fields as the fallback.
 
-One solver: `solution_dim` takes a validated coordinate-form `SparseMatrix`
-(the tangent shift blocks, the quartic span blocks, the section systems)
-and computes its rank by Markowitz elimination under two independent
-primes, which must agree.  All arithmetic is exact: values are reduced
-modulo an odd prime p < 2**31 in one vectorized step, a nonzero value that
-p divides is an error, and elimination runs on Python integers.  Dense
-elimination (`_dense_rank`, `_dense_rref`) and right-kernel bases remain as
-references for the tests.
+`rank_gf2` eliminates bitset rows over GF(2).  For an integer matrix M,
+rank_2(M) <= rank_Q(M), since a minor that is odd is a nonzero integer, so
+it is a proven lower bound on the rational rank.  Wherever it meets an exact
+upper bound, the rank is proven: `certified_solution_dim` (the tangent shift
+blocks) takes the row or the column count as that bound, the latter lowered
+by one for a verified integer kernel vector, and the quartic check takes the
+cycle-space dimension of its block.
+
+The fallback, where the bounds do not meet, and the only path of the section
+systems, is `solution_dim`: a validated coordinate-form `SparseMatrix` whose
+rank comes from Markowitz elimination under two independent primes, which
+must agree.  Values are reduced modulo an odd prime p < 2**31 in one
+vectorized step, a nonzero value that p divides is an error, and elimination
+runs on Python integers.  Dense elimination (`_dense_rank`, `_dense_rref`) and
+right-kernel bases remain as references for the tests.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import numpy as np
 
 MERSENNE_PRIME_31 = 2147483647
 SECOND_PRIME = 1073741789
-# Selects nothing: every rank is a Markowitz elimination.  perfbench/spans.py
+# Selects nothing: no rank is a dense elimination.  perfbench/spans.py
 # reads it to count the blocks wider than it.
 DENSE_COLUMN_LIMIT = 256
 
@@ -335,3 +342,51 @@ def solution_dim(m: SparseMatrix, f1: FieldSpec, f2: FieldSpec) -> int:
             f"matrix fingerprint {fingerprint(m)}"
         )
     return m.cols - r1
+
+
+def rank_gf2(rows, bound: int) -> int:
+    """min(rank, bound) over GF(2) of the rows, each a Python int whose bit j
+    is the entry in column j mod 2.
+
+    XOR elimination with pivot rows keyed by their highest set bit: a row is
+    reduced by the pivot that owns its highest bit until it is zero or owns
+    a new one.  `rows` may be a lazy iterable; no row is read once the rank
+    reaches `bound`.
+    """
+    if bound <= 0:
+        return 0
+    pivots: dict[int, int] = {}
+    for row in rows:
+        while row:
+            top = row.bit_length()
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = row
+                if len(pivots) == bound:
+                    return bound
+                break
+            row ^= pivot
+    return len(pivots)
+
+
+def certified_solution_dim(
+    a: np.ndarray, f1: FieldSpec, f2: FieldSpec, kernel: np.ndarray | None = None
+) -> tuple[int, bool]:
+    """Dimension of the rational solutions of a x = 0, for an int64 array a,
+    and whether it fell back to `solution_dim`.
+
+    The upper bound on the rank is the row count or the column count, the
+    latter one less when `kernel` is a nonzero integer vector with
+    a @ kernel = 0, checked exactly (the caller keeps the products within
+    int64).  If rank_2(a) meets it, the dimension is proven; otherwise it is
+    the two-prime solution_dim.
+    """
+    rows, cols = a.shape
+    upper = cols
+    if kernel is not None and kernel.any() and not (a @ kernel).any():
+        upper = cols - 1
+    upper = min(rows, upper)
+    packed = np.packbits(a & 1, axis=1, bitorder="little")
+    if rank_gf2((int.from_bytes(row.tobytes(), "little") for row in packed), upper) == upper:
+        return cols - upper, False
+    return solution_dim(SparseMatrix.from_dense(a), f1, f2), True

@@ -32,11 +32,24 @@ in degrees 3 and 4 only:
   i + 1.
 
 Degree 4, Tor_2(A)_4 = 0, is the quartic check
-(resolution.check_no_quartic_syzygies, run by `betti --verify`).  The tests
-check the premises: acceptance criterion 6 the h-vectors of all 14 spaces,
-and tests/test_lattice.py::test_normality_small_spaces projective normality
-up to degree 4s.  See Bruns-Herzog, Cohen-Macaulay Rings, sections 3.3,
-4.4 and 6.3; Schenzel, J. Algebra 64 (1980).
+(resolution.check_no_quartic_syzygies, run by `betti --verify`).
+
+Why degrees 2s and 3s decide projective normality.  Each weight a_i divides
+s, so the degree-ds points are the lattice points of d times the simplex
+with vertices (s/a_i) e_i, and each vertex is a slice point.  Write a point
+x of degree ds as x_i = q_i (s/a_i) + r_i with 0 <= r_i < s/a_i.  Then x is
+the sum of q_0 + ... + q_3 vertices and the box point r, whose degree
+sum a_i r_i is a multiple ks of s below sum a_i (s/a_i) = 4s, so k <= 3.  If
+every point of degree 2s and 3s is a sum of 2 and 3 slice points, r is a
+sum of k slice points, and so x is a sum of d.  See Bruns-Gubeladze,
+Polytopes, Rings, and K-Theory (Springer, 2009), ch. 2.
+
+The tests check the premises: acceptance criterion 6 the h-vectors of all
+14 spaces, tests/test_lattice.py::test_normality_all_spaces projective
+normality through degree 3s on all 14 spaces, and
+tests/test_lattice.py::test_normality_small_spaces through degree 4s on three
+of them.  See Bruns-Herzog, Cohen-Macaulay Rings, sections 3.3, 4.4 and 6.3;
+Schenzel, J. Algebra 64 (1980).
 """
 
 from __future__ import annotations
@@ -74,10 +87,14 @@ class ShiftBlock:
 
 @dataclass
 class HomTable:
-    """Total degree -1 Hom dimension and its per-shift breakdown."""
+    """Total degree -1 Hom dimension and its per-shift breakdown, the checked
+    coordinate derivations, and the number of solved blocks that fell back
+    to two primes."""
 
     total: int
     by_shift: dict[Point, int]
+    derivations: tuple[DerivationVector, ...]
+    fallbacks: int
 
 
 @dataclass(frozen=True)
@@ -188,7 +205,13 @@ def hom_dimension_minus1(
     progress=None,
 ) -> HomTable:
     """Dimension of the space of degree -1 module maps on the ideal, as the
-    sum of per-shift block solution dimensions (exact, two primes).
+    sum of per-shift block solution dimensions, each exact.
+
+    A block's rank lies between its GF(2) rank and its column count, or one
+    less where the shift holds a coordinate derivation, a nonzero integer
+    solution checked exactly from the same block.  Where the two bounds meet,
+    the dimension is proven; elsewhere it is solved under two primes and
+    counted in `fallbacks` (exactla.certified_solution_dim).
 
     `known` supplies already-computed shift dimensions (cache resume);
     `progress(shift, dim, done, total)` is invoked per newly solved block.
@@ -196,20 +219,64 @@ def hom_dimension_minus1(
     if fields is None:
         fields = exactla.default_fields()
     syz_by_gen = _syzygies_by_generator(syzygies)
+    coordinate = {(-u[0], -u[1], -u[2], -u[3]): m for m, u in enumerate(ideal.slice_s.points)}
+    derived: dict[Point, DerivationVector] = {}
     shifts = enumerate_shifts(ideal)
     todo = [s for s in shifts if known is None or s not in known]
 
     by_shift: dict[Point, int] = dict(known) if known else {}
+    fallbacks = 0
     for done, shift in enumerate(todo, start=1):
         block = build_block(ideal, syzygies, shift, syz_by_gen)
-        dim = 0 if block is None else exactla.solution_dim(
-            SparseMatrix.from_dense(block.constraints), *fields
-        )
+        kernel = None
+        if shift in coordinate:
+            d = derived[shift] = _derivation(ideal, coordinate[shift], block)
+            kernel = np.array([c for _, c in d.components], dtype=np.int64)
+        dim = 0
+        if block is not None:
+            dim, fell_back = exactla.certified_solution_dim(
+                block.constraints, *fields, kernel=kernel
+            )
+            fallbacks += fell_back
         by_shift[shift] = dim
         if progress is not None:
             progress(shift, dim, done, len(todo))
     by_shift = {s: by_shift[s] for s in shifts}
-    return HomTable(total=sum(by_shift.values()), by_shift=by_shift)
+    # The derivations of shifts resumed from `known` were not built above.
+    derivations = tuple(
+        derived.get(s) or _derivation(ideal, m, build_block(ideal, syzygies, s, syz_by_gen))
+        for s, m in coordinate.items()
+    )
+    return HomTable(
+        total=sum(by_shift.values()),
+        by_shift=by_shift,
+        derivations=derivations,
+        fallbacks=fallbacks,
+    )
+
+
+def _derivation(ideal: ToricIdeal, m: int, block: ShiftBlock | None) -> DerivationVector:
+    """d/dy_m as a solution of `block`, the block of its shift.
+
+    Asserts that the block exists and that the vector is nonzero and
+    satisfies all constraints of its block exactly over the integers (a failed
+    constraint signals an incomplete syzygy basis).
+    """
+    if block is None:
+        raise AssertionError(f"coordinate {m} has no incident generators; derivation vanishes")
+    gens = [ideal.generators[k] for k in block.unknowns]
+    vec = np.array([g.lhs.count(m) - g.rhs.count(m) for g in gens], dtype=np.int64)
+    if not vec.any():
+        raise AssertionError(f"derivation for coordinate {m} is the zero vector")
+    # Syzygy coefficients below 2**31 and components of size at most 2:
+    # the int64 product is exact.
+    if (block.constraints @ vec).any():
+        raise AssertionError(
+            f"derivation for coordinate {m} violates a syzygy constraint; "
+            "the syzygy basis is incomplete"
+        )
+    components = tuple(zip(block.unknowns, vec.tolist()))
+    return DerivationVector(coordinate=m, shift=block.shift, components=components)
 
 
 def derivation_vectors(
@@ -219,37 +286,19 @@ def derivation_vectors(
 
     Asserts that each is nonzero, that the g+2 shifts are pairwise distinct,
     and that every vector satisfies all constraints of its block exactly over
-    the integers (a failed constraint signals an incomplete syzygy basis).
+    the integers.
     """
     if syzygies is None:
         syzygies = linear_syzygies(ideal)
-    pts = ideal.slice_s.points
     syz_by_gen = _syzygies_by_generator(syzygies)
     out = []
     shifts_seen = set()
-    for m, u in enumerate(pts):
+    for m, u in enumerate(ideal.slice_s.points):
         shift = (-u[0], -u[1], -u[2], -u[3])
-        block = build_block(ideal, syzygies, shift, syz_by_gen)
-        if block is None:
-            raise AssertionError(
-                f"coordinate {m} has no incident generators; derivation vanishes"
-            )
-        gens = [ideal.generators[k] for k in block.unknowns]
-        vec = np.array([g.lhs.count(m) - g.rhs.count(m) for g in gens], dtype=np.int64)
-        if not vec.any():
-            raise AssertionError(f"derivation for coordinate {m} is the zero vector")
-        # Syzygy coefficients below 2**31 and components of size at most 2:
-        # the int64 product is exact.
-        if (block.constraints @ vec).any():
-            raise AssertionError(
-                f"derivation for coordinate {m} violates a syzygy constraint; "
-                "the syzygy basis is incomplete"
-            )
         if shift in shifts_seen:
             raise AssertionError("derivation shifts are not pairwise distinct")
         shifts_seen.add(shift)
-        components = tuple(zip(block.unknowns, vec.tolist()))
-        out.append(DerivationVector(coordinate=m, shift=shift, components=components))
+        out.append(_derivation(ideal, m, build_block(ideal, syzygies, shift, syz_by_gen)))
     return tuple(out)
 
 
@@ -285,9 +334,9 @@ def assemble_report(
     """Run the safety assertions and package the result.
 
     Checks that the explicit syzygy count matches the counting formula (which
-    itself requires the degree-3 generation check to pass), that every
-    coordinate derivation is a nonzero block solution, and that the solution
-    total is at least the ambient dimension.
+    itself requires the degree-3 generation check to pass), that `hom`
+    carries one checked coordinate derivation per coordinate, and that the
+    solution total is at least the ambient dimension.
     """
     from .resolution import beta2
 
@@ -297,8 +346,11 @@ def assemble_report(
         raise AssertionError(
             f"explicit syzygy count {syzygies.total_count} != formula {expected}"
         )
-    derivation_vectors(ideal, syzygies)
     ambient = inv.g + 2
+    if len(hom.derivations) != ambient:
+        raise AssertionError(
+            f"{len(hom.derivations)} coordinate derivations, expected {ambient}"
+        )
     if hom.total < ambient:
         raise AssertionError(f"hom dimension {hom.total} below ambient {ambient}")
     t1 = hom.total - ambient

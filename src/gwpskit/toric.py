@@ -160,22 +160,23 @@ def shared_member_components(member_sets) -> int:
                 edges.append((first_with[member], t))
             else:
                 first_with[member] = t
-    covered, components, _ = spanning_forest(edges)
+    covered, components, _, _ = spanning_forest(edges)
     # Sets met by no edge are components of their own.
     return components + len(member_sets) - covered
 
 
-def spanning_forest(edges) -> tuple[int, int, Iterator[list[tuple[int, int]]]]:
+def spanning_forest(edges) -> tuple[int, int, list[int], Iterator[list[tuple[int, int]]]]:
     """Kruskal spanning forest of a graph given by its edge list, in order.
 
     Edge j joins edges[j] = (plus, minus), two hashable vertex labels, and
     stands for the column e_plus - e_minus of a signed incidence matrix.  An
     edge joins the forest iff it closes no cycle with the edges before it, so
     the tree edges are exactly the pivot columns that elimination with
-    smallest-first pivots would choose.  Returns (V, c, cycles): the number of
-    vertices met by an edge, the number of connected components among them,
-    and an iterator over the fundamental cycles, one per non-tree edge in
-    ascending edge order, computed only when iterated.  A cycle lists
+    smallest-first pivots would choose.  Returns (V, c, non_tree, cycles): the
+    number of vertices met by an edge, the number of connected components
+    among them, the ascending list of the E - V + c non-tree edge indices, and
+    an iterator over the fundamental cycles, one per non-tree edge in that
+    order, computed only when iterated.  A cycle lists
     (edge index, +1 or -1) in ascending edge order, with +1 on its own
     non-tree edge, and its signed edge columns sum to zero over Z.  The cycles
     form a basis of the kernel, of dimension E - V + c, over Z and over every
@@ -240,7 +241,7 @@ def spanning_forest(edges) -> tuple[int, int, Iterator[list[tuple[int, int]]]]:
             yield sorted(signs.items())
 
     components = nv - (len(ends) - len(non_tree))
-    return nv, components, fundamental_cycles()
+    return nv, components, non_tree, fundamental_cycles()
 
 
 def degree2_span_crosscheck(

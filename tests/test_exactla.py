@@ -14,12 +14,15 @@ from gwpskit.exactla import (
     SparseMatrix,
     _dense_rank,
     _sparse_rank,
+    certified_solution_dim,
     default_fields,
     fingerprint,
     kernel_basis_mod_p,
+    rank_gf2,
     rank_mod_p,
     solution_dim,
 )
+from gwpskit import resolution
 
 F1, F2 = default_fields()
 
@@ -275,3 +278,107 @@ def test_kernel_vectors_annihilate(rows):
     for v in basis:
         for row in rows:
             assert sum(a * b for a, b in zip(row, v)) % F1.prime == 0
+
+
+def gf2_rows(rows):
+    """Each row mod 2 as a bitset, bit j for column j."""
+    return [sum(1 << j for j, v in enumerate(row) if v % 2) for row in rows]
+
+
+def gf2_rank(rows) -> int:
+    """Rank mod 2 by Gauss-Jordan elimination on lists of 0/1 entries."""
+    mat = [[v % 2 for v in row] for row in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col]:
+                mat[r] = [a ^ b for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=st.integers(min_value=1, max_value=7).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n),
+            min_size=1,
+            max_size=8,
+        )
+    ),
+    bound=st.integers(min_value=0, max_value=8),
+)
+def test_rank_gf2_is_a_lower_bound(rows, bound):
+    rank = rank_gf2(gf2_rows(rows), len(rows[0]))
+    assert rank == gf2_rank(rows)
+    assert rank <= rational_rank(rows)
+    assert rank_gf2(gf2_rows(rows), bound) == min(rank, bound)
+
+
+def test_rank_gf2_reads_no_row_past_the_bound():
+    rows = iter([0b01, 0b10, 0b11, 0b100])
+    assert rank_gf2(rows, 2) == 2
+    assert list(rows) == [0b11, 0b100]
+
+
+def test_two_torsion_takes_the_fallback():
+    a = np.array([[1, 1], [1, -1]], dtype=np.int64)
+    assert rank_gf2(gf2_rows(a.tolist()), 2) == 1
+    assert rational_rank(a.tolist()) == 2
+    assert certified_solution_dim(a, F1, F2) == (0, True)
+    assert certified_solution_dim(a, F1, F2, kernel=np.array([1, 1])) == (0, True)
+
+
+def test_certified_solution_dim_bounds():
+    assert certified_solution_dim(np.eye(3, dtype=np.int64), F1, F2) == (0, False)
+    assert certified_solution_dim(np.zeros((0, 4), dtype=np.int64), F1, F2) == (4, False)
+    a = np.array([[1, 1, 0], [2, 2, 0], [0, 0, 3]], dtype=np.int64)
+    assert certified_solution_dim(a, F1, F2, kernel=np.array([1, -1, 0])) == (1, False)
+    assert certified_solution_dim(a, F1, F2, kernel=np.array([1, 1, 0])) == (1, True)
+    assert certified_solution_dim(a, F1, F2, kernel=np.array([0, 0, 0])) == (1, True)
+    assert certified_solution_dim(a, F1, F2) == (1, True)
+
+
+def test_flipped_derivation_component_is_rejected(pipeline_2334):
+    """A derivation proves dimension 1 for a block whose GF(2) rank is one
+    short of its columns; changing one component whose column meets a
+    constraint makes it no kernel vector, so the block falls back to two
+    primes, with the same dimension."""
+    from gwpskit.tangent import build_block
+
+    ideal, syz = pipeline_2334["ideal"], pipeline_2334["syzygies"]
+    by_shift = pipeline_2334["hom"].by_shift
+    flipped = 0
+    for d in pipeline_2334["hom"].derivations:
+        a = build_block(ideal, syz, d.shift).constraints
+        vec = np.array([c for _, c in d.components], dtype=np.int64)
+        dim, fell_back = certified_solution_dim(a, F1, F2, kernel=vec)
+        assert dim == by_shift[d.shift]
+        if fell_back:  # a second solution beside the derivation
+            assert dim > 1
+            continue
+        assert dim == 1
+        for j in np.flatnonzero(a.any(axis=0)):
+            bad = vec.copy()
+            bad[j] = -bad[j] if bad[j] else 1
+            assert certified_solution_dim(a, F1, F2, kernel=bad) == (1, True)
+            flipped += 1
+    assert flipped > 0
+
+
+def test_span_rank_above_kernel_dimension_raises(pipeline_2334, monkeypatch):
+    """A forest that understates the components puts E - V + c below the GF(2)
+    rank of a block's span: the quartic check raises and names the block."""
+    forest = resolution.spanning_forest
+
+    def understated(edges):
+        vertices, components, non_tree, cycles = forest(edges)
+        return vertices, components - 1, non_tree, cycles
+
+    monkeypatch.setattr(resolution, "spanning_forest", understated)
+    with pytest.raises(AssertionError, match=r"above the kernel dimension .* at multidegree \("):
+        resolution.check_no_quartic_syzygies(pipeline_2334["ideal"], pipeline_2334["syzygies"])

@@ -71,6 +71,15 @@ def test_normality_small_spaces():
         assert rep.witnesses == {}
 
 
+def test_normality_all_spaces(all_spaces):
+    """Degrees 2s and 3s decide projective normality (box-point argument in
+    the gwpskit.tangent docstring); they hold on all 14 spaces."""
+    assert len(all_spaces) == 14
+    for sp in all_spaces:
+        rep = verify_projective_normality(sp, 3)
+        assert rep.by_degree == {2: True, 3: True} and rep.witnesses == {}
+
+
 def test_normality_requires_gorenstein():
     with pytest.raises(ValueError):
         verify_projective_normality(weighted_space(1, 1, 1, 2), 3)

@@ -2,9 +2,12 @@ import pytest
 
 from conftest import binomial_edges, elimination_syzygies, incidence_matrix
 from gwpskit.cache import syzygies_to_text
-from gwpskit.exactla import default_fields, solution_dim
+from gwpskit.exactla import default_fields, rank_gf2, solution_dim
 from gwpskit.lattice import degree_slice
 from gwpskit.resolution import (
+    _edges,
+    _span_matrix,
+    _span_rows_gf2,
     beta2,
     check_no_quartic_syzygies,
     incident_pairs_degree3,
@@ -119,7 +122,47 @@ def test_quartic_graph_dimension_matches_elimination(pipeline_2334):
     assert len(blocks) == 334
     for cols in blocks.values():
         edges = binomial_edges(ideal, cols)
-        vertices, components, _ = spanning_forest(edges)
+        vertices, components, _, _ = spanning_forest(edges)
         assert len(cols) - vertices + components == solution_dim(
             incidence_matrix(edges), *fields
         )
+
+
+def test_certified_quartic_ranks_equal_two_prime_ranks(pipeline_2334, pipeline_231015):
+    """Oracle: on every quartic block the GF(2) rank of the projected span,
+    E - V + c and the two-prime rank of the full span matrix are one number."""
+    fields = default_fields()
+    for pipe in (pipeline_2334, pipeline_231015):
+        ideal, syz = pipe["ideal"], pipe["syzygies"]
+        for key, cols in incident_pairs_degree4(ideal).items():
+            vertices, components, non_tree, _ = spanning_forest(_edges(ideal, cols))
+            column_bit = dict.fromkeys(cols, 0)
+            column_bit.update((cols[j], 1 << b) for b, j in enumerate(non_tree))
+            certified = rank_gf2(_span_rows_gf2(ideal, syz, key, column_bit), len(non_tree))
+            span = _span_matrix(ideal, syz, key, cols)
+            assert certified == len(cols) - vertices + components, key
+            assert certified == span.cols - solution_dim(span, *fields), key
+
+
+def test_span_term_outside_its_block_is_a_key_error(pipeline_2334):
+    ideal, syz = pipeline_2334["ideal"], pipeline_2334["syzygies"]
+    for key, cols in incident_pairs_degree4(ideal).items():
+        if any(True for _ in _span_rows_gf2(ideal, syz, key, dict.fromkeys(cols, 0))):
+            break
+    with pytest.raises(KeyError):
+        list(_span_rows_gf2(ideal, syz, key, {}))
+
+
+def test_non_cancelling_syzygy_is_rejected(pipeline_2334):
+    """The span lies in the cycle space only if every cubic syzygy cancels;
+    the quartic check verifies that before it trusts the projection."""
+    from gwpskit.resolution import SyzygyBasis, SyzygyElement
+
+    syz = pipeline_2334["syzygies"]
+    key = next(iter(syz.by_multidegree))
+    first, *rest = syz.by_multidegree[key]
+    (i, k, c), *terms = first.terms
+    broken = SyzygyElement(multidegree=key, terms=((i, k, -c), *terms))
+    basis = SyzygyBasis({**syz.by_multidegree, key: (broken, *rest)}, syz.total_count)
+    with pytest.raises(AssertionError, match="does not cancel"):
+        check_no_quartic_syzygies(pipeline_2334["ideal"], basis)

@@ -76,6 +76,30 @@ def test_blocks_match_raw_rows(pipeline_2334):
     assert block_total < raw_total
 
 
+def test_fallback_counts_2334(pipeline_2334):
+    """Measured: every quartic block of (2,3,3,4) is proven by its GF(2) rank,
+    and 5 of its tangent blocks fall back to two primes."""
+    from gwpskit.resolution import check_no_quartic_syzygies
+
+    ideal, syz = pipeline_2334["ideal"], pipeline_2334["syzygies"]
+    assert check_no_quartic_syzygies(ideal, syz).fallbacks == 0
+    assert pipeline_2334["hom"].fallbacks == 5
+    assert hom_dimension_minus1(ideal, syz, known=pipeline_2334["hom"].by_shift).fallbacks == 0
+
+
+def test_certified_table_equals_two_prime_solve(pipeline_2334, pipeline_231015):
+    """Oracle: solution_dim on every block gives the certified table."""
+    fields = default_fields()
+    for pipe in (pipeline_2334, pipeline_231015):
+        ideal, syz = pipe["ideal"], pipe["syzygies"]
+        for shift, dim in pipe["hom"].by_shift.items():
+            block = build_block(ideal, syz, shift)
+            want = 0 if block is None else solution_dim(
+                SparseMatrix.from_dense(block.constraints), *fields
+            )
+            assert dim == want, shift
+
+
 def test_alpha_report_2334():
     rep = alpha_report(weighted_space(2, 3, 3, 4))
     assert (rep.alpha_S, rep.alpha_P, rep.extendability) == (6, 5, 5)

@@ -144,7 +144,7 @@ def multigraphs(draw):
 @settings(max_examples=300, deadline=None)
 @given(multigraphs())
 def test_spanning_forest_cycles_are_a_kernel_basis(edges):
-    vertices, components, cycles = spanning_forest(edges)
+    vertices, components, non_tree, cycles = spanning_forest(edges)
     cycles = list(cycles)
     labels = sorted({v for e in edges for v in e})
     assert vertices == len(labels)
@@ -164,8 +164,10 @@ def test_spanning_forest_cycles_are_a_kernel_basis(edges):
         own = cycle[-1][0]
         assert coeff[own] == 1
         own_edges.append(own)
+    # The cycles are the identity on the non-tree columns, so projecting onto
+    # them keeps the rank of any set of cycle-space vectors, over Q and mod 2.
     for own in own_edges:
         assert sum(own in dict(other) for other in cycles) == 1
-    assert own_edges == sorted(set(own_edges))
+    assert own_edges == sorted(set(own_edges)) == non_tree
     assert len(cycles) == len(edges) - vertices + components
     assert len(cycles) == len(edges) - rational_rank(incidence)
