@@ -88,6 +88,24 @@ def binomial_edges(ideal, cols):
     return out
 
 
+def projected_span_rows_gf2(ideal, syzygies, key, column_bit):
+    """The rows y_i * sigma of a quartic block mod 2, in the order of
+    resolution._span_matrix, as bitsets: the odd terms of a row XOR together
+    column_bit[(pair, generator)], which must hold every column of the block.
+    With the non-tree columns of a spanning forest as the bits and the tree
+    columns as 0, this is the projection the quartic check used to eliminate."""
+    for i, u in enumerate(ideal.slice_s.points):
+        sub = tuple(a - b for a, b in zip(key, u))
+        if min(sub) < 0:
+            continue
+        for syz in syzygies.by_multidegree.get(sub, ()):
+            row = 0
+            for (j, k, c) in syz.terms:
+                if c & 1:
+                    row ^= column_bit[((i, j) if i <= j else (j, i), k)]
+            yield row
+
+
 def incidence_matrix(edges) -> SparseMatrix:
     """Column j is e_plus - e_minus of edges[j], rows in first-seen order."""
     rows = {}

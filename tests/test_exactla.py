@@ -371,14 +371,16 @@ def test_flipped_derivation_component_is_rejected(pipeline_2334):
 
 
 def test_span_rank_above_kernel_dimension_raises(pipeline_2334, monkeypatch):
-    """A forest that understates the components puts E - V + c below the GF(2)
-    rank of a block's span: the quartic check raises and names the block."""
-    forest = resolution.spanning_forest
+    """A component step that misses a component puts E - V + c of its block
+    below the GF(2) rank of the block's span: the quartic check raises and
+    names the block."""
+    roots = resolution._component_roots
 
-    def understated(edges):
-        vertices, components, non_tree, cycles = forest(edges)
-        return vertices, components - 1, non_tree, cycles
+    def understated(a, b, nv):
+        mask = roots(a, b, nv)
+        mask[np.argmax(mask)] = False
+        return mask
 
-    monkeypatch.setattr(resolution, "spanning_forest", understated)
+    monkeypatch.setattr(resolution, "_component_roots", understated)
     with pytest.raises(AssertionError, match=r"above the kernel dimension .* at multidegree \("):
         resolution.check_no_quartic_syzygies(pipeline_2334["ideal"], pipeline_2334["syzygies"])

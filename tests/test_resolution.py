@@ -1,13 +1,25 @@
+import re
+
 import pytest
 
-from conftest import binomial_edges, elimination_syzygies, incidence_matrix
+from conftest import (
+    binomial_edges,
+    elimination_syzygies,
+    incidence_matrix,
+    projected_span_rows_gf2,
+)
 from gwpskit.cache import syzygies_to_text
+from gwpskit import resolution
 from gwpskit.exactla import default_fields, rank_gf2, solution_dim
 from gwpskit.lattice import degree_slice
 from gwpskit.resolution import (
-    _edges,
+    QuarticSyzygyReport,
+    SyzygyBasis,
+    SyzygyElement,
+    _quartic_blocks,
     _span_matrix,
-    _span_rows_gf2,
+    _span_rows,
+    _syzygy_terms,
     beta2,
     check_no_quartic_syzygies,
     incident_pairs_degree3,
@@ -81,8 +93,6 @@ def test_quartic_check_vacuous_for_empty_ideal():
     empty = ToricIdeal(
         space=sp, slice_s=degree_slice(sp, s), generators=(), fibers={}
     )
-    from gwpskit.resolution import SyzygyBasis
-
     rep = check_no_quartic_syzygies(empty, SyzygyBasis(by_multidegree={}, total_count=0))
     assert rep.ok and rep.blocks_checked == 0
 
@@ -129,40 +139,116 @@ def test_quartic_graph_dimension_matches_elimination(pipeline_2334):
 
 
 def test_certified_quartic_ranks_equal_two_prime_ranks(pipeline_2334, pipeline_231015):
-    """Oracle: on every quartic block the GF(2) rank of the projected span,
-    E - V + c and the two-prime rank of the full span matrix are one number."""
+    """Oracle: on every quartic block the GF(2) rank of the span projected
+    onto the non-tree columns of a Kruskal forest, E - V + c and the two-prime
+    rank of the full span matrix are one number."""
     fields = default_fields()
     for pipe in (pipeline_2334, pipeline_231015):
         ideal, syz = pipe["ideal"], pipe["syzygies"]
         for key, cols in incident_pairs_degree4(ideal).items():
-            vertices, components, non_tree, _ = spanning_forest(_edges(ideal, cols))
+            vertices, components, non_tree, _ = spanning_forest(binomial_edges(ideal, cols))
             column_bit = dict.fromkeys(cols, 0)
             column_bit.update((cols[j], 1 << b) for b, j in enumerate(non_tree))
-            certified = rank_gf2(_span_rows_gf2(ideal, syz, key, column_bit), len(non_tree))
+            rows = projected_span_rows_gf2(ideal, syz, key, column_bit)
+            certified = rank_gf2(rows, len(non_tree))
             span = _span_matrix(ideal, syz, key, cols)
             assert certified == len(cols) - vertices + components, key
             assert certified == span.cols - solution_dim(span, *fields), key
 
 
+@pytest.mark.parametrize("chunk", [None, 64])
+def test_array_blocks_equal_forests_and_span_matrices(
+    pipeline_2334, pipeline_231015, chunk, monkeypatch
+):
+    """Oracle for the whole-space arrays of the quartic check, block by block
+    in descending order: (E, V, c) equals the Kruskal forest of the block's
+    edges, the full-width rows are the span matrix mod 2 with bit = column
+    position, and their GF(2) rank equals its two-prime rank.  A small chunk
+    gathers the rows of one or a few blocks at a time."""
+    if chunk:
+        monkeypatch.setattr(resolution, "_SPAN_CHUNK", chunk)
+    fields = default_fields()
+    for pipe in (pipeline_2334, pipeline_231015):
+        ideal, syz = pipe["ideal"], pipe["syzygies"]
+        grouped = incident_pairs_degree4(ideal)
+        blocks = _quartic_blocks(ideal)
+        assert blocks.keys == sorted(grouped, reverse=True)
+        seen = []
+        for b, rows in _span_rows(ideal, blocks, _syzygy_terms(syz)):
+            seen.append(b)
+            key = blocks.keys[b]
+            cols = grouped[key]
+            vertices, components, _, _ = spanning_forest(binomial_edges(ideal, cols))
+            graph = (blocks.edges[b], blocks.vertices[b], blocks.components[b])
+            assert graph == (len(cols), vertices, components), key
+            span = _span_matrix(ideal, syz, key, cols)
+            mod2 = [0] * span.rows
+            for r, c, v in span.entries.tolist():
+                mod2[r] |= (v & 1) << c
+            assert rows == mod2, key
+            assert rank_gf2(rows, len(cols)) == span.cols - solution_dim(span, *fields), key
+        assert seen == list(range(len(blocks.keys)))
+
+
 def test_span_term_outside_its_block_is_a_key_error(pipeline_2334):
+    """A syzygy filed under another multidegree still cancels, but its terms
+    lie outside the blocks of the rows it makes: the check names the block."""
     ideal, syz = pipeline_2334["ideal"], pipeline_2334["syzygies"]
-    for key, cols in incident_pairs_degree4(ideal).items():
-        if any(True for _ in _span_rows_gf2(ideal, syz, key, dict.fromkeys(cols, 0))):
-            break
-    with pytest.raises(KeyError):
-        list(_span_rows_gf2(ideal, syz, key, {}))
+    key, other = list(syz.by_multidegree)[:2]
+    first, *rest = syz.by_multidegree[key]
+    misfiled = SyzygyElement(multidegree=other, terms=first.terms)
+    by_multidegree = {**syz.by_multidegree, other: (*syz.by_multidegree[other], misfiled)}
+    if rest:
+        by_multidegree[key] = tuple(rest)
+    else:
+        del by_multidegree[key]
+    with pytest.raises(KeyError, match=r"outside its block at multidegree \("):
+        check_no_quartic_syzygies(ideal, SyzygyBasis(by_multidegree, syz.total_count))
 
 
 def test_non_cancelling_syzygy_is_rejected(pipeline_2334):
     """The span lies in the cycle space only if every cubic syzygy cancels;
-    the quartic check verifies that before it trusts the projection."""
-    from gwpskit.resolution import SyzygyBasis, SyzygyElement
-
+    the quartic check verifies that before it bounds the span's rank by
+    E - V + c."""
     syz = pipeline_2334["syzygies"]
     key = next(iter(syz.by_multidegree))
     first, *rest = syz.by_multidegree[key]
     (i, k, c), *terms = first.terms
-    broken = SyzygyElement(multidegree=key, terms=((i, k, -c), *terms))
-    basis = SyzygyBasis({**syz.by_multidegree, key: (broken, *rest)}, syz.total_count)
-    with pytest.raises(AssertionError, match="does not cancel"):
-        check_no_quartic_syzygies(pipeline_2334["ideal"], basis)
+    n = len(pipeline_2334["ideal"].slice_s)
+    # A flipped sign, and a variable index beyond the slice.
+    for first_term in ((i, k, -c), (i + n, k, c)):
+        broken = SyzygyElement(multidegree=key, terms=(first_term, *terms))
+        basis = SyzygyBasis({**syz.by_multidegree, key: (broken, *rest)}, syz.total_count)
+        with pytest.raises(AssertionError, match=re.escape(f"at multidegree {key} does not cancel")):
+            check_no_quartic_syzygies(pipeline_2334["ideal"], basis)
+
+
+def _corrupted_2334(pipeline_2334, doubled: bool):
+    """The (2,3,3,4) basis with its first syzygy doubled (even, so zero mod 2)
+    or dropped."""
+    syz = pipeline_2334["syzygies"]
+    key = next(iter(syz.by_multidegree))
+    first, *rest = syz.by_multidegree[key]
+    if doubled:
+        twice = SyzygyElement(key, tuple((i, k, 2 * c) for i, k, c in first.terms))
+        return SyzygyBasis({**syz.by_multidegree, key: (twice, *rest)}, syz.total_count)
+    kept = {d: elems for d, elems in syz.by_multidegree.items() if d != key}
+    if rest:
+        kept[key] = tuple(rest)
+    return SyzygyBasis(kept, syz.total_count - 1)
+
+
+def test_doubled_syzygy_falls_back_and_passes(pipeline_2334):
+    """A doubled syzygy still spans over Q but vanishes mod 2: the blocks it
+    reaches fall short of E - V + c over GF(2), go to two primes and pass."""
+    rep = check_no_quartic_syzygies(pipeline_2334["ideal"], _corrupted_2334(pipeline_2334, True))
+    assert rep == QuarticSyzygyReport(ok=True, witness=None, blocks_checked=334, fallbacks=3)
+
+
+def test_dropped_syzygy_is_a_witness(pipeline_2334):
+    """Without one syzygy the span misses a kernel vector: the first block
+    that needs it, in descending order, is the witness."""
+    rep = check_no_quartic_syzygies(pipeline_2334["ideal"], _corrupted_2334(pipeline_2334, False))
+    assert rep == QuarticSyzygyReport(
+        ok=False, witness=(17, 2, 0, 2), blocks_checked=334, fallbacks=3
+    )
