@@ -9,9 +9,8 @@ import os
 import sys
 from dataclasses import dataclass
 from importlib.resources import files
-from math import comb
 
-from . import __version__, exactla, lattice, resolution, tangent, toric, wps
+from . import __version__, exactla, resolution, tangent, toric, wps
 from .cache import Cache, blocks_from_text
 # Unused here: perfbench/spans.py wraps these by name as cli attributes.
 from .cache import ideal_from_text, ideal_to_text, syzygies_from_text, syzygies_to_text  # noqa: F401
@@ -19,7 +18,6 @@ from .exactla import FieldSpec
 from .wps import WeightedSpace, invariants
 
 DEFAULT_BOUND = 50
-DEFAULT_MAX_GENUS = 26
 FORMATS = ("tsv", "markdown", "latex")
 
 
@@ -27,9 +25,7 @@ FORMATS = ("tsv", "markdown", "latex")
 class RunConfig:
     bound: int = DEFAULT_BOUND
     verify: bool = False
-    all_spaces: bool = False
     primes: tuple[int, int] = (exactla.MERSENNE_PRIME_31, exactla.SECOND_PRIME)
-    max_genus_for_heavy_checks: int = DEFAULT_MAX_GENUS
     cache_dir: str | None = None
     output_format: str = "tsv"
     check: bool = False
@@ -186,18 +182,12 @@ def cmd_betti(config: RunConfig) -> tuple[str, int]:
         b2 = resolution.beta2(sp, generation=generation)
         row = [idx, str(sp), inv.g1, inv.i_S, inv.g, b1, b2]
         if config.verify:
-            row.append("pass" if generation.connected else "FAIL")
-            if inv.g <= config.max_genus_for_heavy_checks or config.all_spaces:
-                ideal = toric.quadric_generators(sp)
-                syz = resolution.linear_syzygies(ideal)
-                quartic = resolution.check_no_quartic_syzygies(
-                    ideal, syz, fields=config.fields()
-                )
-                if not quartic.ok:
-                    failures.append(f"{sp}: quartic syzygy at {quartic.witness}")
-                row.append("pass" if quartic.ok else "FAIL")
-            else:
-                row.append("skipped")
+            ideal = toric.quadric_generators(sp)
+            syz = resolution.linear_syzygies(ideal)
+            quartic = resolution.check_no_quartic_syzygies(ideal, syz, fields=config.fields())
+            if not quartic.ok:
+                failures.append(f"{sp}: quartic syzygy at {quartic.witness}")
+            row += ["pass" if generation.connected else "FAIL", "pass" if quartic.ok else "FAIL"]
         rows.append(row)
     text = format_table(headers, rows, config.output_format)
     code = 0
@@ -229,18 +219,6 @@ def cmd_betti(config: RunConfig) -> tuple[str, int]:
     return text, code
 
 
-def _budget_estimate(sp: WeightedSpace) -> str:
-    inv = invariants(sp)
-    g, s = inv.g, inv.s
-    n3 = lattice.count_points(sp, 3 * s)
-    n4 = lattice.count_points(sp, 4 * s)
-    unknowns = comb(g - 2, 2) * (g + 2)
-    return (
-        f"g={g}: {n3} cubic blocks, {n4} quartic blocks, "
-        f"{unknowns} incident pairs; rerun with --all to compute"
-    )
-
-
 def compute_alpha(sp: WeightedSpace, config: RunConfig) -> tangent.T1Report:
     """Cache-aware tangent pipeline producing the same report as
     tangent.alpha_report."""
@@ -259,18 +237,8 @@ def compute_alpha(sp: WeightedSpace, config: RunConfig) -> tangent.T1Report:
         if known is None:
             known = cache.load_partial_blocks(sp) or None
 
-            def progress(shift, dim, done, total, _sp=sp):
-                cache.append_partial_block(_sp, shift, dim)
-
-    heavy = invariants(sp).g > config.max_genus_for_heavy_checks
-    if heavy:
-        inner = progress
-
-        def progress(shift, dim, done, total, _inner=inner):
-            if _inner is not None:
-                _inner(shift, dim, done, total)
-            if done % 500 == 0 or done == total:
-                print(f"  {sp}: block {done}/{total}", file=sys.stderr)
+            def progress(shift, dim):
+                cache.append_partial_block(sp, shift, dim)
 
     hom = tangent.hom_dimension_minus1(
         ideal,
@@ -291,13 +259,9 @@ def cmd_alpha(config: RunConfig) -> tuple[str, int]:
     computed: dict[tuple, tangent.T1Report] = {}
     for idx, sp in enumerate(spaces, start=1):
         inv = invariants(sp)
-        if inv.g <= config.max_genus_for_heavy_checks or config.all_spaces:
-            rep = compute_alpha(sp, config)
-            computed[sp.weights] = rep
-            rows.append([idx, str(sp), inv.g1, inv.i_S, rep.alpha_S, rep.alpha_P, rep.extendability])
-        else:
-            print(f"skipping {sp}: {_budget_estimate(sp)}", file=sys.stderr)
-            rows.append([idx, str(sp), inv.g1, inv.i_S, "skipped: over budget", "-", "-"])
+        rep = compute_alpha(sp, config)
+        computed[sp.weights] = rep
+        rows.append([idx, str(sp), inv.g1, inv.i_S, rep.alpha_S, rep.alpha_P, rep.extendability])
     text = format_table(headers, rows, config.output_format)
     print(f"note: {tangent.ASSUMPTION_NOTE}", file=sys.stderr)
     code = 0
@@ -346,10 +310,7 @@ def _add_table_flags(parser: argparse.ArgumentParser):
                         help="compare against the shipped reference table")
 
 
-def _add_heavy_flags(parser: argparse.ArgumentParser, all_help: str):
-    parser.add_argument("--all", action="store_true", help=all_help)
-    parser.add_argument("--max-genus", type=int, default=DEFAULT_MAX_GENUS,
-                        help="heavy checks run by default only up to this genus")
+def _add_prime_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--prime", type=int, default=exactla.MERSENNE_PRIME_31,
                         help="first working prime")
     parser.add_argument("--prime2", type=int, default=exactla.SECOND_PRIME,
@@ -365,10 +326,8 @@ def _config_from_args(args) -> RunConfig:
     return RunConfig(
         bound=args.bound,
         verify=getattr(args, "verify", False),
-        all_spaces=getattr(args, "all", False),
         primes=(getattr(args, "prime", exactla.MERSENNE_PRIME_31),
                 getattr(args, "prime2", exactla.SECOND_PRIME)),
-        max_genus_for_heavy_checks=getattr(args, "max_genus", DEFAULT_MAX_GENUS),
         cache_dir=cache_dir,
         output_format=args.format,
         check=args.check,
@@ -390,11 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_table_flags(p)
     p.add_argument("--verify", action="store_true",
                    help="run the generation and quartic-syzygy checks")
-    _add_heavy_flags(p, "run heavy checks beyond the genus budget too")
+    _add_prime_flags(p)
 
     p = sub.add_parser("alpha", help="tangent dimensions and extendability counts")
     _add_table_flags(p)
-    _add_heavy_flags(p, "also compute the over-budget spaces")
+    _add_prime_flags(p)
     p.add_argument("--cache", default=None,
                    help="block table cache directory (GWPSKIT_CACHE overrides it)")
 

@@ -104,17 +104,6 @@ def _edges(ideal: ToricIdeal, cols):
     return out
 
 
-def _cancels(edges, cycle) -> bool:
-    """Whether sum c * (plus - minus) of edges[j] over the (j, c) in cycle
-    vanishes: the syzygy cancels as a polynomial."""
-    acc: dict[tuple[int, ...], int] = {}
-    for j, c in cycle:
-        plus, minus = edges[j]
-        acc[plus] = acc.get(plus, 0) + c
-        acc[minus] = acc.get(minus, 0) - c
-    return not any(acc.values())
-
-
 def linear_syzygies(
     ideal: ToricIdeal,
     fields: tuple[FieldSpec, FieldSpec] | None = None,
@@ -132,16 +121,17 @@ def linear_syzygies(
     for key in sorted(grouped, reverse=True):
         cols = grouped[key]
         edges = _edges(ideal, [((i,), k) for i, k in cols])
-        elems = []
-        for cycle in spanning_forest(edges)[3]:
-            if not _cancels(edges, cycle):
-                raise AssertionError(f"syzygy at multidegree {key} does not cancel")
-            terms = tuple(cols[j] + (c,) for j, c in cycle)
-            elems.append(SyzygyElement(multidegree=key, terms=terms))
+        elems = tuple(
+            SyzygyElement(multidegree=key, terms=tuple(cols[j] + (c,) for j, c in cycle))
+            for cycle in spanning_forest(edges)[3]
+        )
         if elems:
-            by_multidegree[key] = tuple(elems)
+            by_multidegree[key] = elems
     total = sum(len(v) for v in by_multidegree.values())
-    return SyzygyBasis(by_multidegree=by_multidegree, total_count=total)
+    basis = SyzygyBasis(by_multidegree=by_multidegree, total_count=total)
+    elements, _, _, lengths, terms = _syzygy_terms(basis)
+    _check_cancels(ideal, elements, lengths, terms)
+    return basis
 
 
 def incident_pairs_degree4(ideal: ToricIdeal) -> dict[Point, list[tuple[tuple[int, int], int]]]:

@@ -214,7 +214,7 @@ def hom_dimension_minus1(
     counted in `fallbacks` (exactla.certified_solution_dim).
 
     `known` supplies already-computed shift dimensions (cache resume);
-    `progress(shift, dim, done, total)` is invoked per newly solved block.
+    `progress(shift, dim)` is invoked per newly solved block.
     """
     if fields is None:
         fields = exactla.default_fields()
@@ -226,7 +226,7 @@ def hom_dimension_minus1(
 
     by_shift: dict[Point, int] = dict(known) if known else {}
     fallbacks = 0
-    for done, shift in enumerate(todo, start=1):
+    for shift in todo:
         block = build_block(ideal, syzygies, shift, syz_by_gen)
         kernel = None
         if shift in coordinate:
@@ -240,7 +240,7 @@ def hom_dimension_minus1(
             fallbacks += fell_back
         by_shift[shift] = dim
         if progress is not None:
-            progress(shift, dim, done, len(todo))
+            progress(shift, dim)
     by_shift = {s: by_shift[s] for s in shifts}
     # The derivations of shifts resumed from `known` were not built above.
     derivations = tuple(
@@ -300,32 +300,6 @@ def derivation_vectors(
         shifts_seen.add(shift)
         out.append(_derivation(ideal, m, build_block(ideal, syzygies, shift, syz_by_gen)))
     return tuple(out)
-
-
-def monolithic_hom_dimension(
-    ideal: ToricIdeal,
-    syzygies: SyzygyBasis,
-    fields: tuple[FieldSpec, FieldSpec] | None = None,
-) -> int:
-    """Global solve without the shift decomposition: one unknown per
-    (generator, degree-s point) pair, one constraint row per syzygy and
-    degree-2s target point.  Used to validate that the block sum is exact."""
-    if fields is None:
-        fields = exactla.default_fields()
-    pts = ideal.slice_s.points
-    n = len(pts)
-    at_row, at_col, values = [], [], []
-    nrows = 0
-    for syz in syzygies.elements():
-        row_of: dict[Point, int] = {}
-        for (i, k, c) in syz.terms:
-            for v in range(n):
-                at_row.append(row_of.setdefault(tadd(pts[i], pts[v]), nrows + len(row_of)))
-                at_col.append(k * n + v)
-                values.append(c)
-        nrows += len(row_of)
-    mat = SparseMatrix.summed(nrows, len(ideal.generators) * n, at_row, at_col, values)
-    return exactla.solution_dim(mat, *fields)
 
 
 def assemble_report(

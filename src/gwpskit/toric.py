@@ -23,7 +23,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from math import comb
 
-from . import exactla, lattice
+from . import lattice
 from .lattice import DegreeSlice, Point
 from .wps import WeightedSpace, invariants
 
@@ -242,32 +242,3 @@ def spanning_forest(edges) -> tuple[int, int, list[int], Iterator[list[tuple[int
 
     components = nv - (len(ends) - len(non_tree))
     return nv, components, non_tree, fundamental_cycles()
-
-
-def degree2_span_crosscheck(
-    ideal: ToricIdeal,
-    fields: tuple[exactla.FieldSpec, exactla.FieldSpec] | None = None,
-) -> bool:
-    """Verify by exact rank that the emitted binomials span the whole kernel
-    of the pair-evaluation map (independent of the spanning-tree choice).
-
-    The kernel dimension is #pairs - #distinct pair sums; the binomial span
-    has that dimension iff the rank of the coefficient matrix equals the
-    generator count under both primes.
-    """
-    if fields is None:
-        fields = exactla.default_fields()
-    n = len(ideal.slice_s)
-    pair_index: dict[tuple[int, int], int] = {}
-    for i in range(n):
-        for j in range(i, n):
-            pair_index[(i, j)] = len(pair_index)
-    entries = []
-    for col, gen in enumerate(ideal.generators):
-        entries.append((pair_index[gen.lhs], col, 1))
-        entries.append((pair_index[gen.rhs], col, -1))
-    mat = exactla.SparseMatrix(len(pair_index), len(ideal.generators), tuple(entries))
-    kernel_dim = len(pair_index) - len(ideal.fibers)
-    span_dim = len(ideal.generators) - exactla.solution_dim(mat, *fields)
-    # solution_dim returns cols - rank, so span_dim recovers the rank.
-    return span_dim == kernel_dim == len(ideal.generators)

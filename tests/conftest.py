@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from gwpskit._util import tadd
-from gwpskit.exactla import SparseMatrix, default_fields, kernel_basis_mod_p
+from gwpskit.exactla import SparseMatrix, default_fields, kernel_basis_mod_p, solution_dim
 from gwpskit.resolution import (
     SyzygyBasis,
     SyzygyElement,
@@ -146,6 +146,47 @@ def elimination_syzygies(ideal, reverse=False) -> SyzygyBasis:
     return SyzygyBasis(by_multidegree=by_multidegree, total_count=total)
 
 
+def degree2_span_crosscheck(ideal) -> bool:
+    """Whether the emitted binomials span the whole kernel of the
+    pair-evaluation map, by exact rank (independent of the spanning-tree
+    choice).  The kernel dimension is #pairs - #distinct pair sums; the
+    binomial span has that dimension iff the rank of the coefficient matrix
+    equals the generator count under both default primes."""
+    n = len(ideal.slice_s)
+    pair_index = {}
+    for i in range(n):
+        for j in range(i, n):
+            pair_index[(i, j)] = len(pair_index)
+    entries = []
+    for col, gen in enumerate(ideal.generators):
+        entries.append((pair_index[gen.lhs], col, 1))
+        entries.append((pair_index[gen.rhs], col, -1))
+    mat = SparseMatrix(len(pair_index), len(ideal.generators), tuple(entries))
+    kernel_dim = len(pair_index) - len(ideal.fibers)
+    span_dim = len(ideal.generators) - solution_dim(mat, *default_fields())
+    return span_dim == kernel_dim == len(ideal.generators)
+
+
+def monolithic_hom_dimension(ideal, syzygies) -> int:
+    """The degree -1 hom dimension without the shift decomposition: one
+    unknown per (generator, degree-s point) pair, one constraint row per
+    syzygy and degree-2s target point, solved under both default primes."""
+    pts = ideal.slice_s.points
+    n = len(pts)
+    at_row, at_col, values = [], [], []
+    nrows = 0
+    for syz in syzygies.elements():
+        row_of = {}
+        for (i, k, c) in syz.terms:
+            for v in range(n):
+                at_row.append(row_of.setdefault(tadd(pts[i], pts[v]), nrows + len(row_of)))
+                at_col.append(k * n + v)
+                values.append(c)
+        nrows += len(row_of)
+    mat = SparseMatrix.summed(nrows, len(ideal.generators) * n, at_row, at_col, values)
+    return solution_dim(mat, *default_fields())
+
+
 def raw_block_rows(ideal, syzygies, shift):
     """(unknowns, rows) of one shift block, built row by row: per unknown
     generator in ascending order, every syzygy involving it not seen yet,
@@ -178,7 +219,7 @@ def raw_block_rows(ideal, syzygies, shift):
 
 
 @pytest.fixture(scope="session")
-def all_spaces():
+def gorenstein_spaces():
     return enumerate_gorenstein(21)
 
 

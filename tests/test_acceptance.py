@@ -7,27 +7,19 @@ from math import comb
 
 import pytest
 
-from conftest import elimination_syzygies
+from conftest import elimination_syzygies, monolithic_hom_dimension
 from gwpskit import cache as cache_mod
-from gwpskit.cli import RunConfig, cmd_alpha, cmd_classify, cmd_veronese, load_expected
+from gwpskit.cli import RunConfig, cmd_alpha, cmd_betti, cmd_classify, cmd_veronese, load_expected
 from gwpskit.lattice import count_points, degree_slice, h_vector
-from gwpskit.resolution import check_no_quartic_syzygies
-from gwpskit.tangent import (
-    derivation_vectors,
-    hom_dimension_minus1,
-    monolithic_hom_dimension,
-)
+from gwpskit.tangent import derivation_vectors, hom_dimension_minus1
 from gwpskit.toric import check_degree3_generation, quadric_generators
 from gwpskit.wps import enumerate_gorenstein, invariants, weighted_space
 from gwpskit.resolution import linear_syzygies
 
 EXPECTED = load_expected()
 
-DESK_SCALE = [
-    (1, 2, 2, 5), (1, 3, 4, 4), (2, 3, 3, 4), (1, 4, 5, 10),
-    (1, 2, 3, 6), (1, 3, 8, 12), (2, 3, 10, 15), (1, 6, 14, 21),
-]
-
+# alpha_S of the eight genus <= 26 spaces, a second copy that cross-checks
+# the shipped reference table.
 ALPHA_EXPECTED = {
     (1, 2, 2, 5): 3, (1, 3, 4, 4): 4, (2, 3, 3, 4): 6, (1, 4, 5, 10): 3,
     (1, 2, 3, 6): 1, (1, 3, 8, 12): 2, (2, 3, 10, 15): 3, (1, 6, 14, 21): 2,
@@ -42,9 +34,9 @@ def _report(num: int, name: str, ok: bool, started: float):
 
 @pytest.fixture(scope="module")
 def desk_pipelines():
-    """Ideal + syzygies for the eight desk-scale spaces."""
+    """Ideal + syzygies for the two smallest spaces."""
     out = {}
-    for w in DESK_SCALE:
+    for w in [(2, 3, 3, 4), (2, 3, 10, 15)]:
         sp = weighted_space(*w)
         ideal = quadric_generators(sp)
         out[w] = (sp, ideal, linear_syzygies(ideal))
@@ -92,28 +84,30 @@ def test_criterion_3_generation_by_quadrics():
     _report(3, "generation-by-quadrics", ok, t0)
 
 
-def test_criterion_4_no_quartic_syzygies(desk_pipelines):
+def _weights(cell: str) -> tuple:
+    return tuple(int(x) for x in cell.strip("()").split(","))
+
+
+def test_criterion_4_no_quartic_syzygies():
     t0 = time.time()
-    ok = True
-    for w in DESK_SCALE:
-        sp, ideal, syz = desk_pipelines[w]
-        rep = check_no_quartic_syzygies(ideal, syz)
-        ok = ok and rep.ok
+    text, code = cmd_betti(RunConfig(verify=True, check=True))
+    rows = [line.split("\t") for line in text.strip().split("\n")[1:]]
+    ok = code == 0 and {_weights(r[1]) for r in rows} == set(EXPECTED)
+    ok = ok and all(r[7:] == ["pass", "pass"] for r in rows)
     _report(4, "quartic-syzygy-vanishing", ok, t0)
 
 
 def test_criterion_5_alpha_values(session_cache_dir):
     t0 = time.time()
     text, code = cmd_alpha(RunConfig(check=True, cache_dir=session_cache_dir))
-    ok = code == 0
     rows = [line.split("\t") for line in text.strip().split("\n")[1:]]
-    by_weights = {tuple(int(x) for x in r[1].strip("()").split(",")): r for r in rows}
-    for w, alpha_s in ALPHA_EXPECTED.items():
-        row = by_weights[w]
-        ok = ok and int(row[4]) == alpha_s
-        ok = ok and int(row[6]) == alpha_s - 1  # extendability = alpha_S - 1
-    skipped = [w for w, r in by_weights.items() if r[4] == "skipped: over budget"]
-    ok = ok and len(skipped) == 6 and all(invariants(weighted_space(*w)).g >= 28 for w in skipped)
+    by_weights = {_weights(r[1]): r for r in rows}
+    ok = code == 0 and len(rows) == 14 and by_weights.keys() == EXPECTED.keys()
+    for w, exp in EXPECTED.items():
+        row = by_weights.get(w, [None] * 7)
+        ok = ok and row[4] == str(exp["alpha_S"])
+        ok = ok and row[6] == str(exp["alpha_S"] - 1)  # extendability = alpha_S - 1
+    ok = ok and all(EXPECTED[w]["alpha_S"] == a for w, a in ALPHA_EXPECTED.items())
     _report(5, "alpha-and-extendability", ok, t0)
 
 

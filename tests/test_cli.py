@@ -16,6 +16,9 @@ from gwpskit.cli import (
     load_expected,
     run,
 )
+from gwpskit.resolution import linear_syzygies
+from gwpskit.tangent import hom_dimension_minus1
+from gwpskit.toric import quadric_generators
 from gwpskit.wps import weighted_space
 
 
@@ -131,6 +134,10 @@ def test_python_dash_m_runs_the_cli(module):
     ["classify", "--prime2", "7"],
     ["classify", "--max-genus", "15"],
     ["betti", "--cache", "D"],
+    ["betti", "--verify", "--all"],
+    ["betti", "--max-genus", "15"],
+    ["alpha", "--all"],
+    ["alpha", "--max-genus", "15"],
 ], ids=" ".join)
 def test_flags_a_subcommand_does_not_read_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -155,46 +162,58 @@ def test_run_config_validation():
         RunConfig(output_format="html")
 
 
-def _small_alpha_config(**kw):
-    # bound 4 and genus cap 15 restrict the heavy pipeline to (2,3,3,4)
-    return RunConfig(bound=4, max_genus_for_heavy_checks=15, **kw)
+@pytest.fixture
+def only_2334(monkeypatch):
+    """The table commands see (2,3,3,4), the smallest space, whatever the
+    bound."""
+    import gwpskit.cli as cli
+
+    monkeypatch.setattr(cli.wps, "enumerate_gorenstein", lambda bound: [weighted_space(2, 3, 3, 4)])
 
 
-def test_alpha_small_run():
-    text, code = cmd_alpha(_small_alpha_config(check=True))
+def test_alpha_small_run(only_2334):
+    text, code = cmd_alpha(RunConfig(check=True))
     assert code == 0
     rows = [line.split("\t") for line in text.strip().split("\n")[1:]]
-    by_weights = {r[1]: r for r in rows}
-    assert by_weights["(2,3,3,4)"][4:7] == ["6", "5", "5"]
-    assert by_weights["(1,1,1,3)"][4] == "skipped: over budget"
+    assert rows == [["1", "(2,3,3,4)", "4", "2", "6", "5", "5"]]
 
 
-def test_alpha_cold_and_cached_runs_identical(tmp_path):
-    cold, code0 = cmd_alpha(_small_alpha_config(cache_dir=str(tmp_path)))
-    warm, code1 = cmd_alpha(_small_alpha_config(cache_dir=str(tmp_path)))
+def test_alpha_cold_and_cached_runs_identical(tmp_path, only_2334):
+    cold, code0 = cmd_alpha(RunConfig(cache_dir=str(tmp_path)))
+    warm, code1 = cmd_alpha(RunConfig(cache_dir=str(tmp_path)))
     assert code0 == code1 == 0
     assert cold == warm
-    nocache, _ = cmd_alpha(_small_alpha_config())
+    nocache, _ = cmd_alpha(RunConfig())
     assert nocache == cold
 
 
-def test_cache_env_override(tmp_path, monkeypatch, capsys):
+def test_cache_env_override(tmp_path, monkeypatch, capsys, only_2334):
     monkeypatch.setenv("GWPSKIT_CACHE", str(tmp_path))
-    code = run(["alpha", "--bound", "4", "--max-genus", "15"])
+    code = run(["alpha"])
     assert code == 0
     assert any(tmp_path.iterdir())
 
 
+def test_betti_verify_failure_is_reported(monkeypatch, capsys, only_2334):
+    import gwpskit.cli as cli
+
+    witness = (17, 2, 0, 2)
+    failed = cli.resolution.QuarticSyzygyReport(
+        ok=False, witness=witness, blocks_checked=334, fallbacks=0
+    )
+    monkeypatch.setattr(cli.resolution, "check_no_quartic_syzygies", lambda *a, **kw: failed)
+    code = run(["betti", "--verify", "--check"])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1].split("\t")[7:] == ["pass", "FAIL"]
+    assert f"VERIFY FAIL: (2,3,3,4): quartic syzygy at {witness}" in err
+
+
 def test_partial_blocks_resume(tmp_path):
-    cfg = _small_alpha_config(cache_dir=str(tmp_path))
+    cfg = RunConfig(cache_dir=str(tmp_path))
     sp = weighted_space(2, 3, 3, 4)
     cache = cfg.cache()
     # seed a partial table with one solved shift, then complete the run
-    from gwpskit.cli import compute_alpha
-    from gwpskit.resolution import linear_syzygies
-    from gwpskit.tangent import hom_dimension_minus1
-    from gwpskit.toric import quadric_generators
-
     ideal = quadric_generators(sp)
     syz = linear_syzygies(ideal)
     hom = hom_dimension_minus1(ideal, syz)
@@ -212,7 +231,7 @@ def test_torn_partial_blocks_at_every_offset(tmp_path, pipeline_2334):
     gives the reference alpha and the uncached block table."""
     sp = pipeline_2334["space"]
     by_shift = pipeline_2334["hom"].by_shift
-    cfg = _small_alpha_config(cache_dir=str(tmp_path))
+    cfg = RunConfig(cache_dir=str(tmp_path))
     cache = cfg.cache()
     for shift in sorted(by_shift)[:2]:
         cache.append_partial_block(sp, shift, by_shift[shift])
@@ -253,9 +272,10 @@ def test_partial_table_deleted_by_another_run(tmp_path, monkeypatch):
     assert cache_mod.blocks_from_text(sp, cache.load(sp, "blocks")) == {(-8, 0, 0, 1): 0}
 
 
-def test_two_runs_share_one_cache(tmp_path, pipeline_2334):
-    cmd = [sys.executable, "-m", "gwpskit", "alpha", "--bound", "4", "--max-genus", "15",
-           "--check", "--cache", str(tmp_path)]
+def test_two_runs_share_one_cache(tmp_path):
+    # Bound 1 selects (1,1,1,1) only.
+    cmd = [sys.executable, "-m", "gwpskit", "alpha", "--bound", "1", "--check",
+           "--cache", str(tmp_path)]
     procs = [
         subprocess.Popen(cmd, env=src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                          text=True)
@@ -264,10 +284,12 @@ def test_two_runs_share_one_cache(tmp_path, pipeline_2334):
     outs = [proc.communicate(timeout=300) for proc in procs]
     assert [proc.returncode for proc in procs] == [0, 0], [err for _, err in outs]
     assert outs[0][0] == outs[1][0]
-    sp = pipeline_2334["space"]
+    sp = weighted_space(1, 1, 1, 1)
+    ideal = quadric_generators(sp)
+    uncached = hom_dimension_minus1(ideal, linear_syzygies(ideal)).by_shift
     cache = cache_mod.Cache(tmp_path)
     assert list(tmp_path.iterdir()) == [cache.path_for(sp, "blocks")]
-    assert cache_mod.blocks_from_text(sp, cache.load(sp, "blocks")) == pipeline_2334["hom"].by_shift
+    assert cache_mod.blocks_from_text(sp, cache.load(sp, "blocks")) == uncached
 
 
 def test_store_uses_unique_temp_files(tmp_path):
@@ -284,11 +306,11 @@ def test_store_uses_unique_temp_files(tmp_path):
 
 
 def _alpha_cli_with_cache(tmp_path) -> int:
-    return run(["alpha", "--bound", "4", "--max-genus", "15", "--check", "--cache", str(tmp_path)])
+    return run(["alpha", "--check", "--cache", str(tmp_path)])
 
 
 @pytest.mark.parametrize("corrupt", ["stale", "unparsable"])
-def test_corrupted_block_table_is_recomputed(tmp_path, pipeline_2334, corrupt, capsys):
+def test_corrupted_block_table_is_recomputed(tmp_path, pipeline_2334, corrupt, capsys, only_2334):
     sp = pipeline_2334["space"]
     cache = cache_mod.Cache(tmp_path)
     assert _alpha_cli_with_cache(tmp_path) == 0
@@ -315,8 +337,6 @@ def test_unparsable_partial_block_table_is_discarded(tmp_path):
 
 
 def test_ideal_from_text_rejects_bad_generators():
-    from gwpskit.toric import quadric_generators
-
     sp = weighted_space(2, 3, 3, 4)
     header = cache_mod.ideal_to_text(quadric_generators(sp)).split("\n", 1)[0]
     for record in ("gen 999 0 1 2", "gen -1 0 1 2", "gen 0 0 0 1", "gen 0 1"):
@@ -328,8 +348,6 @@ def test_ideal_from_text_rejects_bad_generators():
 
 
 def test_ideal_round_trip():
-    from gwpskit.toric import quadric_generators
-
     sp = weighted_space(2, 3, 3, 4)
     ideal = quadric_generators(sp)
     text = cache_mod.ideal_to_text(ideal)

@@ -57,8 +57,8 @@ def test_slice_sorted_and_deterministic():
     assert all(weighted_degree(sp.weights, p) == 24 for p in a.points)
 
 
-def test_slice_length_is_g_plus_2(all_spaces):
-    for sp in all_spaces:
+def test_slice_length_is_g_plus_2(gorenstein_spaces):
+    for sp in gorenstein_spaces:
         inv = invariants(sp)
         assert len(degree_slice(sp, inv.s)) == inv.g + 2
         assert count_points(sp, inv.s) == inv.g + 2
@@ -71,11 +71,11 @@ def test_normality_small_spaces():
         assert rep.witnesses == {}
 
 
-def test_normality_all_spaces(all_spaces):
+def test_normality_all_spaces(gorenstein_spaces):
     """Degrees 2s and 3s decide projective normality (box-point argument in
     the gwpskit.tangent docstring); they hold on all 14 spaces."""
-    assert len(all_spaces) == 14
-    for sp in all_spaces:
+    assert len(gorenstein_spaces) == 14
+    for sp in gorenstein_spaces:
         rep = verify_projective_normality(sp, 3)
         assert rep.by_degree == {2: True, 3: True} and rep.witnesses == {}
 
@@ -104,8 +104,8 @@ def test_h_vector_examples():
     assert h_vector(weighted_space(1, 1, 1, 1)) == (1, 31, 31, 1)
 
 
-def test_h_vector_all_spaces_symmetric(all_spaces):
-    for sp in all_spaces:
+def test_h_vector_all_spaces_symmetric(gorenstein_spaces):
+    for sp in gorenstein_spaces:
         g = invariants(sp).g
         h = h_vector(sp)
         assert h == (1, g - 2, g - 2, 1)

@@ -223,6 +223,28 @@ def test_non_cancelling_syzygy_is_rejected(pipeline_2334):
             check_no_quartic_syzygies(pipeline_2334["ideal"], basis)
 
 
+def test_linear_syzygies_rejects_a_non_cancelling_cycle(pipeline_2334, monkeypatch):
+    """A forest whose cycles carry one flipped sign, in the third block with
+    cycles and every later one: linear_syzygies names the first broken
+    syzygy in basis order."""
+    blocks_with_cycles = []
+
+    def flipped_forest(edges):
+        vertices, components, non_tree, cycles = spanning_forest(edges)
+        cycles = list(cycles)
+        if cycles:
+            blocks_with_cycles.append(edges)
+            if len(blocks_with_cycles) >= 3:
+                (j, c), *rest = cycles[0]
+                cycles[0] = [(j, -c), *rest]
+        return vertices, components, non_tree, iter(cycles)
+
+    monkeypatch.setattr(resolution, "spanning_forest", flipped_forest)
+    key = list(pipeline_2334["syzygies"].by_multidegree)[2]
+    with pytest.raises(AssertionError, match=re.escape(f"syzygy at multidegree {key} does not cancel")):
+        linear_syzygies(pipeline_2334["ideal"])
+
+
 def _corrupted_2334(pipeline_2334, doubled: bool):
     """The (2,3,3,4) basis with its first syzygy doubled (even, so zero mod 2)
     or dropped."""

@@ -3,7 +3,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from conftest import elimination_syzygies, raw_block_rows
+from conftest import elimination_syzygies, monolithic_hom_dimension, raw_block_rows
 from gwpskit.exactla import SparseMatrix, default_fields, solution_dim
 from gwpskit.resolution import linear_syzygies
 from gwpskit.tangent import (
@@ -13,7 +13,6 @@ from gwpskit.tangent import (
     derivation_vectors,
     enumerate_shifts,
     hom_dimension_minus1,
-    monolithic_hom_dimension,
     section_index_presets,
     t1_section_minus1,
 )

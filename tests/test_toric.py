@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import binomial_edges, rational_rank
+from conftest import binomial_edges, degree2_span_crosscheck, rational_rank
 from gwpskit.exactla import SparseMatrix, default_fields, solution_dim
 from gwpskit.lattice import count_points, degree_slice
 from gwpskit.resolution import incident_pairs_degree3
@@ -12,7 +12,6 @@ from gwpskit.toric import (
     BettiConsistencyError,
     beta1,
     check_degree3_generation,
-    degree2_span_crosscheck,
     quadric_generators,
     spanning_forest,
 )
@@ -44,8 +43,8 @@ def test_generator_invariants():
             assert total == gen.multidegree
 
 
-def test_fiber_sum_identity(all_spaces):
-    for sp in all_spaces:
+def test_fiber_sum_identity(gorenstein_spaces):
+    for sp in gorenstein_spaces:
         inv = invariants(sp)
         ideal = quadric_generators(sp)
         spanning = sum(len(prs) - 1 for prs in ideal.fibers.values())
