@@ -13,10 +13,8 @@ from gwpskit import (
     hom_dimension_minus1,
     linear_syzygies,
     quadric_generators,
-    t1_section_minus1,
     weighted_space,
 )
-from gwpskit.tangent import section_index_presets
 
 sp = weighted_space(2, 3, 3, 4)
 ideal = quadric_generators(sp)
@@ -36,13 +34,6 @@ print(
     f"\nalpha(P) = {rep.alpha_P}  alpha(S) = {rep.alpha_S}  alpha(C) = {rep.alpha_C}"
 )
 print(f"=> the anticanonical model extends exactly {rep.extendability} times")
-
-# Toric hyperplane sections: cutting by y_a + y_b coarsens the multigrading
-# but the same block method applies, and the tangent dimension grows by one
-# per section.
-p1, p2 = section_index_presets(sp)
-print(f"\nsection by coordinates {p1}:  dim = {t1_section_minus1(ideal, [p1], syz)}")
-print(f"section by {p1} and {p2}:  dim = {t1_section_minus1(ideal, [p1, p2], syz)}")
 
 print("\nextendability of the other desk-scale spaces:")
 for w in [(1, 2, 2, 5), (1, 3, 4, 4), (1, 4, 5, 10), (2, 3, 10, 15)]:

@@ -178,11 +178,11 @@ def cmd_betti(config: RunConfig) -> tuple[str, int]:
         generation = toric.check_degree3_generation(sp)
         if not generation.connected:
             failures.append(f"{sp}: cubic fiber disconnected at {generation.witness}")
-        b1 = toric.beta1(sp)
+        ideal = toric.quadric_generators(sp) if config.verify else None
+        b1 = toric.beta1(sp, ideal=ideal)
         b2 = resolution.beta2(sp, generation=generation)
         row = [idx, str(sp), inv.g1, inv.i_S, inv.g, b1, b2]
         if config.verify:
-            ideal = toric.quadric_generators(sp)
             syz = resolution.linear_syzygies(ideal)
             quartic = resolution.check_no_quartic_syzygies(ideal, syz, fields=config.fields())
             if not quartic.ok:

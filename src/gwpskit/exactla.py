@@ -8,13 +8,13 @@ blocks) takes the row or the column count as that bound, the latter lowered
 by one for a verified integer kernel vector, and the quartic check takes the
 cycle-space dimension of its block.
 
-The fallback, where the bounds do not meet, and the only path of the section
-systems, is `solution_dim`: a validated coordinate-form `SparseMatrix` whose
-rank comes from Markowitz elimination under two independent primes, which
-must agree.  Values are reduced modulo an odd prime p < 2**31 in one
-vectorized step, a nonzero value that p divides is an error, and elimination
-runs on Python integers.  Dense elimination (`_dense_rank`, `_dense_rref`) and
-right-kernel bases remain as references for the tests.
+The fallback, where the bounds do not meet, is `solution_dim`: a validated
+coordinate-form `SparseMatrix` whose rank comes from Markowitz elimination
+under two independent primes, which must agree.  Values are reduced modulo
+an odd prime p < 2**31 in one vectorized step, a nonzero value that p
+divides is an error, and elimination runs on Python integers.  Dense
+elimination (`_dense_rank`, `_dense_rref`) and right-kernel bases remain as
+references for the tests.
 """
 
 from __future__ import annotations

@@ -10,13 +10,8 @@ c + d is a degree-s lattice point.  The coordinate derivations are g+2
 independent solutions, so the tangent dimension is the total solution
 dimension minus g+2, which equals the extendability count of the space.
 
-Linear sections cut by sums of two coordinates are handled by the same block
-method under the multigrading coarsened by the difference of the two exponent
-vectors; quotient relations enter as slack columns and per-generator gauge
-rows.
-
-Why the minimal cubic syzygies give all the constraints.  Let A = S/I be the
-anticanonical ring, S the polynomial ring on the g+2 points of the degree-s
+Why the minimal cubic syzygies give all the constraints.  Let A = R/I be the
+anticanonical ring, R the polynomial ring on the g+2 points of the degree-s
 slice, and c = g - 2 the codimension.  The minimal first syzygies of I lie
 in degrees 3 and 4 only:
 
@@ -26,7 +21,7 @@ in degrees 3 and 4 only:
 - Its h-vector is (1, g-2, g-2, 1).  It is symmetric, so the
   Cohen-Macaulay domain A is Gorenstein (Stanley, Adv. Math. 28 (1978)),
   and it has degree 3, so reg A = 3 and Tor_2(A)_j = 0 for j >= 6.
-- The Gorenstein resolution is self-dual and ends in S(-c-3), so
+- The Gorenstein resolution is self-dual and ends in R(-c-3), so
   Tor_i(A)_j = Tor_{c-i}(A)_{c+3-j}.  Hence Tor_2(A)_5 = Tor_{g-4}(A)_{g-4},
   which is 0 because I has no linear forms, so Tor_i(A) starts in degree
   i + 1.
@@ -50,6 +45,28 @@ normality through degree 3s on all 14 spaces, and
 tests/test_lattice.py::test_normality_small_spaces through degree 4s on three
 of them.  See Bruns-Herzog, Cohen-Macaulay Rings, sections 3.3, 4.4 and 6.3;
 Schenzel, J. Algebra 64 (1980).
+
+Why the report's alpha_S and alpha_C are alpha_P + 1 and alpha_P + 2.  For X
+in P^N, alpha(X) = h^0(N_X(-1)) - N - 1; for P in P^{g+1} it is the tangent
+dimension above.  The surface S, the general anticanonical divisor, is a
+general hyperplane section of P, and the curve C one of S.  General linear
+forms h, h' are a regular sequence on the Cohen-Macaulay domain A, so A/hA
+and A/(h, h')A are the Cohen-Macaulay coordinate rings of S and C, with the
+h-vector (1, g-2, g-2, 1) of A.  For Y = X cut by a hyperplane H with
+N_{Y/H} = N_X|_Y (true where X is a local complete intersection along Y),
+restriction gives 0 -> N_X(-2) -> N_X(-1) -> N_{Y/H}(-1) -> 0.  So
+h^0(N_Y(-1)) = h^0(N_X(-1)) if H^0(N_X(-2)) = 0 and H^1(N_X(-2)) ->
+H^1(N_X(-1)) is injective, and then alpha(Y) = alpha(X) + 1, as N drops by
+one.  For this step, with X = P and X = S, the report relies on the paper
+(arXiv:2103.08210); it is not proved here, and neither the identification
+at the singular points of P that S meets nor the two vanishings is checked.
+Its other premises, the h-vector and projective normality, are checked by
+the tests named above.  Acceptance criterion 5 compares alpha_P + 1 with the
+reference alpha_S of data/expected_values.tsv on all 14 spaces.  A
+linear-section solver, since deleted, cut P by y_a + y_b at the coordinate
+pairs (7, g+1) and (3, g) and gave alpha_P, alpha_P + 1 and alpha_P + 2 on
+all 14 spaces for none, one and both forms (ROADMAP K); its ranks rested on
+two-prime agreement, and those sections are special, not general.
 """
 
 from __future__ import annotations
@@ -58,9 +75,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import exactla, lattice
+from . import exactla
 from ._util import tadd, tsub
-from .exactla import FieldSpec, SparseMatrix
+from .exactla import FieldSpec
 from .lattice import Point
 from .resolution import SyzygyBasis, linear_syzygies
 from .toric import ToricIdeal
@@ -355,258 +372,3 @@ def alpha_report(
     syzygies = linear_syzygies(ideal)
     hom = hom_dimension_minus1(ideal, syzygies, fields=fields)
     return assemble_report(space, ideal, syzygies, hom)
-
-
-# ---------------------------------------------------------------------------
-# Linear sections under the coarsened multigrading.
-
-
-def section_index_presets(space: WeightedSpace) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The documented coordinate-pair presets (7, g+1) and (3, g) for cutting
-    toric hyperplane sections, interpreted under this artifact's canonical
-    slice order."""
-    inv = invariants(space)
-    if not inv.gorenstein:
-        raise ValueError("section presets require a Gorenstein space")
-    g = inv.g
-    return (7, g + 1), (3, g)
-
-
-class _CosetReducer:
-    """Canonical coset representatives of Z^4 modulo an integer row lattice."""
-
-    def __init__(self, rows):
-        self.basis = []
-        work = [list(r) for r in rows if any(r)]
-        for col in range(4):
-            live = [r for r in work if r[col] != 0]
-            while len(live) > 1:
-                live.sort(key=lambda r: abs(r[col]))
-                a, b = live[0], live[1]
-                q = b[col] // a[col]
-                for t in range(4):
-                    b[t] -= q * a[t]
-                live = [r for r in work if r[col] != 0]
-            if live:
-                piv = live[0]
-                work.remove(piv)
-                if piv[col] < 0:
-                    piv = [-x for x in piv]
-                self.basis.append((col, tuple(piv)))
-
-    def reduce(self, v) -> Point:
-        w = list(v)
-        for col, row in self.basis:
-            q = w[col] // row[col]
-            if q:
-                for t in range(4):
-                    w[t] -= q * row[t]
-        return tuple(w)
-
-
-def t1_section_minus1(
-    ideal: ToricIdeal,
-    identifications,
-    syzygies: SyzygyBasis | None = None,
-    fields: tuple[FieldSpec, FieldSpec] | None = None,
-) -> int:
-    """Degree -1 tangent dimension for the cone over the linear section cut
-    by the forms y_a + y_b, one per identification pair (a, b).
-
-    Each pair substitutes y_b := -y_a; the block method runs under the
-    multigrading coarsened by the lattice spanned by the exponent differences.
-    With an empty identification list this reduces to the tangent dimension of
-    the cone over the space itself.
-    """
-    if fields is None:
-        fields = exactla.default_fields()
-    if syzygies is None:
-        syzygies = linear_syzygies(ideal)
-    pts = ideal.slice_s.points
-    n = len(pts)
-    pairs = [tuple(p) for p in identifications]
-    used = set()
-    for a, b in pairs:
-        if not (0 <= a < n and 0 <= b < n):
-            raise ValueError(f"identification index out of range: ({a}, {b})")
-        if pts[a] == pts[b]:
-            raise ValueError(f"degenerate identification: points {a} and {b} coincide")
-        for x in (a, b):
-            if x in used:
-                raise ValueError("identification pairs must use distinct coordinates")
-            used.add(x)
-    reducer = _CosetReducer([tsub(pts[a], pts[b]) for a, b in pairs])
-    cls = reducer.reduce
-
-    pts2 = lattice.degree_slice(ideal.space, 2 * ideal.slice_s.degree).points
-    slice_class: dict[Point, list[int]] = {}
-    for v, u in enumerate(pts):
-        slice_class.setdefault(cls(u), []).append(v)
-
-    # Quotient relations: degree s (the forms themselves) and degree 2s
-    # (form times coordinate), grouped by coset class.
-    rel1_by_class: dict[Point, list[dict[int, int]]] = {}
-    rel2_by_class: dict[Point, list[dict[Point, int]]] = {}
-    for a, b in pairs:
-        rel1_by_class.setdefault(cls(pts[a]), []).append({a: 1, b: 1})
-        for v in range(n):
-            p = tadd(pts[a], pts[v])
-            q = tadd(pts[b], pts[v])
-            rel2_by_class.setdefault(cls(p), []).append({p: 1, q: 1})
-
-    rel2_rank: dict[Point, int] = {}
-    for key, vecs in rel2_by_class.items():
-        cols = sorted({p for vec in vecs for p in vec})
-        mat = SparseMatrix.from_dense([[vec.get(p, 0) for p in cols] for vec in vecs])
-        rel2_rank[key] = mat.cols - exactla.solution_dim(mat, *fields)
-
-    if pairs:
-        total_rel2_rank = sum(rel2_rank.values())
-        e = len(pairs)
-        inv = invariants(ideal.space)
-        expected = e * (inv.g + 2) - (1 if e == 2 else 0)
-        if total_rel2_rank != expected:
-            raise ValueError(
-                "section forms are not a regular sequence in degree 2s: "
-                f"relation rank {total_rel2_rank}, expected {expected}"
-            )
-
-    subst = {b: a for a, b in pairs}
-    gen_groups = _generator_multidegree_groups(ideal)
-    elements = tuple(syzygies.elements())
-    owner, gen, _ = _syzygies_by_generator(syzygies)
-
-    # Shift classes and the per-(multidegree, class) unknown targets.
-    targets_by_c: dict[Point, dict[Point, list[int]]] = {}
-    for c in gen_groups:
-        table: dict[Point, list[int]] = {}
-        for v in range(n):
-            table.setdefault(cls(tsub(pts[v], c)), []).append(v)
-        targets_by_c[c] = table
-    shift_classes = sorted({gamma for table in targets_by_c.values() for gamma in table})
-
-    def substituted_terms(syz):
-        for (i, k, c) in syz.terms:
-            if i in subst:
-                yield subst[i], k, -c
-            else:
-                yield i, k, c
-
-    def derivation_components(k: int, m: int) -> dict[int, int]:
-        gen = ideal.generators[k]
-        comps: dict[int, int] = {}
-        for pair, outer_sign in ((gen.lhs, 1), (gen.rhs, -1)):
-            sign = outer_sign
-            mono = []
-            for i in pair:
-                if i in subst:
-                    sign = -sign
-                    mono.append(subst[i])
-                else:
-                    mono.append(i)
-            x, y = mono
-            if x == m:
-                comps[y] = comps.get(y, 0) + sign
-            if y == m:
-                comps[x] = comps.get(x, 0) + sign
-        return {v: c for v, c in comps.items() if c}
-
-    total_hom = 0
-    total_deriv_rank = 0
-    deriv_by_class: dict[Point, list[int]] = {}
-    remaining = [m for m in range(n) if m not in subst]
-    for m in remaining:
-        deriv_by_class.setdefault(cls((-pts[m][0], -pts[m][1], -pts[m][2], -pts[m][3])), []).append(m)
-
-    for gamma in shift_classes:
-        unknowns: list[tuple[int, int]] = []
-        for c in sorted(gen_groups, reverse=True):
-            vs = targets_by_c[c].get(gamma)
-            if not vs:
-                continue
-            for k in gen_groups[c]:
-                unknowns.extend((k, v) for v in vs)
-        if not unknowns:
-            continue
-        unknowns.sort()
-        pos = {kv: i for i, kv in enumerate(unknowns)}
-        nt = len(unknowns)
-
-        # Gauge rows: per generator, the degree-s quotient relations of its
-        # target class.
-        gauge_rows = []
-        ks = sorted({k for k, _ in unknowns})
-        for k in ks:
-            chi = cls(tadd(ideal.generators[k].multidegree, gamma))
-            for rel in rel1_by_class.get(chi, ()):
-                row = [0] * nt
-                for v, val in rel.items():
-                    row[pos[(k, v)]] = val
-                gauge_rows.append(row)
-        gauge_rank = 0
-        if gauge_rows:
-            gm = SparseMatrix.from_dense(gauge_rows)
-            gauge_rank = nt - exactla.solution_dim(gm, *fields)
-
-        # Constraint system with per-syzygy slack columns for the degree-2s
-        # quotient relations.
-        at_row, at_col, values = [], [], []
-        nrows = 0
-        slack_base = nt
-        slack_nullity = 0
-        for j in np.unique(owner[np.isin(gen, ks)]):
-            # one row per degree-2s point that the syzygy reaches
-            row_of: dict[Point, int] = {}
-            for (i, kk, c) in substituted_terms(elements[j]):
-                for v in targets_by_c[ideal.generators[kk].multidegree].get(gamma, ()):
-                    at_row.append(row_of.setdefault(tadd(pts[i], pts[v]), nrows + len(row_of)))
-                    at_col.append(pos[(kk, v)])
-                    values.append(c)
-            if not row_of:
-                continue
-            chi_s = cls(next(iter(row_of)))
-            rels = rel2_by_class.get(chi_s, ())
-            for ridx, rel in enumerate(rels):
-                for p, val in rel.items():
-                    at_row.append(row_of.setdefault(p, nrows + len(row_of)))
-                    at_col.append(slack_base + ridx)
-                    values.append(val)
-            if rels:
-                slack_nullity += len(rels) - rel2_rank[chi_s]
-                slack_base += len(rels)
-            nrows += len(row_of)
-        mat = SparseMatrix.summed(nrows, slack_base, at_row, at_col, values)
-        nullity = exactla.solution_dim(mat, *fields)
-        sol_dim_t = nullity - slack_nullity
-        block_dim = sol_dim_t - gauge_rank
-        if block_dim < 0:
-            raise AssertionError(f"negative block dimension at shift class {gamma}")
-        total_hom += block_dim
-
-        # Derivations of this class, modulo the gauge.
-        ms = deriv_by_class.get(gamma, ())
-        if ms:
-            deriv_rows = []
-            for m in ms:
-                row = [0] * nt
-                nonzero = False
-                for k in ks:
-                    for v, val in derivation_components(k, m).items():
-                        idx = pos.get((k, v))
-                        if idx is None:
-                            raise AssertionError(
-                                "derivation component outside its shift block"
-                            )
-                        row[idx] += val
-                        nonzero = True
-                if nonzero:
-                    deriv_rows.append(row)
-            if deriv_rows:
-                stacked = SparseMatrix.from_dense(deriv_rows + gauge_rows)
-                stacked_rank = nt - exactla.solution_dim(stacked, *fields)
-                total_deriv_rank += stacked_rank - gauge_rank
-
-    t1 = total_hom - total_deriv_rank
-    if t1 < 0:
-        raise AssertionError("negative tangent dimension; solver inconsistency")
-    return t1

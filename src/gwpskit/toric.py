@@ -84,16 +84,19 @@ def quadric_generators(space: WeightedSpace, tree: str = "min") -> ToricIdeal:
     return ToricIdeal(space=space, slice_s=sl, generators=tuple(gens), fibers=fibers)
 
 
-def beta1(space: WeightedSpace) -> int:
+def beta1(space: WeightedSpace, ideal: ToricIdeal | None = None) -> int:
     """Number of minimal quadric generators, cross-checked three ways:
-    C(g+3,2) - N(2s), the closed form C(g-2,2), and the explicit count."""
+    C(g+3,2) - N(2s), the closed form C(g-2,2), and the explicit count of
+    `ideal` (built here when not supplied)."""
     inv = invariants(space)
     if not inv.gorenstein:
         raise ValueError("beta1 requires a Gorenstein space")
     g = inv.g
     by_count = comb(g + 3, 2) - lattice.count_points(space, 2 * inv.s)
     closed_form = comb(g - 2, 2)
-    explicit = len(quadric_generators(space).generators)
+    if ideal is None:
+        ideal = quadric_generators(space)
+    explicit = len(ideal.generators)
     if not (by_count == closed_form == explicit):
         raise BettiConsistencyError(
             f"beta1 mismatch for {space}: counting {by_count}, "

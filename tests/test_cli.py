@@ -209,6 +209,22 @@ def test_betti_verify_failure_is_reported(monkeypatch, capsys, only_2334):
     assert f"VERIFY FAIL: (2,3,3,4): quartic syzygy at {witness}" in err
 
 
+def test_betti_verify_builds_each_ideal_once(monkeypatch, only_2334):
+    import gwpskit.cli as cli
+
+    calls = []
+    build = cli.toric.quadric_generators
+
+    def counted(space, *args, **kwargs):
+        calls.append(space)
+        return build(space, *args, **kwargs)
+
+    monkeypatch.setattr(cli.toric, "quadric_generators", counted)
+    _, code = cmd_betti(RunConfig(verify=True, check=True))
+    assert code == 0
+    assert calls == [weighted_space(2, 3, 3, 4)]
+
+
 def test_partial_blocks_resume(tmp_path):
     cfg = RunConfig(cache_dir=str(tmp_path))
     sp = weighted_space(2, 3, 3, 4)

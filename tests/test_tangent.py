@@ -13,8 +13,6 @@ from gwpskit.tangent import (
     derivation_vectors,
     enumerate_shifts,
     hom_dimension_minus1,
-    section_index_presets,
-    t1_section_minus1,
 )
 from gwpskit.toric import quadric_generators
 from gwpskit.wps import invariants, weighted_space
@@ -187,28 +185,3 @@ def test_shift_enumeration_is_sorted(pipeline_2334):
     ws = pipeline_2334["space"].weights
     assert all(sum(w * x for w, x in zip(ws, sh)) == -s for sh in shifts)
 
-
-def test_section_presets(pipeline_2334):
-    p1, p2 = section_index_presets(pipeline_2334["space"])
-    assert p1 == (7, 14)
-    assert p2 == (3, 13)
-
-
-def test_t1_sections_2334(pipeline_2334):
-    ideal = pipeline_2334["ideal"]
-    syz = pipeline_2334["syzygies"]
-    p1, p2 = section_index_presets(pipeline_2334["space"])
-    assert t1_section_minus1(ideal, [], syz) == 5
-    assert t1_section_minus1(ideal, [p1], syz) == 6
-    assert t1_section_minus1(ideal, [p1, p2], syz) == 7
-
-
-def test_t1_section_rejects_degenerate(pipeline_2334):
-    ideal = pipeline_2334["ideal"]
-    syz = pipeline_2334["syzygies"]
-    with pytest.raises(ValueError, match="degenerate"):
-        t1_section_minus1(ideal, [(3, 3)], syz)
-    with pytest.raises(ValueError, match="distinct"):
-        t1_section_minus1(ideal, [(7, 14), (14, 3)], syz)
-    with pytest.raises(ValueError, match="range"):
-        t1_section_minus1(ideal, [(0, 99)], syz)
