@@ -52,6 +52,31 @@ def test_classify_check_detects_mismatch(monkeypatch):
     assert code == 1
 
 
+def test_classify_check_counts_spaces(monkeypatch, capsys):
+    import gwpskit.cli as cli
+
+    enumerate_all = cli.wps.enumerate_gorenstein
+    last = weighted_space(1, 6, 14, 21)
+    monkeypatch.setattr(
+        cli.wps, "enumerate_gorenstein", lambda bound: [sp for sp in enumerate_all(bound) if sp != last]
+    )
+    assert run(["classify", "--check"]) == 1
+    assert capsys.readouterr().err == "CHECK FAIL: expected 14 spaces, found 13\n"
+
+
+def test_classify_check_reports_an_unexpected_space(monkeypatch, capsys):
+    import gwpskit.cli as cli
+
+    expected = load_expected()
+    del expected[(2, 3, 3, 4)]
+    monkeypatch.setattr(cli, "load_expected", lambda: expected)
+    assert run(["classify", "--check"]) == 1
+    assert capsys.readouterr().err == (
+        "CHECK FAIL: expected 13 spaces, found 14\n"
+        "CHECK FAIL: unexpected space (2,3,3,4)\n"
+    )
+
+
 def test_classify_deterministic():
     a, _ = cmd_classify(RunConfig())
     b, _ = cmd_classify(RunConfig())
@@ -207,6 +232,41 @@ def test_betti_verify_failure_is_reported(monkeypatch, capsys, only_2334):
     out, err = capsys.readouterr()
     assert out.splitlines()[1].split("\t")[7:] == ["pass", "FAIL"]
     assert f"VERIFY FAIL: (2,3,3,4): quartic syzygy at {witness}" in err
+
+
+def test_betti_disconnected_cubic_fiber_is_an_error(monkeypatch, capsys, only_2334):
+    import gwpskit.cli as cli
+
+    witness = (7, 2, 0, 4)
+    disconnected = cli.toric.ConnectivityReport(
+        connected=False, witness=witness, fibers_checked=174, components_at_witness=2
+    )
+    monkeypatch.setattr(cli.toric, "check_degree3_generation", lambda space: disconnected)
+    assert run(["betti", "--verify", "--check"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"error: degree-3 generation check failed (witness {witness}); "
+        "beta2 counting formula is not applicable\n"
+    )
+
+
+@pytest.mark.parametrize("command, column, computed", [
+    ("betti", "beta_2", 320),
+    ("alpha", "alpha_S", 6),
+])
+def test_check_reports_a_wrong_reference_value(command, column, computed, monkeypatch, capsys,
+                                               only_2334):
+    import gwpskit.cli as cli
+
+    expected = load_expected()
+    expected[(2, 3, 3, 4)] = dict(expected[(2, 3, 3, 4)], **{column: computed + 1})
+    monkeypatch.setattr(cli, "load_expected", lambda: expected)
+    assert run([command, "--check"]) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("CHECK")] == [
+        f"CHECK FAIL: (2,3,3,4) column {column}: computed {computed}, reference {computed + 1}"
+    ]
 
 
 def test_betti_verify_builds_each_ideal_once(monkeypatch, only_2334):

@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 
 from conftest import binomial_edges, degree2_span_crosscheck, rational_rank
 from gwpskit.exactla import SparseMatrix, default_fields, solution_dim
-from gwpskit.lattice import count_points, degree_slice
+from gwpskit.lattice import DegreeSlice, count_points, degree_slice
 from gwpskit.resolution import incident_pairs_degree3
 from gwpskit.toric import (
     BettiConsistencyError,
+    ConnectivityReport,
     beta1,
     check_degree3_generation,
     quadric_generators,
@@ -76,6 +77,25 @@ def test_trivial_fiber_connected():
     rep = check_degree3_generation(sp)
     assert rep.connected
     assert rep.fibers_checked == count_points(sp, 3 * invariants(sp).s)
+
+
+def test_disconnected_cubic_fiber_names_its_witness(monkeypatch):
+    # Without the point (4,0,0,1) of the degree-12 slice of (2,3,3,4), the
+    # triples summing to (7,2,0,4) fall into two components.
+    import gwpskit.toric as toric
+
+    sp = weighted_space(2, 3, 3, 4)
+    full = degree_slice(sp, 12)
+    cut = DegreeSlice(12, tuple(p for p in full.points if p != (4, 0, 0, 1)))
+
+    def slice_without_point(space, d):
+        assert (space, d) == (sp, 12)
+        return cut
+
+    monkeypatch.setattr(toric.lattice, "degree_slice", slice_without_point)
+    assert check_degree3_generation(sp) == ConnectivityReport(
+        connected=False, witness=(7, 2, 0, 4), fibers_checked=174, components_at_witness=2
+    )
 
 
 def test_tree_choice_spans_equal_rank():
