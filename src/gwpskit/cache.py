@@ -120,8 +120,7 @@ def syzygies_from_text(space: WeightedSpace, text: str, params: str = "") -> Syz
             i, k, c = (int(x) for x in piece[1:-1].split(","))
             terms.append((i, k, c))
         by_md.setdefault(key, []).append(SyzygyElement(multidegree=key, terms=tuple(terms)))
-    table = {key: tuple(v) for key, v in by_md.items()}
-    return SyzygyBasis(by_multidegree=table, total_count=sum(len(v) for v in table.values()))
+    return SyzygyBasis.from_elements(by_md)
 
 
 def blocks_to_text(space: WeightedSpace, by_shift: dict[Point, int], params: str = "") -> str:

@@ -7,23 +7,29 @@ cubic monomials, so it is an edge between those monomials and the block's
 syzygies form the cycle space of that graph.  The basis is the set of
 fundamental cycles of a spanning forest grown over the pairs in ascending
 order: integral by construction, with coefficients +-1, and each element is
-checked to cancel as a polynomial.  The same holds in weighted degree 4s,
-where the kernel has dimension E - V + c.  Quartic minimal syzygies vanish
-iff, blockwise, that dimension equals the rank of the span of variable
-multiples of the cubic syzygies.  The span lies in the kernel, so E - V + c
-bounds its rank from above, and the GF(2) rank of the span rows over all E
-columns of the block bounds it from below.  That rank is taken up to
-E - V + c + 1: equal to E - V + c proves the block, above it is an error (a
-wrong E, V or c), and below it the rank is taken under two primes, a counted
-fallback.  The check builds all blocks of a space at once as integer arrays:
-monomials coded by their sorted index tuples, components by min-label
-propagation, and span rows packed into bitsets.
+checked to cancel as a polynomial.  All blocks of a space are built at once
+as integer arrays, by one Kruskal pass over the edges in block order (a
+monomial has one multidegree, so no component leaves its block), and the
+basis is one term table from the forest to the quartic check and the tangent
+blocks.  The same holds in weighted degree 4s, where the kernel has dimension
+E - V + c.  Quartic minimal syzygies vanish iff, blockwise, that dimension
+equals the rank of the span of variable multiples of the cubic syzygies.  The
+span lies in the kernel, so E - V + c bounds its rank from above, and the
+GF(2) rank of the span rows over all E columns of the block bounds it from
+below.  That rank is taken up to E - V + c + 1: equal to E - V + c proves the
+block, above it is an error (a wrong E, V or c), and below it the rank is
+taken under two primes, a counted fallback.  The check builds all blocks of a
+space at once as integer arrays: monomials coded by their sorted index
+tuples, components by min-label propagation, and span rows packed into
+bitsets.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, repeat
+from functools import cached_property
+from itertools import chain, islice, repeat
 from math import comb
 
 import numpy as np
@@ -32,7 +38,13 @@ from . import exactla, lattice
 from ._util import tadd, tsub
 from .exactla import FieldSpec, SparseMatrix
 from .lattice import Point
-from .toric import ConnectivityReport, ToricIdeal, check_degree3_generation, spanning_forest
+from .toric import (
+    ConnectivityReport,
+    ToricIdeal,
+    _component_roots,
+    _pack,
+    check_degree3_generation,
+)
 from .wps import WeightedSpace, invariants
 
 
@@ -48,14 +60,51 @@ class SyzygyElement:
     terms: tuple[tuple[int, int, int], ...]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SyzygyBasis:
-    by_multidegree: dict[Point, tuple[SyzygyElement, ...]]
-    total_count: int
+    """Linear syzygies in basis order, multidegrees descending, as one term
+    table: the distinct multidegrees as a (D, 4) array with the number of
+    syzygies at each, the term count of each syzygy, and all terms as rows
+    (j, k, c) of one int64 array; `by_multidegree` and `elements()` are
+    SyzygyElement views."""
+
+    multidegrees: np.ndarray
+    counts: np.ndarray
+    lengths: np.ndarray
+    terms: np.ndarray
+
+    @classmethod
+    def from_elements(cls, by_multidegree: dict[Point, Sequence[SyzygyElement]]) -> SyzygyBasis:
+        """The table of a basis given as elements grouped by multidegree, in
+        any key order; an element's own multidegree is not read."""
+        keys = sorted(by_multidegree, reverse=True)
+        elems = [syz for key in keys for syz in by_multidegree[key]]
+        lengths = np.fromiter((len(syz.terms) for syz in elems), np.int64, len(elems))
+        flat = chain.from_iterable(chain.from_iterable(syz.terms for syz in elems))
+        return cls(
+            multidegrees=np.array(keys, dtype=np.int64).reshape(-1, 4),
+            counts=np.array([len(by_multidegree[key]) for key in keys], dtype=np.int64),
+            lengths=lengths,
+            terms=np.fromiter(flat, np.int64, 3 * int(lengths.sum())).reshape(-1, 3),
+        )
+
+    @property
+    def total_count(self) -> int:
+        return len(self.lengths)
+
+    @cached_property
+    def by_multidegree(self) -> dict[Point, tuple[SyzygyElement, ...]]:
+        terms = map(tuple, self.terms.tolist())
+        lengths = iter(self.lengths.tolist())
+        return {
+            key: tuple(
+                SyzygyElement(key, tuple(islice(terms, next(lengths)))) for _ in range(count)
+            )
+            for key, count in zip(map(tuple, self.multidegrees.tolist()), self.counts.tolist())
+        }
 
     def elements(self):
-        for key in sorted(self.by_multidegree, reverse=True):
-            yield from self.by_multidegree[key]
+        return chain.from_iterable(self.by_multidegree.values())
 
 
 def beta2(space: WeightedSpace, generation: ConnectivityReport | None = None) -> int:
@@ -94,16 +143,6 @@ def incident_pairs_degree3(ideal: ToricIdeal) -> dict[Point, list[tuple[int, int
     return grouped
 
 
-def _edges(ideal: ToricIdeal, cols):
-    """The edge (plus, minus) of each column (monomial, k) of a block: the two
-    monomials of monomial * q_k, as sorted index tuples."""
-    out = []
-    for mono, k in cols:
-        gen = ideal.generators[k]
-        out.append((tuple(sorted(mono + gen.lhs)), tuple(sorted(mono + gen.rhs))))
-    return out
-
-
 def linear_syzygies(
     ideal: ToricIdeal,
     fields: tuple[FieldSpec, FieldSpec] | None = None,
@@ -112,26 +151,92 @@ def linear_syzygies(
 
     Each local basis is the set of fundamental cycles of the spanning forest
     grown over the block's (i, k) pairs in ascending order, which is the
-    basis that elimination with smallest-first pivots would give.  Every
-    element is checked to vanish identically as a polynomial.  `fields` is
-    accepted for compatibility and unused: no prime field is involved.
+    basis that elimination with smallest-first pivots would give.  The pairs
+    of all blocks are ordered by descending multidegree u_i + c_k, then by
+    (i, k), and coded as edges between cubic monomials.  Every element is
+    checked to vanish as a polynomial.  `fields` is accepted for
+    compatibility and unused: no prime field is involved.
     """
-    by_multidegree = {}
-    grouped = incident_pairs_degree3(ideal)
-    for key in sorted(grouped, reverse=True):
-        cols = grouped[key]
-        edges = _edges(ideal, [((i,), k) for i, k in cols])
-        elems = tuple(
-            SyzygyElement(multidegree=key, terms=tuple(cols[j] + (c,) for j, c in cycle))
-            for cycle in spanning_forest(edges)[3]
-        )
-        if elems:
-            by_multidegree[key] = elems
-    total = sum(len(v) for v in by_multidegree.values())
-    basis = SyzygyBasis(by_multidegree=by_multidegree, total_count=total)
-    elements, _, _, lengths, terms = _syzygy_terms(basis)
-    _check_cancels(ideal, elements, lengths, terms)
+    pts = np.array(ideal.slice_s.points, dtype=np.int64).reshape(-1, 4)
+    gen_md = np.array([gen.multidegree for gen in ideal.generators], dtype=np.int64).reshape(-1, 4)
+    n, ngens = len(pts), len(gen_md)
+    base = 3 * int(pts.max(initial=0)) + 1
+    key_code = -(_pack(pts, base)[:, None] + _pack(gen_md, base)).ravel()
+    order = np.argsort(key_code, kind="stable")
+    i, k = np.divmod(order, max(ngens, 1))
+    gen = _generator_ends(ideal)[k]
+    monomials = np.concatenate([
+        _monomial_codes(n, i, gen[:, 0], gen[:, 1]),
+        _monomial_codes(n, i, gen[:, 2], gen[:, 3]),
+    ])
+    vertices, ends = np.unique(monomials, return_inverse=True)
+    plus, minus = ends[: len(i)], ends[len(i):]
+    non_tree, lengths, edge, sign = _fundamental_cycles(plus, minus, len(vertices))
+    _, first, counts = np.unique(key_code[order][non_tree], return_index=True, return_counts=True)
+    at = non_tree[first]
+    basis = SyzygyBasis(
+        multidegrees=pts[i[at]] + gen_md[k[at]],
+        counts=counts,
+        lengths=lengths,
+        terms=np.stack([i[edge], k[edge], sign], axis=1),
+    )
+    _check_cancels(ideal, basis)
     return basis
+
+
+def _fundamental_cycles(plus, minus, nv: int):
+    """(non_tree, lengths, edge, sign): the fundamental cycles of the Kruskal
+    forest of the graph on nv vertices whose edge e, in order, is the column
+    e_plus[e] - e_minus[e].  An edge joins the forest iff it closes no cycle
+    with the edges before it: the pivots of smallest-first elimination.  One
+    cycle per non-tree edge, ascending, as its term count and its terms
+    (edge, +1 or -1) in ascending edge order, +1 on its own edge; the cycles
+    are a basis of the kernel over Z and over every field."""
+    root = list(range(nv))
+    tree = []
+    for x, y in zip(plus.tolist(), minus.tolist()):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        while root[y] != y:
+            root[y] = root[root[y]]
+            y = root[y]
+        tree.append(x != y)
+        root[y] = x
+    tree = np.array(tree, dtype=bool)
+    non_tree, te = np.flatnonzero(~tree), np.flatnonzero(tree)
+    # Hang every tree from its lowest vertex, one level per round.
+    src, dst = np.concatenate([plus[te], minus[te]]), np.concatenate([minus[te], plus[te]])
+    via = np.tile(te, 2)
+    depth = np.where(_component_roots(plus[te], minus[te], nv), 0, -1)
+    parent, parent_edge = np.zeros((2, nv), dtype=np.int64)
+    level = 0
+    while (depth < 0).any():
+        hang = (depth[src] == level) & (depth[dst] < 0)
+        depth[dst[hang]] = level + 1
+        parent[dst[hang]], parent_edge[dst[hang]] = src[hang], via[hang]
+        level += 1
+    # The non-tree edge contributes e_a - e_b; the tree path from a to b
+    # contributes e_b - e_a, one step e_next - e_here per edge, so an edge is
+    # taken with +1 when the path enters its plus end: the parent on a's side
+    # of the path, the child on b's side.  The deeper end steps first.
+    cycle = np.arange(len(non_tree))
+    a, b = plus[non_tree], minus[non_tree]
+    owners, edges, signs = [cycle], [non_tree], [np.ones(len(non_tree), dtype=np.int64)]
+    while cycle.size:
+        from_a = depth[a] >= depth[b]
+        here = np.where(from_a, a, b)
+        e, up = parent_edge[here], parent[here]
+        owners.append(cycle)
+        edges.append(e)
+        signs.append(np.where(plus[e] == np.where(from_a, up, here), 1, -1))
+        a, b = np.where(from_a, up, a), np.where(from_a, b, up)
+        open_ = a != b
+        cycle, a, b = cycle[open_], a[open_], b[open_]
+    owner, edge, sign = (np.concatenate(parts) for parts in (owners, edges, signs))
+    order = np.lexsort((edge, owner))
+    lengths = np.bincount(owner, minlength=len(non_tree))
+    return non_tree, lengths, edge[order], sign[order]
 
 
 def incident_pairs_degree4(ideal: ToricIdeal) -> dict[Point, list[tuple[tuple[int, int], int]]]:
@@ -200,28 +305,6 @@ def _monomial_codes(n: int, *indices):
     for x in idx[1:]:
         code = code * n + x
     return code
-
-
-def _pack(points, base: int):
-    """Multidegrees along the last axis, each coordinate below base, as
-    integers in the order of the tuples."""
-    return ((points[..., 0] * base + points[..., 1]) * base + points[..., 2]) * base + points[..., 3]
-
-
-def _component_roots(a, b, nv: int):
-    """A mask with one True per connected component of the graph on nv
-    vertices with edges (a[e], b[e]).  Min-label propagation: every round
-    hooks the larger label of each edge whose ends disagree onto the smaller,
-    then jumps every label to its root, until all edges agree."""
-    label = np.arange(nv, dtype=a.dtype)
-    while True:
-        la, lb = label[a], label[b]
-        differ = la != lb
-        if not differ.any():
-            return label == np.arange(nv)
-        np.minimum.at(label, np.maximum(la, lb)[differ], np.minimum(la, lb)[differ])
-        while not np.array_equal(jumped := label[label], label):
-            label = jumped
 
 
 @dataclass(frozen=True)
@@ -296,28 +379,14 @@ def _quartic_blocks(ideal: ToricIdeal) -> _QuarticBlocks:
     )
 
 
-def _syzygy_terms(syzygies: SyzygyBasis):
-    """(elements, multidegrees, counts, lengths, terms): the syzygies in
-    basis order, their distinct multidegrees in descending order as a (D, 4)
-    array with the number of syzygies at each, the term count of each
-    syzygy, and all terms as the rows (j, k, c) of one int64 array."""
-    keys = sorted(syzygies.by_multidegree, reverse=True)
-    elems = [syz for key in keys for syz in syzygies.by_multidegree[key]]
-    counts = np.array([len(syzygies.by_multidegree[key]) for key in keys], dtype=np.int64)
-    lengths = np.fromiter((len(syz.terms) for syz in elems), np.int64, len(elems))
-    flat = chain.from_iterable(chain.from_iterable(syz.terms for syz in elems))
-    terms = np.fromiter(flat, np.int64, 3 * int(lengths.sum())).reshape(-1, 3)
-    return elems, np.array(keys, dtype=np.int64).reshape(-1, 4), counts, lengths, terms
-
-
-def _check_cancels(ideal: ToricIdeal, elems, lengths, terms) -> None:
+def _check_cancels(ideal: ToricIdeal, syzygies: SyzygyBasis) -> None:
     """Every syzygy sum c * y_j * q_k vanishes as a polynomial: its cubic
     monomials, keyed by syzygy, sum to zero.  The first one that does not,
     in basis order, is an AssertionError, and so is one with a variable index
     outside the slice, whose monomials would have no code."""
     n = len(ideal.slice_s)
-    j, k, c = terms.T
-    owner = np.repeat(np.arange(len(elems), dtype=np.int64), lengths)
+    j, k, c = syzygies.terms.T
+    owner = np.repeat(np.arange(syzygies.total_count, dtype=np.int64), syzygies.lengths)
     outside = (j < 0) | (j >= n)
     j = np.where(outside, 0, j)
     gen = _generator_ends(ideal)[k]
@@ -329,8 +398,8 @@ def _check_cancels(ideal: ToricIdeal, elems, lengths, terms) -> None:
     np.add.at(sums, at, np.concatenate([c, -c]))
     broken = np.concatenate([monomials[sums != 0] // n**3, owner[outside]])
     if broken.size:
-        syz = elems[int(broken.min())]
-        raise AssertionError(f"syzygy at multidegree {syz.multidegree} does not cancel")
+        key = np.repeat(syzygies.multidegrees, syzygies.counts, axis=0)[int(broken.min())]
+        raise AssertionError(f"syzygy at multidegree {tuple(key.tolist())} does not cancel")
 
 
 def _ranges(starts, lengths):
@@ -339,14 +408,15 @@ def _ranges(starts, lengths):
     return np.arange(int(ends[-1]) if len(ends) else 0) + np.repeat(starts - (ends - lengths), lengths)
 
 
-def _span_rows(ideal: ToricIdeal, blocks: _QuarticBlocks, syzygy_terms):
+def _span_rows(ideal: ToricIdeal, blocks: _QuarticBlocks, syzygies: SyzygyBasis):
     """(block, rows) for every block in order: its rows y_i * sigma, in the
     order of _span_matrix, mod 2 as Python-int bitsets over all E columns of
     the block, bit = position.  A term whose column lies in another block is
     a KeyError naming the row's multidegree."""
     pts = np.array(ideal.slice_s.points, dtype=np.int64)
     n, ngens, nblocks = len(pts), len(ideal.generators), len(blocks.keys)
-    _, multidegrees, counts, lengths, terms = syzygy_terms
+    multidegrees, counts = syzygies.multidegrees, syzygies.counts
+    lengths, terms = syzygies.lengths, syzygies.terms
     # Row (i, sigma) lies in the block of u_i + multidegree(sigma), if any;
     # the rows are sorted by block, then i, then sigma.
     total = multidegrees[:, None, :] + pts
@@ -416,15 +486,13 @@ def check_no_quartic_syzygies(
         fields = exactla.default_fields()
     if not ideal.generators:
         return QuarticSyzygyReport(ok=True, witness=None, blocks_checked=0, fallbacks=0)
-    syzygy_terms = _syzygy_terms(syzygies)
-    elems, _, _, lengths, terms = syzygy_terms
-    _check_cancels(ideal, elems, lengths, terms)
+    _check_cancels(ideal, syzygies)
     blocks = _quartic_blocks(ideal)
     kernel_dims = (blocks.edges - blocks.vertices + blocks.components).tolist()
     witness = None
     fallbacks = 0
     grouped = None
-    for b, rows in _span_rows(ideal, blocks, syzygy_terms):
+    for b, rows in _span_rows(ideal, blocks, syzygies):
         key, kernel_dim = blocks.keys[b], kernel_dims[b]
         span_rank = exactla.rank_gf2(rows, kernel_dim + 1)
         if span_rank > kernel_dim:

@@ -141,8 +141,8 @@ def _syzygies_by_generator(syzygies: SyzygyBasis) -> np.ndarray:
     """The terms of all syzygies in basis order as int64 rows (owner, gen,
     coef); perfbench/spans.py looks this index up by name.  Coefficients below
     2**31 in size keep the int64 products of derivation_vectors exact."""
-    terms = [(j, k, c) for j, syz in enumerate(syzygies.elements()) for (_, k, c) in syz.terms]
-    table = np.array(terms, dtype=np.int64).reshape(-1, 3).T
+    owner = np.repeat(np.arange(syzygies.total_count, dtype=np.int64), syzygies.lengths)
+    table = np.stack([owner, syzygies.terms[:, 1], syzygies.terms[:, 2]])
     if np.abs(table[2]).max(initial=0) >> 31:
         raise ValueError("syzygy coefficient of size 2**31 or more")
     return table

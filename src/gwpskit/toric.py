@@ -1,6 +1,6 @@
-"""Quadric binomial generators of the anticanonical ideal, the fiber-graph
-test for generation in degree 2, and the spanning forests behind both and
-behind the syzygy kernels.
+"""Quadric binomial generators of the anticanonical ideal and the
+fiber-graph test for generation in degree 2, with the array component count
+that the test and the syzygy layers share.
 
 The ideal of the anticanonically embedded space is toric: its degree-2 part
 is spanned, fiberwise over exponent-sum multidegrees, by differences of
@@ -12,16 +12,17 @@ generated by the quadrics.
 A binomial relation between monomials is an edge between them, and a matrix
 whose columns are such edges has the cycle space of the graph as its kernel,
 over Z and over every field, of dimension E - V + c (Sturmfels, Groebner
-Bases and Convex Polytopes, ch. 4-5).  `spanning_forest` grows one
-deterministic forest and returns the fundamental cycles: an integral basis
-with coefficients +-1, used for the linear syzygies and the quartic kernels.
+Bases and Convex Polytopes, ch. 4-5).  Components are counted on integer
+arrays by min-label propagation (`_component_roots`), for all fibers or
+blocks of a space at once.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from math import comb
+
+import numpy as np
 
 from . import lattice
 from .lattice import DegreeSlice, Point
@@ -120,128 +121,60 @@ def check_degree3_generation(space: WeightedSpace) -> ConnectivityReport:
     point sum; two triples are adjacent iff they share an index (equivalently,
     differ by replacing a sub-pair with an equal-sum pair).  All fibers
     connected is equivalent to the cubic part of the ideal being generated by
-    the quadrics.
+    the quadrics.  All fibers are counted at once, as the shared-member
+    graph of each triple's (fiber, index) nodes.  The witness is the first
+    disconnected fiber in descending order.
     """
     inv = invariants(space)
     if not inv.gorenstein:
         raise ValueError("degree-3 generation check requires a Gorenstein space")
-    pts = lattice.degree_slice(space, inv.s).points
+    pts = np.array(lattice.degree_slice(space, inv.s).points, dtype=np.int64)
     n = len(pts)
-    fibers: dict[Point, list[tuple[int, int, int]]] = {}
-    for i in range(n):
-        pi = pts[i]
-        for j in range(i, n):
-            pj = pts[j]
-            s01 = (pi[0] + pj[0], pi[1] + pj[1], pi[2] + pj[2], pi[3] + pj[3])
-            for k in range(j, n):
-                pk = pts[k]
-                key = (s01[0] + pk[0], s01[1] + pk[1], s01[2] + pk[2], s01[3] + pk[3])
-                fibers.setdefault(key, []).append((i, j, k))
-    for key in sorted(fibers, reverse=True):
-        triples = fibers[key]
-        if len(triples) < 2:
-            continue
-        comps = shared_member_components([set(triple) for triple in triples])
-        if comps > 1:
-            return ConnectivityReport(
-                connected=False,
-                witness=key,
-                fibers_checked=len(fibers),
-                components_at_witness=comps,
-            )
-    return ConnectivityReport(connected=True, witness=None, fibers_checked=len(fibers))
+    ijk = np.indices((n, n, n)).reshape(3, -1)
+    triples = ijk[:, (ijk[0] <= ijk[1]) & (ijk[1] <= ijk[2])]
+    sums = pts[triples].sum(axis=0)
+    _, fiber = np.unique(-_pack(sums, 3 * int(pts.max(initial=0)) + 1), return_inverse=True)
+    sets, members = np.tile(np.arange(len(fiber)), 3), (fiber * n + triples).ravel()
+    # Every fiber has a triple, and so a root: one count per fiber.
+    components = np.bincount(fiber[shared_member_roots(sets, members, len(fiber))])
+    bad = np.flatnonzero(components > 1)
+    if bad.size:
+        return ConnectivityReport(
+            connected=False,
+            witness=tuple(sums[np.argmax(fiber == bad[0])].tolist()),
+            fibers_checked=len(components),
+            components_at_witness=int(components[bad[0]]),
+        )
+    return ConnectivityReport(connected=True, witness=None, fibers_checked=len(components))
 
 
-def shared_member_components(member_sets) -> int:
-    """Number of connected components of the graph on `member_sets` in which
-    two sets are adjacent iff they share a member."""
-    first_with: dict = {}
-    edges = []
-    for t, members in enumerate(member_sets):
-        for member in members:
-            if member in first_with:
-                edges.append((first_with[member], t))
-            else:
-                first_with[member] = t
-    covered, components, _, _ = spanning_forest(edges)
-    # Sets met by no edge are components of their own.
-    return components + len(member_sets) - covered
+def shared_member_roots(sets, members, nsets: int):
+    """A mask over nsets sets with one True per connected component of the
+    graph in which two sets are adjacent iff they share a member, at the
+    component's lowest set.  Set sets[e] holds the member with integer code
+    members[e]; a set that holds none is a component of its own."""
+    _, node = np.unique(members, return_inverse=True)
+    return _component_roots(sets, nsets + node, nsets + int(node.max(initial=-1)) + 1)[:nsets]
 
 
-def spanning_forest(edges) -> tuple[int, int, list[int], Iterator[list[tuple[int, int]]]]:
-    """Kruskal spanning forest of a graph given by its edge list, in order.
+def _component_roots(a, b, nv: int):
+    """A mask with one True per connected component of the graph on nv
+    vertices with edges (a[e], b[e]), at the component's lowest vertex.
+    Min-label propagation: every round hooks the larger label of each edge
+    whose ends disagree onto the smaller, then jumps every label to its root,
+    until all edges agree."""
+    label = np.arange(nv, dtype=a.dtype)
+    while True:
+        la, lb = label[a], label[b]
+        differ = la != lb
+        if not differ.any():
+            return label == np.arange(nv)
+        np.minimum.at(label, np.maximum(la, lb)[differ], np.minimum(la, lb)[differ])
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
 
-    Edge j joins edges[j] = (plus, minus), two hashable vertex labels, and
-    stands for the column e_plus - e_minus of a signed incidence matrix.  An
-    edge joins the forest iff it closes no cycle with the edges before it, so
-    the tree edges are exactly the pivot columns that elimination with
-    smallest-first pivots would choose.  Returns (V, c, non_tree, cycles): the
-    number of vertices met by an edge, the number of connected components
-    among them, the ascending list of the E - V + c non-tree edge indices, and
-    an iterator over the fundamental cycles, one per non-tree edge in that
-    order, computed only when iterated.  A cycle lists
-    (edge index, +1 or -1) in ascending edge order, with +1 on its own
-    non-tree edge, and its signed edge columns sum to zero over Z.  The cycles
-    form a basis of the kernel, of dimension E - V + c, over Z and over every
-    field.
-    """
-    index: dict = {}
-    ends = []
-    for plus, minus in edges:
-        ends.append((index.setdefault(plus, len(index)), index.setdefault(minus, len(index))))
-    nv = len(index)
-    root = list(range(nv))
 
-    def find(x: int) -> int:
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
-    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
-    non_tree = []
-    for j, (a, b) in enumerate(ends):
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            non_tree.append(j)
-        else:
-            root[rb] = ra
-            adjacent[a].append((b, j))
-            adjacent[b].append((a, j))
-
-    def fundamental_cycles():
-        # Hang every tree from its first vertex: parent, parent edge, depth.
-        parent = [-1] * nv
-        parent_edge = [-1] * nv
-        depth = [-1] * nv
-        for start in range(nv):
-            if depth[start] >= 0:
-                continue
-            depth[start] = 0
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for y, j in adjacent[x]:
-                    if depth[y] < 0:
-                        depth[y] = depth[x] + 1
-                        parent[y] = x
-                        parent_edge[y] = j
-                        stack.append(y)
-        # The non-tree edge j contributes e_a - e_b; the tree path from a to
-        # b contributes e_b - e_a, one step e_next - e_here per edge, so an
-        # edge is taken with +1 when the path enters its plus end.
-        for j in non_tree:
-            a, b = ends[j]
-            signs = {j: 1}
-            while a != b:
-                if depth[a] >= depth[b]:
-                    e, a = parent_edge[a], parent[a]
-                    signs[e] = 1 if ends[e][0] == a else -1
-                else:
-                    e = parent_edge[b]
-                    signs[e] = 1 if ends[e][0] == b else -1
-                    b = parent[b]
-            yield sorted(signs.items())
-
-    components = nv - (len(ends) - len(non_tree))
-    return nv, components, non_tree, fundamental_cycles()
+def _pack(points, base: int):
+    """Multidegrees along the last axis, each coordinate below base, as
+    integers in the order of the tuples."""
+    return ((points[..., 0] * base + points[..., 1]) * base + points[..., 2]) * base + points[..., 3]

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+
 from . import lattice
 
 
@@ -111,19 +113,14 @@ def enumerate_gorenstein(max_weight: int) -> list[WeightedSpace]:
     for a0 in range(1, max_weight + 1):
         for a1 in range(a0, max_weight + 1):
             for a2 in range(a1, max_weight + 1):
-                m3 = math.lcm(a0, a1, a2)
-                for a3 in range(a2, max_weight + 1):
-                    s = a0 + a1 + a2 + a3
-                    m = math.lcm(m3, a3)
-                    if m > s or s % m:
-                        continue
-                    ok = True
-                    for t in combinations((a0, a1, a2, a3), 3):
-                        if math.gcd(*t) != 1:
-                            ok = False
-                            break
-                    if ok:
-                        out.append(WeightedSpace((a0, a1, a2, a3)))
+                # a3 divides s, so it divides t = a0 + a1 + a2 <= 3 * a3.
+                t = a0 + a1 + a2
+                for a3 in (t // q for q in (3, 2, 1) if t % q == 0):
+                    ws = (a0, a1, a2, a3)
+                    if a2 <= a3 <= max_weight and sum(ws) % math.lcm(*ws) == 0 and all(
+                        math.gcd(*triple) == 1 for triple in combinations(ws, 3)
+                    ):
+                        out.append(WeightedSpace(ws))
     return out
 
 
@@ -204,11 +201,7 @@ def veronese_presentation(space: WeightedSpace, d: int, cutoff: int) -> Veronese
                     for c in range(4):
                         img[c] += e * pt[c]
             fibers.setdefault(tuple(img), []).append(expo)
-        for img in sorted(fibers, reverse=True):
-            members = fibers[img]
-            if len(members) < 2:
-                continue
-            relation_degrees.extend([n] * _extra_components(members))
+        relation_degrees.extend([n] * _extra_components(list(fibers.values())))
 
     return VeronesePresentation(
         d=d,
@@ -236,10 +229,16 @@ def _exponent_vectors(degrees: list[int], total: int):
     return out
 
 
-def _extra_components(members: list[tuple[int, ...]]) -> int:
-    """Number of connected components minus one, where two exponent vectors
-    are adjacent iff some coordinate is positive in both."""
-    from .toric import shared_member_components
+def _extra_components(fibers: list[list[tuple[int, ...]]]) -> int:
+    """The sum over fibers of their connected components minus one, where two
+    exponent vectors of a fiber are adjacent iff some coordinate is positive
+    in both."""
+    from .toric import shared_member_roots
 
-    supports = [[gi for gi, e in enumerate(expo) if e] for expo in members]
-    return shared_member_components(supports) - 1
+    members = [expo for fiber in fibers for expo in fiber]
+    if not members:
+        return 0
+    fiber_of = np.repeat(np.arange(len(fibers)), [len(fiber) for fiber in fibers])
+    t, coordinate = np.nonzero(np.array(members))
+    roots = shared_member_roots(t, fiber_of[t] * len(members[0]) + coordinate, len(members))
+    return int(roots.sum()) - len(fibers)

@@ -4,13 +4,18 @@ Oracles are deliberately written along different paths than the library code
 they validate: counting by exhaustive loops instead of the coin DP, ranks by
 fraction-exact Gaussian elimination instead of mod-p elimination, syzygy
 bases by mod-p elimination instead of spanning forests, tangent shift blocks
-as undeduplicated Python rows instead of deduplicated int64 arrays.
+as undeduplicated Python rows instead of deduplicated int64 arrays.  The
+per-block tuple-graph forests, the per-fiber degree-3 check and the full
+weight scan are the constructions the library replaced with whole-space
+arrays and a bounded search, kept here as oracles.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -24,8 +29,9 @@ from gwpskit.resolution import (
     linear_syzygies,
 )
 from gwpskit.tangent import hom_dimension_minus1
-from gwpskit.toric import quadric_generators
-from gwpskit.wps import enumerate_gorenstein, weighted_space
+from gwpskit.lattice import degree_slice
+from gwpskit.toric import ConnectivityReport, quadric_generators
+from gwpskit.wps import WeightedSpace, enumerate_gorenstein, invariants, weighted_space
 
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -142,8 +148,152 @@ def elimination_syzygies(ideal, reverse=False) -> SyzygyBasis:
             elems.append(SyzygyElement(multidegree=key, terms=tuple(terms)))
         if elems:
             by_multidegree[key] = tuple(elems)
-    total = sum(len(v) for v in by_multidegree.values())
-    return SyzygyBasis(by_multidegree=by_multidegree, total_count=total)
+    return SyzygyBasis.from_elements(by_multidegree)
+
+
+def spanning_forest(edges):
+    """Kruskal spanning forest of a graph given by its edge list, in order.
+
+    Edge j joins edges[j] = (plus, minus), two hashable vertex labels, and
+    stands for the column e_plus - e_minus of a signed incidence matrix.  An
+    edge joins the forest iff it closes no cycle with the edges before it.
+    Returns (V, c, non_tree, cycles): the number of vertices met by an edge,
+    the number of connected components among them, the ascending list of the
+    E - V + c non-tree edge indices, and an iterator over the fundamental
+    cycles, one per non-tree edge in that order.  A cycle lists
+    (edge index, +1 or -1) in ascending edge order, with +1 on its own
+    non-tree edge, and its signed edge columns sum to zero over Z.
+    """
+    index: dict = {}
+    ends = []
+    for plus, minus in edges:
+        ends.append((index.setdefault(plus, len(index)), index.setdefault(minus, len(index))))
+    nv = len(index)
+    root = list(range(nv))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
+    non_tree = []
+    for j, (a, b) in enumerate(ends):
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            non_tree.append(j)
+        else:
+            root[rb] = ra
+            adjacent[a].append((b, j))
+            adjacent[b].append((a, j))
+
+    def fundamental_cycles():
+        # Hang every tree from its first vertex: parent, parent edge, depth.
+        parent = [-1] * nv
+        parent_edge = [-1] * nv
+        depth = [-1] * nv
+        for start in range(nv):
+            if depth[start] >= 0:
+                continue
+            depth[start] = 0
+            stack = [start]
+            while stack:
+                x = stack.pop()
+                for y, j in adjacent[x]:
+                    if depth[y] < 0:
+                        depth[y] = depth[x] + 1
+                        parent[y] = x
+                        parent_edge[y] = j
+                        stack.append(y)
+        # The non-tree edge j contributes e_a - e_b; the tree path from a to
+        # b contributes e_b - e_a, one step e_next - e_here per edge, so an
+        # edge is taken with +1 when the path enters its plus end.
+        for j in non_tree:
+            a, b = ends[j]
+            signs = {j: 1}
+            while a != b:
+                if depth[a] >= depth[b]:
+                    e, a = parent_edge[a], parent[a]
+                    signs[e] = 1 if ends[e][0] == a else -1
+                else:
+                    e = parent_edge[b]
+                    signs[e] = 1 if ends[e][0] == b else -1
+                    b = parent[b]
+            yield sorted(signs.items())
+
+    components = nv - (len(ends) - len(non_tree))
+    return nv, components, non_tree, fundamental_cycles()
+
+
+def forest_syzygies(ideal) -> SyzygyBasis:
+    """The cubic syzygy basis block by block, in descending multidegree: the
+    fundamental cycles of spanning_forest over the tuple graph of each
+    block's (i, k) pairs in ascending order."""
+    by_multidegree = {}
+    grouped = incident_pairs_degree3(ideal)
+    for key in sorted(grouped, reverse=True):
+        cols = grouped[key]
+        edges = binomial_edges(ideal, [((i,), k) for i, k in cols])
+        elems = tuple(
+            SyzygyElement(multidegree=key, terms=tuple(cols[j] + (c,) for j, c in cycle))
+            for cycle in spanning_forest(edges)[3]
+        )
+        if elems:
+            by_multidegree[key] = elems
+    return SyzygyBasis.from_elements(by_multidegree)
+
+
+def shared_member_components(member_sets) -> int:
+    """Number of connected components of the graph on `member_sets` in which
+    two sets are adjacent iff they share a member."""
+    first_with: dict = {}
+    edges = []
+    for t, members in enumerate(member_sets):
+        for member in members:
+            if member in first_with:
+                edges.append((first_with[member], t))
+            else:
+                first_with[member] = t
+    covered, components, _, _ = spanning_forest(edges)
+    # Sets met by no edge are components of their own.
+    return components + len(member_sets) - covered
+
+
+def per_fiber_degree3_report(space) -> ConnectivityReport:
+    """The degree-3 generation check fiber by fiber: the triples of each
+    degree-3s fiber, in descending order, as a shared-member graph."""
+    pts = degree_slice(space, invariants(space).s).points
+    n = len(pts)
+    fibers = {}
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(j, n):
+                fibers.setdefault(tadd(tadd(pts[i], pts[j]), pts[k]), []).append({i, j, k})
+    for key in sorted(fibers, reverse=True):
+        comps = shared_member_components(fibers[key])
+        if comps > 1:
+            return ConnectivityReport(
+                connected=False, witness=key, fibers_checked=len(fibers),
+                components_at_witness=comps,
+            )
+    return ConnectivityReport(connected=True, witness=None, fibers_checked=len(fibers))
+
+
+def scan_gorenstein(max_weight: int) -> list[WeightedSpace]:
+    """Every Gorenstein, well-formed weight system with largest weight at most
+    max_weight, by trying every a3 in [a2, max_weight]."""
+    out = []
+    for a0 in range(1, max_weight + 1):
+        for a1 in range(a0, max_weight + 1):
+            for a2 in range(a1, max_weight + 1):
+                for a3 in range(a2, max_weight + 1):
+                    ws = (a0, a1, a2, a3)
+                    if sum(ws) % math.lcm(*ws) == 0 and all(
+                        math.gcd(*t) == 1 for t in combinations(ws, 3)
+                    ):
+                        out.append(WeightedSpace(ws))
+    return out
 
 
 def degree2_span_crosscheck(ideal) -> bool:

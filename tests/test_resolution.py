@@ -1,12 +1,15 @@
 import re
 
+import numpy as np
 import pytest
 
 from conftest import (
     binomial_edges,
     elimination_syzygies,
+    forest_syzygies,
     incidence_matrix,
     projected_span_rows_gf2,
+    spanning_forest,
 )
 from gwpskit.cache import syzygies_to_text
 from gwpskit import resolution
@@ -19,14 +22,13 @@ from gwpskit.resolution import (
     _quartic_blocks,
     _span_matrix,
     _span_rows,
-    _syzygy_terms,
     beta2,
     check_no_quartic_syzygies,
     incident_pairs_degree3,
     incident_pairs_degree4,
     linear_syzygies,
 )
-from gwpskit.toric import ConnectivityReport, ToricIdeal, spanning_forest
+from gwpskit.toric import ConnectivityReport, ToricIdeal, quadric_generators
 from gwpskit.wps import invariants, weighted_space
 
 
@@ -93,7 +95,7 @@ def test_quartic_check_vacuous_for_empty_ideal():
     empty = ToricIdeal(
         space=sp, slice_s=degree_slice(sp, s), generators=(), fibers={}
     )
-    rep = check_no_quartic_syzygies(empty, SyzygyBasis(by_multidegree={}, total_count=0))
+    rep = check_no_quartic_syzygies(empty, SyzygyBasis.from_elements({}))
     assert rep.ok and rep.blocks_checked == 0
 
 
@@ -174,7 +176,7 @@ def test_array_blocks_equal_forests_and_span_matrices(
         blocks = _quartic_blocks(ideal)
         assert blocks.keys == sorted(grouped, reverse=True)
         seen = []
-        for b, rows in _span_rows(ideal, blocks, _syzygy_terms(syz)):
+        for b, rows in _span_rows(ideal, blocks, syz):
             seen.append(b)
             key = blocks.keys[b]
             cols = grouped[key]
@@ -203,7 +205,7 @@ def test_span_term_outside_its_block_is_a_key_error(pipeline_2334):
     else:
         del by_multidegree[key]
     with pytest.raises(KeyError, match=r"outside its block at multidegree \("):
-        check_no_quartic_syzygies(ideal, SyzygyBasis(by_multidegree, syz.total_count))
+        check_no_quartic_syzygies(ideal, SyzygyBasis.from_elements(by_multidegree))
 
 
 def test_non_cancelling_syzygy_is_rejected(pipeline_2334):
@@ -218,31 +220,46 @@ def test_non_cancelling_syzygy_is_rejected(pipeline_2334):
     # A flipped sign, and a variable index beyond the slice.
     for first_term in ((i, k, -c), (i + n, k, c)):
         broken = SyzygyElement(multidegree=key, terms=(first_term, *terms))
-        basis = SyzygyBasis({**syz.by_multidegree, key: (broken, *rest)}, syz.total_count)
+        basis = SyzygyBasis.from_elements({**syz.by_multidegree, key: (broken, *rest)})
         with pytest.raises(AssertionError, match=re.escape(f"at multidegree {key} does not cancel")):
             check_no_quartic_syzygies(pipeline_2334["ideal"], basis)
 
 
 def test_linear_syzygies_rejects_a_non_cancelling_cycle(pipeline_2334, monkeypatch):
-    """A forest whose cycles carry one flipped sign, in the third block with
-    cycles and every later one: linear_syzygies names the first broken
-    syzygy in basis order."""
-    blocks_with_cycles = []
+    """Cycles with one flipped sign, on the first term of the first syzygy
+    at the third multidegree: linear_syzygies names that multidegree."""
+    counts = pipeline_2334["syzygies"].counts
+    cycles = resolution._fundamental_cycles
 
-    def flipped_forest(edges):
-        vertices, components, non_tree, cycles = spanning_forest(edges)
-        cycles = list(cycles)
-        if cycles:
-            blocks_with_cycles.append(edges)
-            if len(blocks_with_cycles) >= 3:
-                (j, c), *rest = cycles[0]
-                cycles[0] = [(j, -c), *rest]
-        return vertices, components, non_tree, iter(cycles)
+    def flipped_cycles(plus, minus, nv):
+        non_tree, lengths, edge, sign = cycles(plus, minus, nv)
+        sign[lengths[: counts[0] + counts[1]].sum()] *= -1
+        return non_tree, lengths, edge, sign
 
-    monkeypatch.setattr(resolution, "spanning_forest", flipped_forest)
+    monkeypatch.setattr(resolution, "_fundamental_cycles", flipped_cycles)
     key = list(pipeline_2334["syzygies"].by_multidegree)[2]
     with pytest.raises(AssertionError, match=re.escape(f"syzygy at multidegree {key} does not cancel")):
         linear_syzygies(pipeline_2334["ideal"])
+
+
+@pytest.mark.parametrize("weights", [(2, 3, 3, 4), (2, 3, 10, 15), (1, 2, 2, 5), (1, 6, 14, 21)])
+def test_array_basis_equals_tuple_graph_forests(weights):
+    """Oracle: the whole-space array basis is, element for element, the
+    basis of one Kruskal forest per block over its tuple graph."""
+    ideal = quadric_generators(weighted_space(*weights))
+    basis, oracle = linear_syzygies(ideal), forest_syzygies(ideal)
+    assert basis.by_multidegree == oracle.by_multidegree
+    assert list(basis.by_multidegree) == list(oracle.by_multidegree)
+    for name in ("multidegrees", "counts", "lengths", "terms"):
+        assert np.array_equal(getattr(basis, name), getattr(oracle, name)), name
+
+
+def test_basis_rebuilt_from_its_view_keeps_its_table(pipeline_231015):
+    basis = pipeline_231015["syzygies"]
+    rebuilt = SyzygyBasis.from_elements(basis.by_multidegree)
+    for name in ("multidegrees", "counts", "lengths", "terms"):
+        assert np.array_equal(getattr(rebuilt, name), getattr(basis, name)), name
+    assert rebuilt.total_count == basis.total_count == 715
 
 
 def _corrupted_2334(pipeline_2334, doubled: bool):
@@ -253,11 +270,11 @@ def _corrupted_2334(pipeline_2334, doubled: bool):
     first, *rest = syz.by_multidegree[key]
     if doubled:
         twice = SyzygyElement(key, tuple((i, k, 2 * c) for i, k, c in first.terms))
-        return SyzygyBasis({**syz.by_multidegree, key: (twice, *rest)}, syz.total_count)
+        return SyzygyBasis.from_elements({**syz.by_multidegree, key: (twice, *rest)})
     kept = {d: elems for d, elems in syz.by_multidegree.items() if d != key}
     if rest:
         kept[key] = tuple(rest)
-    return SyzygyBasis(kept, syz.total_count - 1)
+    return SyzygyBasis.from_elements(kept)
 
 
 def test_doubled_syzygy_falls_back_and_passes(pipeline_2334):

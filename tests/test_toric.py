@@ -1,12 +1,20 @@
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import binomial_edges, degree2_span_crosscheck, rational_rank
+from conftest import (
+    binomial_edges,
+    degree2_span_crosscheck,
+    per_fiber_degree3_report,
+    rational_rank,
+    spanning_forest,
+)
 from gwpskit.exactla import SparseMatrix, default_fields, solution_dim
 from gwpskit.lattice import DegreeSlice, count_points, degree_slice
+from gwpskit import resolution
 from gwpskit.resolution import incident_pairs_degree3
 from gwpskit.toric import (
     BettiConsistencyError,
@@ -14,9 +22,8 @@ from gwpskit.toric import (
     beta1,
     check_degree3_generation,
     quadric_generators,
-    spanning_forest,
 )
-from gwpskit.wps import invariants, weighted_space
+from gwpskit.wps import enumerate_gorenstein, invariants, weighted_space
 
 
 def test_generator_counts():
@@ -96,6 +103,11 @@ def test_disconnected_cubic_fiber_names_its_witness(monkeypatch):
     assert check_degree3_generation(sp) == ConnectivityReport(
         connected=False, witness=(7, 2, 0, 4), fibers_checked=174, components_at_witness=2
     )
+
+
+def test_array_degree3_report_equals_per_fiber_oracle():
+    for sp in enumerate_gorenstein(21):
+        assert check_degree3_generation(sp) == per_fiber_degree3_report(sp), sp
 
 
 def test_tree_choice_spans_equal_rank():
@@ -190,3 +202,22 @@ def test_spanning_forest_cycles_are_a_kernel_basis(edges):
     assert own_edges == sorted(set(own_edges)) == non_tree
     assert len(cycles) == len(edges) - vertices + components
     assert len(cycles) == len(edges) - rational_rank(incidence)
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs())
+def test_array_cycles_equal_the_tuple_forest(edges):
+    """Oracle on small multigraphs: the array forest has the non-tree edges
+    and the fundamental cycles, signs included, of spanning_forest."""
+    labels = {v: idx for idx, v in enumerate(sorted({v for e in edges for v in e}))}
+    plus = np.array([labels[a] for a, _ in edges], dtype=np.int64)
+    minus = np.array([labels[b] for _, b in edges], dtype=np.int64)
+    non_tree, lengths, edge, sign = resolution._fundamental_cycles(plus, minus, len(labels))
+    _, _, oracle_non_tree, oracle_cycles = spanning_forest(edges)
+    assert non_tree.tolist() == oracle_non_tree
+    start = np.cumsum(lengths) - lengths
+    cycles = [
+        list(zip(edge[s:s + n].tolist(), sign[s:s + n].tolist()))
+        for s, n in zip(start.tolist(), lengths.tolist())
+    ]
+    assert cycles == list(oracle_cycles)

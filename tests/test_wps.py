@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import scan_gorenstein
 from gwpskit.wps import (
     WeightedSpace,
     WeightValidationError,
@@ -54,6 +55,14 @@ def test_validation_rejects_bad_tuples():
         weighted_space(0, 1, 1, 1)
     with pytest.raises(WeightValidationError):
         WeightedSpace((1, 1, 1))
+
+
+def test_enumeration_equals_the_full_weight_scan():
+    # The scan at a bound is the scan at 60 restricted to that largest
+    # weight, in the same order.
+    full = scan_gorenstein(60)
+    for bound in range(61):
+        assert enumerate_gorenstein(bound) == [sp for sp in full if sp.weights[3] <= bound]
 
 
 def test_enumerate_bounds():
