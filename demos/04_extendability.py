@@ -1,41 +1,21 @@
 """The degree -1 tangent module of the affine cone and extendability.
 
-A degree -1 deformation assigns to each quadric generator a degree-s element
-of the coordinate ring, compatible with all linear syzygies.  The system
-splits into tiny blocks indexed by exponent-vector shifts; the g+2 coordinate
-derivations are trivial solutions, and whatever dimension is left over is
-exactly the number of times the anticanonical model extends to a larger
-variety that is not a cone.
+The affine cone over P is a toric singularity, and Altmann's formula gives its
+tangent space T^1 degree by degree from the points of the degree-s slice
+alone.  In degree -1 the degrees are exponent-vector shifts; T^1 is nonzero at
+only a handful of them, and its total dimension is exactly the number of times
+the anticanonical model extends to a larger variety that is not a cone.
 """
 
-from gwpskit import (
-    alpha_report,
-    hom_dimension_minus1,
-    linear_syzygies,
-    quadric_generators,
-    weighted_space,
-)
+from gwpskit import alpha_report, quadric_generators, t1_by_shift, weighted_space
 
-sp = weighted_space(2, 3, 3, 4)
-ideal = quadric_generators(sp)
-syz = linear_syzygies(ideal)
-
-hom = hom_dimension_minus1(ideal, syz)
-busy = {s: d for s, d in hom.by_shift.items() if d}
-print(f"{sp}: total solution dimension {hom.total} across {len(hom.by_shift)} shifts")
-print(f"shifts with nonzero dimension: {len(busy)}")
-print(f"shifts solved under two primes (GF(2) rank short of the upper bound): {hom.fallbacks}")
-
-derivs = hom.derivations
-print(f"coordinate derivations: {len(derivs)} nonzero solutions in distinct blocks")
-
-rep = alpha_report(sp)
-print(
-    f"\nalpha(P) = {rep.alpha_P}  alpha(S) = {rep.alpha_S}  alpha(C) = {rep.alpha_C}"
-)
-print(f"=> the anticanonical model extends exactly {rep.extendability} times")
-
-print("\nextendability of the other desk-scale spaces:")
-for w in [(1, 2, 2, 5), (1, 3, 4, 4), (1, 4, 5, 10), (2, 3, 10, 15)]:
-    rep = alpha_report(weighted_space(*w))
-    print(f"  {str(rep.space):<16} alpha(S)={rep.alpha_S}  extends {rep.extendability}x")
+for w in [(2, 3, 3, 4), (1, 3, 4, 4), (2, 3, 10, 15), (1, 2, 2, 5), (1, 2, 3, 6)]:
+    sp = weighted_space(*w)
+    t1 = t1_by_shift(quadric_generators(sp))
+    busy = sorted(d for d, dim in t1.items() if dim)
+    rep = alpha_report(sp)
+    print(f"{sp}: T^1 nonzero at {len(busy)} of {len(t1)} shifts")
+    for d in busy:
+        print(f"  shift {d}: dim {t1[d]}")
+    print(f"  alpha(P) = {rep.alpha_P}  alpha(S) = {rep.alpha_S}  alpha(C) = {rep.alpha_C}"
+          f"  => extends {rep.extendability} times")

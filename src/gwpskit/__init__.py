@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 from .exactla import FieldSpec, SparseMatrix, default_fields
 from .lattice import count_points, degree_slice, h_vector, verify_projective_normality
 from .resolution import beta2, check_no_quartic_syzygies, linear_syzygies
-from .tangent import alpha_report, derivation_vectors, hom_dimension_minus1
+from .tangent import alpha_report, derivation_vectors, hom_dimension_minus1, t1_by_shift
 from .toric import beta1, check_degree3_generation, quadric_generators
 from .wps import (
     WeightedSpace,
@@ -40,6 +40,7 @@ __all__ = [
     "linear_syzygies",
     "quadric_generators",
     "restriction_invertible",
+    "t1_by_shift",
     "veronese_presentation",
     "verify_projective_normality",
     "weighted_space",

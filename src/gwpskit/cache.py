@@ -5,16 +5,17 @@ Every cache file starts with the header
     GWPSKIT v1 <kind> <weights> <fingerprint>
 
 followed by one record per line.  The only stored kind is "blocks", under
-empty params, with records "blk d0 d1 d2 d3 dim": the block solve is nearly
-all of an alpha run, while the ideal and the syzygy basis are recomputed
-faster than they could be loaded and re-verified.  The ideal ("gen a b g d",
-slice indices of the two pairs) and syzygy ("syz d0 d1 d2 d3 : (i,k,c) ...")
-serializers are kept as round-trip oracles for the tests.
+empty params, with records "blk d0 d1 d2 d3 dim": the per-shift Hom table of
+an alpha run.  The ideal ("gen a b g d", slice indices of the two pairs) and
+syzygy ("syz d0 d1 d2 d3 : (i,k,c) ...") serializers are kept as round-trip
+oracles for the tests.
 The format is plain text, diffable, and round-trip stable bit for bit.
 Writes go to a uniquely named temp file and are renamed into place
-atomically.  Partially completed block tables append to a ".part" sidecar so
-interrupted long runs can resume; another run may delete that sidecar at any
-moment, so a missing one reads as empty.
+atomically; an alpha run writes each table once, whole, so a run that is cut
+off recomputes.  The ".part" sidecar of appended records (append_partial_block,
+load_partial_blocks) is written by no command; finalize_blocks removes one
+that an older run left, and another run may delete it at any moment, so a
+missing one reads as empty.
 """
 
 from __future__ import annotations
@@ -174,7 +175,7 @@ class Cache:
             tmp.unlink(missing_ok=True)
         return path
 
-    # Partial block tables: appended as they complete, finalized atomically.
+    # Partial block tables, record by record; no command appends them now.
 
     def partial_blocks_path(self, space: WeightedSpace, params: str = "") -> Path:
         return self.path_for(space, "blocks", params).with_suffix(".part")

@@ -196,36 +196,24 @@ def cmd_betti(config: RunConfig) -> tuple[str, int]:
 
 
 def compute_alpha(sp: WeightedSpace, config: RunConfig) -> tangent.T1Report:
-    """Cache-aware tangent pipeline producing the same report as
-    tangent.alpha_report."""
+    """tangent.alpha_report, with the per-shift table read from the cache
+    when it holds a current one, and otherwise computed and stored once."""
     cache = config.cache()
-    fields = config.fields()
     ideal = toric.quadric_generators(sp)
-    syz = resolution.linear_syzygies(ideal)
-    known = None
-    progress = None
+    by_shift = None
     if cache is not None:
-        final = cache.load(sp, "blocks")
+        text = cache.load(sp, "blocks")
         try:
-            known = None if final is None else blocks_from_text(sp, final)
+            by_shift = None if text is None else blocks_from_text(sp, text)
         except ValueError:  # a bad record or a stale header: recompute
-            known = None
-        if known is None:
-            known = cache.load_partial_blocks(sp) or None
-
-            def progress(shift, dim):
-                cache.append_partial_block(sp, shift, dim)
-
-    hom = tangent.hom_dimension_minus1(
-        ideal,
-        syz,
-        fields=fields,
-        known=known,
-        progress=progress,
-    )
-    if cache is not None:
-        cache.finalize_blocks(sp, hom.by_shift)
-    return tangent.assemble_report(sp, ideal, syz, hom)
+            by_shift = None
+        if by_shift is not None and by_shift.keys() != set(tangent.enumerate_shifts(ideal)):
+            by_shift = None  # a table that lacks a shift: recompute
+    if by_shift is None:
+        by_shift = tangent.hom_by_shift(ideal)
+        if cache is not None:
+            cache.finalize_blocks(sp, by_shift)
+    return tangent.report_from_table(sp, by_shift)
 
 
 def cmd_alpha(config: RunConfig) -> tuple[str, int]:
@@ -268,13 +256,6 @@ def _add_table_flags(parser: argparse.ArgumentParser):
                         help="compare against the shipped reference table")
 
 
-def _add_prime_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--prime", type=int, default=exactla.MERSENNE_PRIME_31,
-                        help="first working prime")
-    parser.add_argument("--prime2", type=int, default=exactla.SECOND_PRIME,
-                        help="second working prime")
-
-
 def _config_from_args(args) -> RunConfig:
     """The run configuration; a flag that the subcommand does not register
     keeps its default."""
@@ -307,11 +288,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_table_flags(p)
     p.add_argument("--verify", action="store_true",
                    help="run the generation and quartic-syzygy checks")
-    _add_prime_flags(p)
+    p.add_argument("--prime", type=int, default=exactla.MERSENNE_PRIME_31,
+                   help="first working prime")
+    p.add_argument("--prime2", type=int, default=exactla.SECOND_PRIME,
+                   help="second working prime")
 
     p = sub.add_parser("alpha", help="tangent dimensions and extendability counts")
     _add_table_flags(p)
-    _add_prime_flags(p)
     p.add_argument("--cache", default=None,
                    help="block table cache directory (GWPSKIT_CACHE overrides it)")
 

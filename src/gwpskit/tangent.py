@@ -1,19 +1,63 @@
-"""Degree -1 tangent module of the affine cone, block-decomposed by
-exponent-vector shift, and the resulting extendability report.
+"""Degree -1 tangent module T^1 of the affine cone over P, per exponent-vector
+shift, and the extendability report read off it.
 
-A degree -1 module map on the ideal assigns to each quadric generator an
-element of the degree-s part of the coordinate ring, subject to one scalar
-constraint per linear syzygy.  The system splits into independent blocks
-indexed by the shift (a weight-(-s) exponent vector): a generator with
-multidegree c contributes an unknown to the block of shift d exactly when
-c + d is a degree-s lattice point.  The coordinate derivations are g+2
-independent solutions, so the tangent dimension is the total solution
-dimension minus g+2, which equals the extendability count of the space.
+Notation.  R is the polynomial ring on the g+2 points u_0, ..., u_{g+1} of the
+degree-s slice E, I the quadric ideal and A = R/I the anticanonical ring.  A
+degree -1 module map on I sends a quadric generator of multidegree c into
+A_{c+d} for one shift d, a weight -s exponent vector, and A_{c+d} is zero
+unless c + d is a slice point.  So Hom(I, A) in degree -1 is the sum of its
+pieces at the shifts d = v - c (enumerate_shifts), and is zero at every other
+shift.
 
-Why the minimal cubic syzygies give all the constraints.  Let A = R/I be the
-anticanonical ring, R the polynomial ring on the g+2 points of the degree-s
-slice, and c = g - 2 the codimension.  The minimal first syzygies of I lie
-in degrees 3 and 4 only:
+Altmann's formula (t1_by_shift; the route of alpha_report and `gwpskit
+alpha`).  Where E generates every degree-ds slice (projective normality,
+below), A is the ring of the semigroup of points x >= 0 of the lattice M of
+exponent vectors of weight divisible by s.  That semigroup is saturated, its
+cone is the positive orthant, with the facets x_j = 0, and E is its Hilbert
+basis: every element is a sum of points of E, and a point of E, of the least
+positive weight, is no sum of two.  A shift d is the M-degree -R, R = -d.  For
+such a toric ring K. Altmann (Infinitesimal deformations and obstructions for
+toric singularities, J. Pure Appl. Algebra 119 (1997) 211-235) gives
+
+    T^1(-R) = (L(U) / (L(E_0) + ... + L(E_3)))^*,
+
+where E_j = {u in E : u_j < R_j}, U is their union and L(F) is the space of
+linear relations sum q_u u = 0 among the points of F.  Dually, a functional on
+L(U) that kills every L(E_j) is a function f on U, modulo the restrictions of
+linear forms, that agrees on each E_j with some linear form a_j on Q^4.  The
+quadruples (a_0, ..., a_3) with a_j(u) = a_k(u) for j < k and u in E_j & E_k
+are the kernel of a matrix C in 16 unknowns, one row per pair j < k and point
+of a basis of E_j & E_k, so at most 24 rows.  Each quadruple gives such an f;
+those that give f = 0 are the ones with every a_j zero on E_j, sum_j (4 - rank
+E_j) dimensions; and the linear forms, restricted to U, make up rank U more.
+So
+
+    dim T^1(-R) = 16 - rank C - sum_j (4 - rank E_j) - rank U.
+
+t1_dimensions evaluates this at many shifts at once: one array comparison
+gives the four member sets of every shift, each distinct pattern of sets is
+ranked once, and every rank is exact, by fraction-free elimination on Python
+integers.  At a shift off enumerate_shifts T^1 is 0, as a quotient of a zero
+piece of Hom(I, A).
+
+Why the per-shift Hom dimension is T^1, plus one at the g+2 coordinate shifts
+-u_m.  T^1 is Hom(I, A) modulo the image of Der(R, A), whose degree-d piece is
+spanned by the d/dy_m with A_{d + u_m} != 0; in weight -s that is d = -u_m
+only.  d/dy_m sends a quadric generator in which y_m occurs to a nonzero linear
+form, nonzero in A as I has no linear forms, so its image in Hom(I, A) is not
+zero (the derivations of A of weight -s vanish: P is not a cone);
+hom_by_shift checks that every slice index occurs in some generator.  The
+total minus g+2 is the extendability count alpha_P.
+
+The elimination route (hom_dimension_minus1, kept as the tests' reference)
+solves the same Hom(I, A) as one linear system per shift: one unknown per
+quadric generator whose multidegree plus the shift lands in the slice, and one
+scalar constraint per linear syzygy.  The coordinate derivations are g+2
+independent solutions, checked as such (derivation_vectors).
+
+Why the minimal cubic syzygies give all the constraints of that route.  Let
+c = g - 2 be the codimension.  The minimal first syzygies of I lie in degrees
+3 and 4 only:
 
 - When the slice generates every degree-ds slice (projective normality), A
   is the ring of a normal affine semigroup, hence Cohen-Macaulay (Hochster,
@@ -57,11 +101,18 @@ N_{Y/H} = N_X|_Y (true where X is a local complete intersection along Y),
 restriction gives 0 -> N_X(-2) -> N_X(-1) -> N_{Y/H}(-1) -> 0.  So
 h^0(N_Y(-1)) = h^0(N_X(-1)) if H^0(N_X(-2)) = 0 and H^1(N_X(-2)) ->
 H^1(N_X(-1)) is injective, and then alpha(Y) = alpha(X) + 1, as N drops by
-one.  For this step, with X = P and X = S, the report relies on the paper
-(arXiv:2103.08210); it is not proved here, and neither the identification
-at the singular points of P that S meets nor the two vanishings is checked.
-Its other premises, the h-vector and projective normality, are checked by
-the tests named above.  Acceptance criterion 5 compares alpha_P + 1 with the
+one.  For X = P the vanishing H^0(N_P(-2)) = 0 is checked.  A is
+Cohen-Macaulay of dimension 4, so Hom_A(I/I^2, A) has depth >= 2 and is the
+module of twisted sections of N_P; its weight -2s part is H^0(N_P(-2)).  A map
+of weight -2s sends a generator of multidegree c into A_{c+d} of weight 0,
+which is zero unless d = -c, and Der(R, A) is zero there, so that part is the
+sum of T^1(-R) over the generator multidegrees R, and
+tests/test_tangent.py::test_t1_vanishes_in_weight_minus_2s finds T^1(-R) = 0
+at every R of the degree-2s slice on all 14 spaces.  The injectivity for X = P,
+both premises for X = S and the identification at the singular points of P
+that S meets rest on the paper (arXiv:2103.08210); they are not checked here.
+Its other premises, the h-vector and projective normality, are checked by the
+tests named above.  Acceptance criterion 5 compares alpha_P + 1 with the
 reference alpha_S of data/expected_values.tsv on all 14 spaces.  A
 linear-section solver, since deleted, cut P by y_a + y_b at the coordinate
 pairs (7, g+1) and (3, g) and gave alpha_P, alpha_P + 1 and alpha_P + 2 on
@@ -72,6 +123,7 @@ two-prime agreement, and those sections are special, not general.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -84,9 +136,9 @@ from .toric import ToricIdeal
 from .wps import WeightedSpace, invariants
 
 ASSUMPTION_NOTE = (
-    "constraints use the minimal cubic syzygies; degree-4 redundancy is "
-    "verified by the quartic check (betti --verify), higher degrees vanish "
-    "by the Gorenstein duality argument in the gwpskit.tangent docstring"
+    "T^1 from Altmann's toric formula on the Hilbert basis of the degree-s "
+    "slice, exact at every shift; alpha_S = alpha_P + 1 rests on the "
+    "hyperplane-section step in the gwpskit.tangent docstring"
 )
 
 
@@ -177,6 +229,89 @@ def enumerate_shifts(ideal: ToricIdeal) -> list[Point]:
         for v in ideal.slice_s.points:
             shifts.add(tsub(v, c))
     return sorted(shifts)
+
+
+def _independent_rows(rows: list) -> list[int]:
+    """Indices of rows of the integer matrix `rows` that form a basis of its
+    row space, by fraction-free (Bareiss) elimination; its length is the
+    exact rank.  Entries must be Python ints, whose products do not wrap."""
+    m = [list(r) for r in rows]
+    order = list(range(len(m)))
+    rank, prev = 0, 1
+    for c in range(len(m[0]) if m else 0):
+        found = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if found is None:
+            continue
+        m[rank], m[found] = m[found], m[rank]
+        order[rank], order[found] = order[found], order[rank]
+        pivot = m[rank]
+        p = pivot[c]
+        # Every entry stays a minor of the input, so the division is exact.
+        for i in range(rank + 1, len(m)):
+            q = m[i][c]
+            m[i] = [(p * x - q * y) // prev for x, y in zip(m[i], pivot)]
+        prev = p
+        rank += 1
+    return order[:rank]
+
+
+def t1_dimensions(points, shifts) -> list[int]:
+    """dim T^1 at each shift d, by Altmann's formula at the degree R = -d (see
+    the module docstring).  `points` is the degree-s slice, `shifts` any
+    exponent vectors of weight divisible by s."""
+    pts = np.array(points, dtype=np.int64)
+    # members[i, n, j]: slice point n lies in E_j for shift i, u_j < R_j.
+    members = pts[None, :, :] < -np.array(shifts, dtype=np.int64).reshape(-1, 1, 4)
+    bases: dict[bytes, list[Point]] = {}
+
+    def basis(mask: np.ndarray) -> list[Point]:
+        key = mask.tobytes()
+        if key not in bases:
+            sel = [points[n] for n in np.flatnonzero(mask)]
+            bases[key] = [sel[i] for i in _independent_rows(sel)]
+        return bases[key]
+
+    def dim(sets: np.ndarray) -> int:
+        rows = []
+        for j, k in combinations(range(4), 2):
+            for u in basis(sets[:, j] & sets[:, k]):
+                row = [0] * 16
+                row[4 * j:4 * j + 4] = u
+                row[4 * k:4 * k + 4] = [-x for x in u]
+                rows.append(row)
+        free = sum(4 - len(basis(sets[:, j])) for j in range(4))
+        return 16 - len(_independent_rows(rows)) - free - len(basis(sets.any(axis=1)))
+
+    by_pattern: dict[bytes, int] = {}
+    out = []
+    for sets in members:
+        key = sets.tobytes()
+        if key not in by_pattern:
+            by_pattern[key] = dim(sets)
+        out.append(by_pattern[key])
+    return out
+
+
+def t1_by_shift(ideal: ToricIdeal) -> dict[Point, int]:
+    """dim T^1 at every shift of enumerate_shifts, the only shifts where it
+    can be nonzero."""
+    shifts = enumerate_shifts(ideal)
+    return dict(zip(shifts, t1_dimensions(ideal.slice_s.points, shifts)))
+
+
+def hom_by_shift(ideal: ToricIdeal) -> dict[Point, int]:
+    """The per-shift Hom dimension of hom_dimension_minus1: T^1 plus one at
+    each coordinate shift -u_m, whose derivation d/dy_m is nonzero on I.
+
+    Asserts that every slice index occurs in some quadric generator, which is
+    what makes each d/dy_m nonzero.
+    """
+    points = ideal.slice_s.points
+    used = {m for gen in ideal.generators for m in gen.lhs + gen.rhs}
+    if len(used) != len(points):
+        raise AssertionError("a slice coordinate occurs in no quadric generator")
+    coordinate = {(-u[0], -u[1], -u[2], -u[3]) for u in points}
+    return {d: t1 + (d in coordinate) for d, t1 in t1_by_shift(ideal).items()}
 
 
 def build_block(
@@ -322,7 +457,7 @@ def derivation_vectors(
 def assemble_report(
     space: WeightedSpace, ideal: ToricIdeal, syzygies: SyzygyBasis, hom: HomTable
 ) -> T1Report:
-    """Run the safety assertions and package the result.
+    """The report of the elimination route, after its safety assertions.
 
     Checks that the explicit syzygy count matches the counting formula (which
     itself requires the degree-3 generation check to pass), that `hom`
@@ -342,12 +477,20 @@ def assemble_report(
         raise AssertionError(
             f"{len(hom.derivations)} coordinate derivations, expected {ambient}"
         )
-    if hom.total < ambient:
-        raise AssertionError(f"hom dimension {hom.total} below ambient {ambient}")
-    t1 = hom.total - ambient
+    return report_from_table(space, hom.by_shift)
+
+
+def report_from_table(space: WeightedSpace, by_shift: dict[Point, int]) -> T1Report:
+    """Package a per-shift Hom table as the report; asserts that its total is
+    at least the ambient dimension g+2."""
+    hom_dim = sum(by_shift.values())
+    ambient = invariants(space).g + 2
+    if hom_dim < ambient:
+        raise AssertionError(f"hom dimension {hom_dim} below ambient {ambient}")
+    t1 = hom_dim - ambient
     return T1Report(
         space=space,
-        hom_dim=hom.total,
+        hom_dim=hom_dim,
         ambient_dim=ambient,
         t1_dim=t1,
         alpha_P=t1,
@@ -357,18 +500,11 @@ def assemble_report(
     )
 
 
-def alpha_report(
-    space: WeightedSpace,
-    fields: tuple[FieldSpec, FieldSpec] | None = None,
-) -> T1Report:
-    """Full pipeline: ideal, degree-3 generation, syzygies, derivation
-    assertions, block solve; then alpha and the extendability count."""
+def alpha_report(space: WeightedSpace) -> T1Report:
+    """alpha and the extendability count of a Gorenstein space, from its
+    quadric ideal and Altmann's formula (hom_by_shift)."""
     from .toric import quadric_generators
 
-    inv = invariants(space)
-    if not inv.gorenstein:
+    if not invariants(space).gorenstein:
         raise ValueError("alpha is computed for Gorenstein spaces only")
-    ideal = quadric_generators(space)
-    syzygies = linear_syzygies(ideal)
-    hom = hom_dimension_minus1(ideal, syzygies, fields=fields)
-    return assemble_report(space, ideal, syzygies, hom)
+    return report_from_table(space, hom_by_shift(quadric_generators(space)))

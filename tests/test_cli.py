@@ -163,6 +163,8 @@ def test_python_dash_m_runs_the_cli(module):
     ["betti", "--max-genus", "15"],
     ["alpha", "--all"],
     ["alpha", "--max-genus", "15"],
+    ["alpha", "--prime", "7"],
+    ["alpha", "--prime2", "7"],
 ], ids=" ".join)
 def test_flags_a_subcommand_does_not_read_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -285,21 +287,20 @@ def test_betti_verify_builds_each_ideal_once(monkeypatch, only_2334):
     assert calls == [weighted_space(2, 3, 3, 4)]
 
 
-def test_partial_blocks_resume(tmp_path):
+def test_leftover_partial_blocks_are_ignored_and_removed(tmp_path, pipeline_2334):
+    """A .part table that an interrupted older run left, here with a wrong
+    dimension, does not change the result, and the run removes it."""
+    sp = pipeline_2334["space"]
+    by_shift = pipeline_2334["hom"].by_shift
     cfg = RunConfig(cache_dir=str(tmp_path))
-    sp = weighted_space(2, 3, 3, 4)
     cache = cfg.cache()
-    # seed a partial table with one solved shift, then complete the run
-    ideal = quadric_generators(sp)
-    syz = linear_syzygies(ideal)
-    hom = hom_dimension_minus1(ideal, syz)
-    first_shift, first_dim = next(iter(sorted(hom.by_shift.items())))
-    cache.append_partial_block(sp, first_shift, first_dim)
+    first_shift, first_dim = min(by_shift.items())
+    cache.append_partial_block(sp, first_shift, first_dim + 1)
     rep = compute_alpha(sp, cfg)
     assert rep.alpha_S == 6
     assert not cache.partial_blocks_path(sp).exists()
     stored = cache_mod.blocks_from_text(sp, cache.load(sp, "blocks"))
-    assert stored == hom.by_shift
+    assert stored == by_shift
 
 
 def test_torn_partial_blocks_at_every_offset(tmp_path, pipeline_2334):
@@ -400,6 +401,39 @@ def test_corrupted_block_table_is_recomputed(tmp_path, pipeline_2334, corrupt, c
     path.write_text("\n".join([header, first, rest]))
     assert _alpha_cli_with_cache(tmp_path) == 0
     assert path.read_text() == good
+
+
+def test_block_table_missing_a_shift_is_recomputed(tmp_path, pipeline_2334, only_2334):
+    """A cached table that parses but lacks a shift is recomputed and
+    rewritten, not summed short."""
+    sp = pipeline_2334["space"]
+    assert _alpha_cli_with_cache(tmp_path) == 0
+    path = cache_mod.Cache(tmp_path).path_for(sp, "blocks")
+    good = path.read_text()
+    path.write_text("".join(line for line in good.splitlines(True) if " 0 -2 -2 0 " not in line))
+    assert path.read_text() != good
+    assert _alpha_cli_with_cache(tmp_path) == 0
+    assert path.read_text() == good
+
+
+def test_alpha_runs_no_elimination(monkeypatch, only_2334):
+    """alpha reads T^1 off Altmann's formula: with every rank function of
+    exactla, the syzygy basis and the shift blocks made to raise, `alpha
+    --check` still passes."""
+    import gwpskit.exactla as exactla
+    import gwpskit.resolution as resolution
+    import gwpskit.tangent as tangent
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the elimination route was called")
+
+    for name in ("_dense_rank", "_dense_rref", "_sparse_rank", "rank_mod_p", "rank_gf2",
+                 "kernel_basis_mod_p", "solution_dim", "certified_solution_dim"):
+        monkeypatch.setattr(exactla, name, forbidden)
+    for owner, name in ((resolution, "linear_syzygies"), (tangent, "linear_syzygies"),
+                        (tangent, "hom_dimension_minus1"), (tangent, "build_block")):
+        monkeypatch.setattr(owner, name, forbidden)
+    assert run(["alpha", "--check"]) == 0
 
 
 def test_unparsable_partial_block_table_is_discarded(tmp_path):

@@ -1,7 +1,7 @@
 """The traced benchmark (perfbench/) wraps gwpskit functions by name and binds
 their parameters by name; this runs its two workloads' steps on (2,3,3,4)
-under the tracer, so that an API change which breaks the benchmark fails
-here."""
+under the tracer, and the elimination route that the census still reads, so
+that an API change which breaks the benchmark fails here."""
 
 import importlib
 import sys
@@ -34,17 +34,29 @@ def test_traced_steps_on_smallest_space(bench, tmp_path):
         first = len(tracer.spans)
         alpha_errors = run.alpha_step(gw, expected, str(tmp_path))(sp)
         alpha_counts = tracer.take_counts()
+        last = len(tracer.spans)
+        # alpha no longer takes the elimination route; run it here, so that
+        # the wrappers and the census's tangent branch stay exercised.
+        ideal = gw["toric"].quadric_generators(sp)
+        gw["tangent"].hom_dimension_minus1(ideal, gw["resolution"].linear_syzygies(ideal))
     finally:
         tracer.uninstall()
     assert betti_errors == [] and alpha_errors == []
     assert betti_counts["resolution.syzygies"] == 320
-    assert alpha_counts["resolution.syzygies"] == 320
+    # alpha reads T^1 off Altmann's formula: no syzygies, no block solves.
+    assert alpha_counts["resolution.syzygies"] == 0
     assert alpha_counts["cache.misses"] > 0
-    # Every block solve goes through solution_dim; nothing eliminates densely.
-    alpha_layers = spans.summarize(tracer.spans, first, len(tracer.spans))
-    assert alpha_layers["exactla.solution_dim_calls"] > 0
-    assert alpha_layers["exactla.sparse_calls"] > 0
+    alpha_layers = spans.summarize(tracer.spans, first, last)
+    assert alpha_layers["exactla.solution_dim_calls"] == 0
+    assert alpha_layers["exactla.sparse_calls"] == 0
     assert alpha_layers["exactla.dense_calls"] == 0
+    assert "tangent.hom" not in {span[0] for span in tracer.spans[first:last]}
+    # Every block solve of the elimination route goes through solution_dim;
+    # nothing eliminates densely.
+    hom_layers = spans.summarize(tracer.spans, last, len(tracer.spans))
+    assert hom_layers["exactla.solution_dim_calls"] > 0
+    assert hom_layers["exactla.sparse_calls"] > 0
+    assert hom_layers["exactla.dense_calls"] == 0
     census = spans.census(gw, tracer.take_captured())
     assert census["resolution.cubic_blocks"] > 0
     assert census["resolution.quartic_cols"] > 0

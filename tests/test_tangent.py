@@ -5,6 +5,7 @@ import pytest
 
 from conftest import elimination_syzygies, monolithic_hom_dimension, raw_block_rows
 from gwpskit.exactla import SparseMatrix, default_fields, solution_dim
+from gwpskit.lattice import degree_slice
 from gwpskit.resolution import linear_syzygies
 from gwpskit.tangent import (
     alpha_report,
@@ -12,7 +13,10 @@ from gwpskit.tangent import (
     build_block,
     derivation_vectors,
     enumerate_shifts,
+    hom_by_shift,
     hom_dimension_minus1,
+    t1_by_shift,
+    t1_dimensions,
 )
 from gwpskit.toric import quadric_generators
 from gwpskit.wps import invariants, weighted_space
@@ -185,3 +189,62 @@ def test_shift_enumeration_is_sorted(pipeline_2334):
     ws = pipeline_2334["space"].weights
     assert all(sum(w * x for w, x in zip(ws, sh)) == -s for sh in shifts)
 
+
+
+# Every nonzero T^1 dimension of the 14 spaces, taken from the elimination
+# route: hom_dimension_minus1's per-shift table minus one at each coordinate
+# shift.  They are the 17 blocks that route solves under two primes.
+NONZERO_T1 = {
+    (2, 3, 3, 4): {(-3, 0, 2, -3): 1, (-3, 1, 1, -3): 1, (-3, 2, 0, -3): 1,
+                   (-2, 0, 0, -2): 1, (0, -2, -2, 0): 1},
+    (1, 3, 4, 4): {(-4, -4, 0, 1): 1, (-4, -4, 1, 0): 1, (-3, -3, 0, 0): 1},
+    (2, 3, 10, 15): {(-3, 2, -3, 0): 1, (3, -2, 0, -2): 1},
+    (1, 4, 5, 10): {(-5, -5, 1, 0): 1, (-4, -4, 0, 0): 1},
+    (1, 2, 2, 5): {(-2, 0, 1, -2): 1, (-2, 1, 0, -2): 1},
+    (1, 6, 14, 21): {(-6, -6, 0, 0): 1},
+    (1, 3, 8, 12): {(-3, 1, -3, 0): 1},
+    (1, 2, 6, 9): {(-2, 1, 0, -2): 1},
+}
+
+
+def test_t1_is_nonzero_exactly_at_the_pinned_shifts(gorenstein_spaces):
+    assert len(gorenstein_spaces) == 14
+    for sp in gorenstein_spaces:
+        ideal = quadric_generators(sp)
+        table = t1_by_shift(ideal)
+        assert table.keys() == set(enumerate_shifts(ideal))
+        assert {d: t for d, t in table.items() if t} == NONZERO_T1.get(sp.weights, {}), sp
+
+
+def test_hom_table_equals_the_elimination_route(pipeline_2334, pipeline_231015):
+    ideal = quadric_generators(weighted_space(1, 3, 4, 4))
+    pairs = [(pipe["ideal"], pipe["hom"]) for pipe in (pipeline_2334, pipeline_231015)]
+    pairs.append((ideal, hom_dimension_minus1(ideal, linear_syzygies(ideal))))
+    for ideal, hom in pairs:
+        assert hom_by_shift(ideal) == hom.by_shift, ideal.space
+
+
+def test_t1_vanishes_off_the_shift_set():
+    """Every weight -s shift of (2,3,3,4) in the box of radius three times the
+    largest slice coordinate, outside enumerate_shifts: T^1 is 0."""
+    ideal = quadric_generators(weighted_space(2, 3, 3, 4))
+    a = np.array(ideal.space.weights)
+    s = invariants(ideal.space).s
+    r = 3 * max(max(u) for u in ideal.slice_s.points)
+    grid = np.stack(np.meshgrid(*[np.arange(-r, r + 1)] * 3, indexing="ij"), -1).reshape(-1, 3)
+    rest = -s - grid @ a[:3]
+    last = rest // a[3]
+    keep = (rest % a[3] == 0) & (np.abs(last) <= r)
+    box = {tuple(d) for d in np.column_stack([grid[keep], last[keep]]).tolist()}
+    outside = sorted(box - set(enumerate_shifts(ideal)))
+    assert len(outside) == 10460
+    assert not any(t1_dimensions(ideal.slice_s.points, outside))
+
+
+def test_t1_vanishes_in_weight_minus_2s(gorenstein_spaces):
+    """T^1(-R) = 0 at every R of the degree-2s slice: with the depth argument
+    of the gwpskit.tangent docstring, H^0(N_P(-2)) = 0."""
+    for sp in gorenstein_spaces:
+        s = invariants(sp).s
+        shifts = [tuple(-x for x in r) for r in degree_slice(sp, 2 * s).points]
+        assert not any(t1_dimensions(degree_slice(sp, s).points, shifts)), sp
