@@ -6,9 +6,11 @@ Every cache file starts with the header
 
 followed by one record per line.  The only stored kind is "blocks", under
 empty params, with records "blk d0 d1 d2 d3 dim": the per-shift Hom table of
-an alpha run.  The ideal ("gen a b g d", slice indices of the two pairs) and
-syzygy ("syz d0 d1 d2 d3 : (i,k,c) ...") serializers are kept as round-trip
-oracles for the tests.
+an alpha run.  A stored block table ends in the line "sum <hex>", the first
+16 hex digits of the SHA-256 of its record lines, so that a table with an
+edited or lost record reads as stale.  The ideal ("gen a b g d", slice
+indices of the two pairs) and syzygy ("syz d0 d1 d2 d3 : (i,k,c) ...")
+serializers are kept as round-trip oracles for the tests.
 The format is plain text, diffable, and round-trip stable bit for bit.
 Writes go to a uniquely named temp file and are renamed into place
 atomically; an alpha run writes each table once, whole, so a run that is cut
@@ -124,17 +126,28 @@ def syzygies_from_text(space: WeightedSpace, text: str, params: str = "") -> Syz
     return SyzygyBasis.from_elements(by_md)
 
 
+def _records_sum(records: list[str]) -> str:
+    return hashlib.sha256("".join(f"{r}\n" for r in records).encode()).hexdigest()[:16]
+
+
 def blocks_to_text(space: WeightedSpace, by_shift: dict[Point, int], params: str = "") -> str:
-    lines = [header_line(space, "blocks", params)]
-    for shift in sorted(by_shift):
-        d = by_shift[shift]
-        lines.append(f"blk {shift[0]} {shift[1]} {shift[2]} {shift[3]} {d}")
+    records = [f"blk {d[0]} {d[1]} {d[2]} {d[3]} {by_shift[d]}" for d in sorted(by_shift)]
+    lines = [header_line(space, "blocks", params), *records, f"sum {_records_sum(records)}"]
     return "\n".join(lines) + "\n"
 
 
-def blocks_from_text(space: WeightedSpace, text: str, params: str = "") -> dict[Point, int]:
+def blocks_from_text(
+    space: WeightedSpace, text: str, params: str = "", summed: bool = True
+) -> dict[Point, int]:
+    """The table of a block file; with `summed`, that of a stored table,
+    whose missing or wrong sum line raises.  A .part sidecar has none."""
+    lines = _check_header(text, space, "blocks", params)
+    if summed:
+        if not lines or lines[-1] != f"sum {_records_sum(lines[:-1])}":
+            raise CacheFormatError("missing or wrong sum of a block table")
+        lines = lines[:-1]
     out: dict[Point, int] = {}
-    for line in _check_header(text, space, "blocks", params):
+    for line in lines:
         if not line:
             continue
         tok = line.split()
@@ -193,7 +206,7 @@ class Cache:
         except FileNotFoundError:
             return {}
         try:
-            return blocks_from_text(space, complete, params)
+            return blocks_from_text(space, complete, params, summed=False)
         except ValueError:
             path.unlink(missing_ok=True)
             return {}

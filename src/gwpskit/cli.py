@@ -205,7 +205,7 @@ def compute_alpha(sp: WeightedSpace, config: RunConfig) -> tangent.T1Report:
         text = cache.load(sp, "blocks")
         try:
             by_shift = None if text is None else blocks_from_text(sp, text)
-        except ValueError:  # a bad record or a stale header: recompute
+        except ValueError:  # a bad record or sum, or a stale header: recompute
             by_shift = None
         if by_shift is not None and by_shift.keys() != set(tangent.enumerate_shifts(ideal)):
             by_shift = None  # a table that lacks a shift: recompute

@@ -34,11 +34,20 @@ So
 
     dim T^1(-R) = 16 - rank C - sum_j (4 - rank E_j) - rank U.
 
-t1_dimensions evaluates this at many shifts at once: one array comparison
-gives the four member sets of every shift, each distinct pattern of sets is
-ranked once, and every rank is exact, by fraction-free elimination on Python
-integers.  At a shift off enumerate_shifts T^1 is 0, as a quotient of a zero
-piece of Hom(I, A).
+t1_dimensions evaluates this at many shifts at once and ranks nothing twice.
+The dimension depends only on the spans of the 11 point sets E_j & E_k (j <
+k), E_j and U: a linear form vanishes on a set exactly when it vanishes on a
+basis of its span, so C needs only one basis of each E_j & E_k, and the other
+terms are dimensions of spans.  One array comparison gives the four member
+sets of every shift; one np.unique over the packed sets finds the distinct
+member patterns, and another the distinct point sets among their 11 sets.
+Each distinct set gets the reduced echelon basis of its span (_echelon): the
+reduced row echelon form with each row scaled to a primitive integer vector,
+positive at its pivot.  That basis is unique to the span, so it is also the
+span's canonical key, and C is ranked once per distinct tuple of the six keys
+of the E_j & E_k.  Every rank is exact, by fraction-free elimination on
+Python integers, with no prime and no float.  At a shift off enumerate_shifts
+T^1 is 0, as a quotient of a zero piece of Hom(I, A).
 
 Why the per-shift Hom dimension is T^1, plus one at the g+2 coordinate shifts
 -u_m.  T^1 is Hom(I, A) modulo the image of Der(R, A), whose degree-d piece is
@@ -124,6 +133,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import gcd
 
 import numpy as np
 
@@ -134,6 +144,8 @@ from .lattice import Point
 from .resolution import SyzygyBasis, linear_syzygies
 from .toric import ToricIdeal
 from .wps import WeightedSpace, invariants
+
+_PAIRS = tuple(combinations(range(4), 2))
 
 ASSUMPTION_NOTE = (
     "T^1 from Altmann's toric formula on the Hilbert basis of the degree-s "
@@ -231,28 +243,49 @@ def enumerate_shifts(ideal: ToricIdeal) -> list[Point]:
     return sorted(shifts)
 
 
-def _independent_rows(rows: list) -> list[int]:
-    """Indices of rows of the integer matrix `rows` that form a basis of its
-    row space, by fraction-free (Bareiss) elimination; its length is the
-    exact rank.  Entries must be Python ints, whose products do not wrap."""
-    m = [list(r) for r in rows]
-    order = list(range(len(m)))
-    rank, prev = 0, 1
-    for c in range(len(m[0]) if m else 0):
-        found = next((i for i in range(rank, len(m)) if m[i][c]), None)
-        if found is None:
+def _echelon(rows, limit: int) -> tuple[tuple[int, ...], ...]:
+    """The reduced echelon basis of the row space of the integer rows `rows`:
+    each basis row primitive, positive at its pivot and zero at every other
+    pivot, in pivot order.  It is the reduced row echelon form of the row
+    space with each row scaled to a primitive integer vector, so equal row
+    spaces give equal bases, and its length is the exact rank.  It stops once
+    it holds `limit` rows, the row length.  Entries are Python ints, whose
+    products do not wrap."""
+    basis: list[list[int]] = []
+    pivots: list[int] = []
+    for r in rows:
+        # One pass clears r at every pivot, as each basis row is zero at the
+        # others' pivots.
+        for p, b in zip(pivots, basis):
+            y = r[p]
+            if y:
+                x = b[p]
+                r = [x * u - y * v for u, v in zip(r, b)]
+        if not any(r):
             continue
-        m[rank], m[found] = m[found], m[rank]
-        order[rank], order[found] = order[found], order[rank]
-        pivot = m[rank]
-        p = pivot[c]
-        # Every entry stays a minor of the input, so the division is exact.
-        for i in range(rank + 1, len(m)):
-            q = m[i][c]
-            m[i] = [(p * x - q * y) // prev for x, y in zip(m[i], pivot)]
-        prev = p
-        rank += 1
-    return order[:rank]
+        p = next(c for c, x in enumerate(r) if x)
+        g = gcd(*r) if r[p] > 0 else -gcd(*r)
+        r = [x // g for x in r]
+        for i, b in enumerate(basis):
+            y = b[p]
+            if y:
+                x = r[p]
+                b = [x * u - y * v for u, v in zip(b, r)]
+                g = gcd(*b)
+                basis[i] = [u // g for u in b]
+        basis.append(r)
+        pivots.append(p)
+        if len(basis) == limit:
+            break
+    return tuple(tuple(b) for _, b in sorted(zip(pivots, basis)))
+
+
+def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first index of each distinct row of the uint8 array a, and each
+    row's position among them, by one np.unique over the rows as bytes."""
+    keys = np.ascontiguousarray(a).view(np.dtype((np.void, a.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse
 
 
 def t1_dimensions(points, shifts) -> list[int]:
@@ -260,36 +293,36 @@ def t1_dimensions(points, shifts) -> list[int]:
     the module docstring).  `points` is the degree-s slice, `shifts` any
     exponent vectors of weight divisible by s."""
     pts = np.array(points, dtype=np.int64)
-    # members[i, n, j]: slice point n lies in E_j for shift i, u_j < R_j.
-    members = pts[None, :, :] < -np.array(shifts, dtype=np.int64).reshape(-1, 1, 4)
-    bases: dict[bytes, list[Point]] = {}
-
-    def basis(mask: np.ndarray) -> list[Point]:
-        key = mask.tobytes()
-        if key not in bases:
-            sel = [points[n] for n in np.flatnonzero(mask)]
-            bases[key] = [sel[i] for i in _independent_rows(sel)]
-        return bases[key]
-
-    def dim(sets: np.ndarray) -> int:
-        rows = []
-        for j, k in combinations(range(4), 2):
-            for u in basis(sets[:, j] & sets[:, k]):
-                row = [0] * 16
-                row[4 * j:4 * j + 4] = u
-                row[4 * k:4 * k + 4] = [-x for x in u]
-                rows.append(row)
-        free = sum(4 - len(basis(sets[:, j])) for j in range(4))
-        return 16 - len(_independent_rows(rows)) - free - len(basis(sets.any(axis=1)))
-
-    by_pattern: dict[bytes, int] = {}
-    out = []
-    for sets in members:
-        key = sets.tobytes()
-        if key not in by_pattern:
-            by_pattern[key] = dim(sets)
-        out.append(by_pattern[key])
-    return out
+    # sets[i, j]: the member set E_j of shift i, the points u with u_j < R_j,
+    # packed into bits over the slice.
+    sets = np.packbits(pts.T[None] < -np.array(shifts, dtype=np.int64).reshape(-1, 4, 1), axis=2)
+    first, pattern_of = _distinct_rows(sets.reshape(-1, 4 * sets.shape[2]))
+    e = sets[first]
+    left, right = np.array(_PAIRS).T
+    # The 11 point sets of each distinct pattern: E_j & E_k for j < k, E_j, U.
+    masks = np.concatenate([e[:, left] & e[:, right], e, np.bitwise_or.reduce(e, 1)[:, None]], 1)
+    masks = masks.reshape(-1, masks.shape[2])
+    first, set_of = _distinct_rows(masks)
+    spans = [
+        _echelon([points[i] for i in np.flatnonzero(np.unpackbits(m, count=len(pts))).tolist()], 4)
+        for m in masks[first]
+    ]
+    rank_c: dict[tuple, int] = {}
+    dims = []
+    for ids in set_of.reshape(-1, 11).tolist():
+        key = tuple(spans[i] for i in ids[:6])
+        if key not in rank_c:
+            rows = []
+            for (j, k), basis in zip(_PAIRS, key):
+                for u in basis:
+                    row = [0] * 16
+                    row[4 * j:4 * j + 4] = u
+                    row[4 * k:4 * k + 4] = [-x for x in u]
+                    rows.append(row)
+            rank_c[key] = len(_echelon(rows, 16))
+        free = sum(4 - len(spans[i]) for i in ids[6:10])
+        dims.append(16 - rank_c[key] - free - len(spans[ids[10]]))
+    return [dims[p] for p in pattern_of.tolist()]
 
 
 def t1_by_shift(ideal: ToricIdeal) -> dict[Point, int]:

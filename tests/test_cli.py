@@ -416,6 +416,34 @@ def test_block_table_missing_a_shift_is_recomputed(tmp_path, pipeline_2334, only
     assert path.read_text() == good
 
 
+def test_block_table_with_a_wrong_dimension_is_recomputed(tmp_path, only_2334, capsys):
+    """A record edited to a wrong dimension no longer matches the table's sum
+    line: the run recomputes, prints the reference alpha_S and rewrites the
+    table."""
+    assert _alpha_cli_with_cache(tmp_path) == 0
+    path = cache_mod.Cache(tmp_path).path_for(weighted_space(2, 3, 3, 4), "blocks")
+    good = path.read_text()
+    assert good.splitlines()[-1].startswith("sum ")
+    assert "\nblk -8 0 0 1 0\n" in good
+    path.write_text(good.replace("\nblk -8 0 0 1 0\n", "\nblk -8 0 0 1 3\n"))
+    capsys.readouterr()
+    assert _alpha_cli_with_cache(tmp_path) == 0
+    row = capsys.readouterr().out.strip().split("\n")[1].split("\t")
+    assert row[1:5] == ["(2,3,3,4)", "4", "2", "6"]
+    assert path.read_text() == good
+
+
+def test_block_table_without_a_sum_is_recomputed(tmp_path, only_2334):
+    """A table without the sum line, as versions before it wrote them, is
+    recomputed and rewritten with it."""
+    assert _alpha_cli_with_cache(tmp_path) == 0
+    path = cache_mod.Cache(tmp_path).path_for(weighted_space(2, 3, 3, 4), "blocks")
+    good = path.read_text()
+    path.write_text(good[: good.rindex("sum ")])
+    assert _alpha_cli_with_cache(tmp_path) == 0
+    assert path.read_text() == good
+
+
 def test_alpha_runs_no_elimination(monkeypatch, only_2334):
     """alpha reads T^1 off Altmann's formula: with every rank function of
     exactla, the syzygy basis and the shift blocks made to raise, `alpha

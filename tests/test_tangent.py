@@ -1,13 +1,22 @@
+from itertools import combinations
 from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import elimination_syzygies, monolithic_hom_dimension, raw_block_rows
+from conftest import (
+    elimination_syzygies,
+    monolithic_hom_dimension,
+    rational_rank,
+    raw_block_rows,
+)
 from gwpskit.exactla import SparseMatrix, default_fields, solution_dim
 from gwpskit.lattice import degree_slice
 from gwpskit.resolution import linear_syzygies
 from gwpskit.tangent import (
+    _echelon,
     alpha_report,
     assemble_report,
     build_block,
@@ -224,10 +233,18 @@ def test_hom_table_equals_the_elimination_route(pipeline_2334, pipeline_231015):
         assert hom_by_shift(ideal) == hom.by_shift, ideal.space
 
 
-def test_t1_vanishes_off_the_shift_set():
-    """Every weight -s shift of (2,3,3,4) in the box of radius three times the
-    largest slice coordinate, outside enumerate_shifts: T^1 is 0."""
-    ideal = quadric_generators(weighted_space(2, 3, 3, 4))
+@pytest.mark.parametrize(
+    "weights, count",
+    [((2, 3, 3, 4), 10460), ((2, 3, 10, 15), 50013), ((1, 3, 4, 4), 77822),
+     ((1, 2, 2, 5), 44913)],
+    ids=["2,3,3,4", "2,3,10,15", "1,3,4,4", "1,2,2,5"],
+)
+def test_t1_vanishes_off_the_shift_set(weights, count):
+    """Every weight -s shift in the box of radius three times the largest
+    slice coordinate, outside enumerate_shifts: T^1 is 0.  (1,6,14,21) is
+    left out: building its box of 770,868 shifts with this meshgrid takes
+    seconds and about 1 GB of memory."""
+    ideal = quadric_generators(weighted_space(*weights))
     a = np.array(ideal.space.weights)
     s = invariants(ideal.space).s
     r = 3 * max(max(u) for u in ideal.slice_s.points)
@@ -237,8 +254,55 @@ def test_t1_vanishes_off_the_shift_set():
     keep = (rest % a[3] == 0) & (np.abs(last) <= r)
     box = {tuple(d) for d in np.column_stack([grid[keep], last[keep]]).tolist()}
     outside = sorted(box - set(enumerate_shifts(ideal)))
-    assert len(outside) == 10460
+    assert len(outside) == count
     assert not any(t1_dimensions(ideal.slice_s.points, outside))
+
+
+def _altmann_undeduplicated(points, shift):
+    """Altmann's formula at one shift, with no basis and no deduplication:
+    C has one row per pair j < k and point of E_j & E_k, and every rank is
+    rational_rank's."""
+    sets = [[u for u in points if u[j] < -shift[j]] for j in range(4)]
+    rows = []
+    for j, k in combinations(range(4), 2):
+        for u in sets[j]:
+            if u in sets[k]:
+                row = [0] * 16
+                row[4 * j:4 * j + 4] = u
+                row[4 * k:4 * k + 4] = [-x for x in u]
+                rows.append(row)
+    free = sum(4 - rational_rank(e) for e in sets)
+    union = [u for u in points if any(u in e for e in sets)]
+    return 16 - rational_rank(rows) - free - rational_rank(union)
+
+
+def test_t1_dimensions_equals_the_undeduplicated_formula(pipeline_2334, pipeline_231015):
+    for pipe in (pipeline_2334, pipeline_231015):
+        points = pipe["ideal"].slice_s.points
+        shifts = enumerate_shifts(pipe["ideal"])
+        want = [_altmann_undeduplicated(points, d) for d in shifts]
+        assert t1_dimensions(points, shifts) == want
+
+
+vectors = st.lists(st.tuples(*[st.integers(-3, 3)] * 4), max_size=5)
+
+
+@settings(deadline=None)
+@given(vectors, vectors)
+def test_echelon_is_a_canonical_span_key(a, b):
+    """Two row lists get the same basis exactly when they span the same
+    space, and its length is the rank."""
+    key_a, key_b = _echelon(a, 4), _echelon(b, 4)
+    assert len(key_a) == rational_rank(a)
+    same = rational_rank(a) == rational_rank(b) == rational_rank(a + b)
+    assert (key_a == key_b) == same
+
+
+def test_t1_dimensions_edge_cases(pipeline_2334):
+    points = pipeline_2334["ideal"].slice_s.points
+    assert t1_dimensions(points, []) == []
+    # No point has a negative coordinate, so every member set is empty.
+    assert t1_dimensions(points, [(0, 0, 0, 0)]) == [0]
 
 
 def test_t1_vanishes_in_weight_minus_2s(gorenstein_spaces):
