@@ -25,6 +25,7 @@ FORMATS = ("tsv", "markdown", "latex")
 class RunConfig:
     bound: int = DEFAULT_BOUND
     verify: bool = False
+    # No command reads primes or fields(); perfbench/run.py does.
     primes: tuple[int, int] = (exactla.MERSENNE_PRIME_31, exactla.SECOND_PRIME)
     cache_dir: str | None = None
     output_format: str = "tsv"
@@ -181,8 +182,7 @@ def cmd_betti(config: RunConfig) -> tuple[str, int]:
         row = [idx, str(sp), inv.g1, inv.i_S, inv.g, b1, b2]
         columns[sp] = dict(zip(("g_1", "i_S", "g", "beta_1", "beta_2"), row[2:]))
         if config.verify:
-            syz = resolution.linear_syzygies(ideal)
-            quartic = resolution.check_no_quartic_syzygies(ideal, syz, fields=config.fields())
+            quartic = resolution.check_no_quartic_syzygies(ideal)
             if not quartic.ok:
                 failures.append(f"{sp}: quartic syzygy at {quartic.witness}")
             row += ["pass", "pass" if quartic.ok else "FAIL"]
@@ -265,8 +265,6 @@ def _config_from_args(args) -> RunConfig:
     return RunConfig(
         bound=args.bound,
         verify=getattr(args, "verify", False),
-        primes=(getattr(args, "prime", exactla.MERSENNE_PRIME_31),
-                getattr(args, "prime2", exactla.SECOND_PRIME)),
         cache_dir=cache_dir,
         output_format=args.format,
         check=args.check,
@@ -288,10 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_table_flags(p)
     p.add_argument("--verify", action="store_true",
                    help="run the generation and quartic-syzygy checks")
-    p.add_argument("--prime", type=int, default=exactla.MERSENNE_PRIME_31,
-                   help="first working prime")
-    p.add_argument("--prime2", type=int, default=exactla.SECOND_PRIME,
-                   help="second working prime")
 
     p = sub.add_parser("alpha", help="tangent dimensions and extendability counts")
     _add_table_flags(p)

@@ -1,33 +1,41 @@
-"""Exact linear algebra: certified ranks, with prime fields as the fallback.
+"""Exact linear algebra: certified ranks, exact integer echelon forms, and
+prime fields as the reference route's fallback.
 
 `rank_gf2` eliminates bitset rows over GF(2).  For an integer matrix M,
 rank_2(M) <= rank_Q(M), since a minor that is odd is a nonzero integer, so
 it is a proven lower bound on the rational rank.  Wherever it meets an exact
-upper bound, the rank is proven: `certified_solution_dim` (the tangent shift
-blocks) takes the row or the column count as that bound, the latter lowered
-by one for a verified integer kernel vector, and the quartic check takes the
-cycle-space dimension of its block.
+upper bound, the rank is proven: the quartic check takes the cycle dimension
+E - V + c of a complex's 1-skeleton as that bound, and
+`certified_solution_dim` (the tests' tangent shift blocks) the row or the
+column count, the latter lowered by one for a verified integer kernel
+vector.
 
-The fallback, where the bounds do not meet, is `solution_dim`: a validated
-coordinate-form `SparseMatrix` whose rank comes from Markowitz elimination
-under two independent primes, which must agree.  Values are reduced modulo
-an odd prime p < 2**31 in one vectorized step, a nonzero value that p
-divides is an error, and elimination runs on Python integers.  Dense
-elimination (`_dense_rank`, `_dense_rref`) and right-kernel bases remain as
-references for the tests.
+`echelon` is the exact rank of every command: fraction-free elimination on
+Python integers, with no prime.  It gives T^1 its spans and their canonical
+keys, and the quartic check the rank of a boundary map whose GF(2) rank fell
+short of E - V + c.
+
+Where the bounds of a shift block do not meet, `certified_solution_dim`
+falls back to `solution_dim`: a validated coordinate-form `SparseMatrix`
+whose rank comes from Markowitz elimination under two independent primes,
+which must agree.  Values are reduced modulo an odd prime p < 2**31 in one
+vectorized step, a nonzero value that p divides is an error, and
+elimination runs on Python integers.  No command reaches this route; the
+tests and perfbench do.  Dense elimination (`_dense_rank`, `_dense_rref`)
+and right-kernel bases remain as references for the tests.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from math import gcd
 
 import numpy as np
 
 MERSENNE_PRIME_31 = 2147483647
 SECOND_PRIME = 1073741789
-# Selects nothing: no rank is a dense elimination.  perfbench/spans.py
-# reads it to count the blocks wider than it.
+# Selects nothing; read by perfbench, and ROADMAP H removes it.
 DENSE_COLUMN_LIMIT = 256
 
 _MAX_PRIME = 1 << 31
@@ -328,6 +336,7 @@ def kernel_basis_mod_p(m: SparseMatrix, f: FieldSpec) -> list[tuple[int, ...]]:
     return basis
 
 
+# Wrapped by perfbench (ROADMAP H removes that); the tests' references call it.
 def solution_dim(m: SparseMatrix, f1: FieldSpec, f2: FieldSpec) -> int:
     """Dimension cols - rank of the solution space of m x = 0, from the ranks
     under two distinct primes, which must agree.  EntryVanishedError from
@@ -367,6 +376,43 @@ def rank_gf2(rows, bound: int) -> int:
                 break
             row ^= pivot
     return len(pivots)
+
+
+def echelon(rows, limit: int) -> tuple[tuple[int, ...], ...]:
+    """The reduced echelon basis of the row space of the integer rows `rows`:
+    each basis row primitive, positive at its pivot and zero at every other
+    pivot, in pivot order.  It is the reduced row echelon form of the row
+    space with each row scaled to a primitive integer vector, so equal row
+    spaces give equal bases, and its length is the exact rank.  It stops once
+    it holds `limit` rows, so its length is min(rank, limit).  Entries are
+    Python ints, whose products do not wrap."""
+    basis: list[list[int]] = []
+    pivots: list[int] = []
+    for r in rows:
+        # One pass clears r at every pivot, as each basis row is zero at the
+        # others' pivots.
+        for p, b in zip(pivots, basis):
+            y = r[p]
+            if y:
+                x = b[p]
+                r = [x * u - y * v for u, v in zip(r, b)]
+        if not any(r):
+            continue
+        p = next(c for c, x in enumerate(r) if x)
+        g = gcd(*r) if r[p] > 0 else -gcd(*r)
+        r = [x // g for x in r]
+        for i, b in enumerate(basis):
+            y = b[p]
+            if y:
+                x = r[p]
+                b = [x * u - y * v for u, v in zip(b, r)]
+                g = gcd(*b)
+                basis[i] = [u // g for u in b]
+        basis.append(r)
+        pivots.append(p)
+        if len(basis) == limit:
+            break
+    return tuple(tuple(b) for _, b in sorted(zip(pivots, basis)))
 
 
 def certified_solution_dim(

@@ -10,18 +10,24 @@ order: integral by construction, with coefficients +-1, and each element is
 checked to cancel as a polynomial.  All blocks of a space are built at once
 as integer arrays, by one Kruskal pass over the edges in block order (a
 monomial has one multidegree, so no component leaves its block), and the
-basis is one term table from the forest to the quartic check and the tangent
-blocks.  The same holds in weighted degree 4s, where the kernel has dimension
-E - V + c.  Quartic minimal syzygies vanish iff, blockwise, that dimension
-equals the rank of the span of variable multiples of the cubic syzygies.  The
-span lies in the kernel, so E - V + c bounds its rank from above, and the
-GF(2) rank of the span rows over all E columns of the block bounds it from
-below.  That rank is taken up to E - V + c + 1: equal to E - V + c proves the
-block, above it is an error (a wrong E, V or c), and below it the rank is
-taken under two primes, a counted fallback.  The check builds all blocks of a
-space at once as integer arrays: monomials coded by their sorted index
-tuples, components by min-label propagation, and span rows packed into
-bitsets.
+basis is one term table, which the tests' tangent shift blocks read.
+
+The quartic check reads no syzygy.  A = K[S] is the ring of the semigroup S
+generated by the degree-s slice u_0, ..., u_{g+1}, and for such a ring
+Tor_i^R(A, K)_m = H~_{i-1}(Delta_m; K), where Delta_m is the complex of the
+sets F of slice indices with m - sum_F u in S (Bruns and Herzog, Semigroup
+rings and simplicial complexes, J. Pure Appl. Algebra 122 (1997) 185-208;
+Miller and Sturmfels, Combinatorial Commutative Algebra, ch. 9).  By
+projective normality (the gwpskit.tangent docstring) a point of degree
+divisible by s lies in S iff it is >= 0, so Delta_m has at most g+2
+vertices and each face is one comparison.  No minimal quartic syzygy means
+H~_1(Delta_m) = 0 at every point m of degree 4s: the rank of the boundary
+map from triangles to edges equals E - V + c, the cycle dimension of the
+complex's 1-skeleton, over Q.  As the boundary of a boundary is zero, that
+rank is at most E - V + c, and its GF(2) rank bounds it from below, since a
+minor that is odd is not zero; where the two meet, m is proven.  At degree
+3s the same complexes give the linear syzygies, H~_1(Delta_m) of them at m,
+and H~_0(Delta_m) = 0 there is degree-3 generation.
 """
 
 from __future__ import annotations
@@ -29,14 +35,14 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import chain, combinations, islice
 from math import comb
 
 import numpy as np
 
 from . import exactla, lattice
-from ._util import tadd, tsub
-from .exactla import FieldSpec, SparseMatrix
+from ._util import tadd
+from .exactla import FieldSpec
 from .lattice import Point
 from .toric import (
     ConnectivityReport,
@@ -239,6 +245,7 @@ def _fundamental_cycles(plus, minus, nv: int):
     return non_tree, lengths, edge[order], sign[order]
 
 
+# Read by perfbench and the tests' span-route oracle; ROADMAP H and O remove it.
 def incident_pairs_degree4(ideal: ToricIdeal) -> dict[Point, list[tuple[tuple[int, int], int]]]:
     """(quadratic monomial, generator) pairs grouped by multidegree."""
     pts = ideal.slice_s.points
@@ -255,128 +262,20 @@ def incident_pairs_degree4(ideal: ToricIdeal) -> dict[Point, list[tuple[tuple[in
     return grouped
 
 
-def _span_matrix(ideal: ToricIdeal, syzygies: SyzygyBasis, key: Point, cols):
-    """Rows are y_i * sigma for every cubic syzygy sigma with multidegree
-    key - u_i, written in the (pair, generator) coordinates of the block;
-    repeated positions are summed and zero sums dropped."""
-    col_index = {pk: idx for idx, pk in enumerate(cols)}
-    pts = ideal.slice_s.points
-    at_row, at_col, values = [], [], []
-    nrows = 0
-    for i, u in enumerate(pts):
-        sub = tsub(key, u)
-        if min(sub) < 0:
-            continue
-        for syz in syzygies.by_multidegree.get(sub, ()):
-            for (j, k, c) in syz.terms:
-                at_row.append(nrows)
-                at_col.append(col_index[((i, j) if i <= j else (j, i), k)])
-                values.append(c)
-            nrows += 1
-    return SparseMatrix.summed(nrows, len(cols), at_row, at_col, values)
-
-
-@dataclass(frozen=True)
-class QuarticSyzygyReport:
-    """The verdict of the quartic check; fallbacks counts the blocks whose
-    GF(2) rank fell short of E - V + c and were solved under two primes."""
-
-    ok: bool
-    witness: Point | None
-    blocks_checked: int
-    fallbacks: int
-
-
-# Compare-exchange pairs that sort three or four values.
-_SORTING_NETWORKS = {3: ((0, 1), (1, 2), (0, 1)), 4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2))}
-# How many terms plus packed row bytes _span_rows gathers at once.  Gathering
-# all rows of a space at once doubles the peak memory of a betti --verify pass.
-_SPAN_CHUNK = 1 << 16
-
-
-def _monomial_codes(n: int, *indices):
-    """The code ((a*n + b)*n + c)... of each monomial y_a y_b y_c..., given as
+def _monomial_codes(n: int, a, b, c):
+    """The code (a*n + b)*n + c of each cubic monomial y_a y_b y_c, given as
     one index array per factor: a min/max network sorts the factors, so equal
     monomials get equal codes."""
-    idx = list(indices)
-    for a, b in _SORTING_NETWORKS[len(idx)]:
-        idx[a], idx[b] = np.minimum(idx[a], idx[b]), np.maximum(idx[a], idx[b])
-    code = idx[0]
-    for x in idx[1:]:
-        code = code * n + x
-    return code
-
-
-@dataclass(frozen=True)
-class _QuarticBlocks:
-    """Every weighted-degree-4s block of an ideal at once.  Column p*G + k is
-    the pair p of (i, j), i <= j, in lexicographic order, times generator k;
-    block b is the b-th multidegree in descending order."""
-
-    keys: list[Point]
-    codes: np.ndarray  # packed keys, negated, ascending
-    base: int
-    block: np.ndarray  # block of each column
-    pos: np.ndarray  # position of each column within its block
-    edges: np.ndarray  # E, V and c of each block's graph
-    vertices: np.ndarray
-    components: np.ndarray
+    a, b = np.minimum(a, b), np.maximum(a, b)
+    b, c = np.minimum(b, c), np.maximum(b, c)
+    a, b = np.minimum(a, b), np.maximum(a, b)
+    return (a * n + b) * n + c
 
 
 def _generator_ends(ideal: ToricIdeal):
     """The lhs pair, then the rhs pair, of each generator as a (G, 4) int32
     array."""
     return np.array([gen.lhs + gen.rhs for gen in ideal.generators], dtype=np.int32).reshape(-1, 4)
-
-
-def _quartic_blocks(ideal: ToricIdeal) -> _QuarticBlocks:
-    """The blocks, their columns and the E, V and c of their graphs: column
-    (pair, k) joins the quartic monomials pair * lhs_k and pair * rhs_k, and
-    both lie at the column's multidegree, so the components of the whole
-    graph split by block."""
-    pts = np.array(ideal.slice_s.points, dtype=np.int64)
-    n, ngens = len(pts), len(ideal.generators)
-    base = 4 * int(pts.max()) + 1
-    pi, pj = np.triu_indices(n)
-    gen_codes = _pack(np.array([gen.multidegree for gen in ideal.generators]), base)
-    codes, block = np.unique(
-        -(_pack(pts[pi] + pts[pj], base)[:, None] + gen_codes).ravel(), return_inverse=True
-    )
-    block = block.astype(np.int32)
-    edges = np.bincount(block)
-    pos = np.empty_like(block)
-    pos[np.argsort(block, kind="stable")] = np.arange(len(block), dtype=np.int32) - np.repeat(
-        (np.cumsum(edges) - edges).astype(np.int32), edges
-    )
-    index = np.int32 if n**4 < 2**31 else np.int64
-    i = np.repeat(pi.astype(index), ngens)
-    j = np.repeat(pj.astype(index), ngens)
-    gen = _generator_ends(ideal)[np.tile(np.arange(ngens), len(pi))]
-    ends = np.concatenate([
-        _monomial_codes(n, i, j, gen[:, 0], gen[:, 1]),
-        _monomial_codes(n, i, j, gen[:, 2], gen[:, 3]),
-    ])
-    del i, j, gen
-    monomials, ends = np.unique(ends, return_inverse=True)
-    nv = len(monomials)
-    ends = ends.astype(np.int32)
-    plus, minus = ends[: len(block)], ends[len(block):]
-    vertex_block = np.empty(nv, dtype=np.int32)
-    vertex_block[plus] = block
-    vertex_block[minus] = block
-    roots = _component_roots(plus, minus, nv)
-    keys = -codes
-    digits = np.stack([keys // base**3, keys // base**2 % base, keys // base % base, keys % base])
-    return _QuarticBlocks(
-        keys=list(map(tuple, digits.T.tolist())),
-        codes=codes,
-        base=base,
-        block=block,
-        pos=pos,
-        edges=edges,
-        vertices=np.bincount(vertex_block, minlength=len(edges)),
-        components=np.bincount(vertex_block[roots], minlength=len(edges)),
-    )
 
 
 def _check_cancels(ideal: ToricIdeal, syzygies: SyzygyBasis) -> None:
@@ -402,111 +301,112 @@ def _check_cancels(ideal: ToricIdeal, syzygies: SyzygyBasis) -> None:
         raise AssertionError(f"syzygy at multidegree {tuple(key.tolist())} does not cancel")
 
 
-def _ranges(starts, lengths):
-    """The concatenated ranges [starts[t], starts[t] + lengths[t])."""
-    ends = np.cumsum(lengths)
-    return np.arange(int(ends[-1]) if len(ends) else 0) + np.repeat(starts - (ends - lengths), lengths)
+@dataclass(frozen=True)
+class QuarticSyzygyReport:
+    """The verdict of the quartic check: blocks_checked counts the
+    degree-4s points, fallbacks the points whose GF(2) rank of the boundary
+    map fell short of E - V + c and were ranked exactly."""
+
+    ok: bool
+    witness: Point | None
+    blocks_checked: int
+    fallbacks: int
 
 
-def _span_rows(ideal: ToricIdeal, blocks: _QuarticBlocks, syzygies: SyzygyBasis):
-    """(block, rows) for every block in order: its rows y_i * sigma, in the
-    order of _span_matrix, mod 2 as Python-int bitsets over all E columns of
-    the block, bit = position.  A term whose column lies in another block is
-    a KeyError naming the row's multidegree."""
-    pts = np.array(ideal.slice_s.points, dtype=np.int64)
-    n, ngens, nblocks = len(pts), len(ideal.generators), len(blocks.keys)
-    multidegrees, counts = syzygies.multidegrees, syzygies.counts
-    lengths, terms = syzygies.lengths, syzygies.terms
-    # Row (i, sigma) lies in the block of u_i + multidegree(sigma), if any;
-    # the rows are sorted by block, then i, then sigma.
-    total = multidegrees[:, None, :] + pts
-    code = -_pack(total, blocks.base)
-    at = np.searchsorted(blocks.codes, code).clip(max=nblocks - 1)
-    hit = (total >= 0).all(2) & (total < blocks.base).all(2) & (blocks.codes[at] == code)
-    d, i = np.nonzero(hit)
-    order = np.argsort(at[d, i] * n + i, kind="stable")
-    d, i = d[order], i[order]
-    row_block = np.repeat(at[d, i], counts[d])
-    row_i = np.repeat(i, counts[d])
-    row_syz = _ranges((np.cumsum(counts) - counts)[d], counts[d])
-    term_start = np.cumsum(lengths) - lengths
-    rows_of = np.bincount(row_block, minlength=nblocks)
-    width = (blocks.edges + 7) >> 3
-    first_row = np.cumsum(rows_of) - rows_of
-    cost = np.bincount(row_block, weights=lengths[row_syz], minlength=nblocks) + rows_of * width
-    chunk = (np.cumsum(cost) - cost) // _SPAN_CHUNK
-    bounds = [0, *(np.flatnonzero(np.diff(chunk)) + 1).tolist(), nblocks]
-    for b0, b1 in zip(bounds, bounds[1:]):
-        r0 = int(first_row[b0])
-        r1 = r0 + int(rows_of[b0:b1].sum())
-        syz = row_syz[r0:r1]
-        run = lengths[syz]
-        j, k, c = terms[_ranges(term_start[syz], run)].T
-        row = np.repeat(np.arange(r1 - r0), run)
-        i = row_i[r0:r1][row]
-        lo, hi = np.minimum(i, j), np.maximum(i, j)
-        col = (lo * (2 * n + 1 - lo) // 2 + hi - lo) * ngens + k
-        in_block = row_block[r0:r1][row]
-        outside = blocks.block[col] != in_block
-        if outside.any():
-            key = blocks.keys[in_block[np.argmax(outside)]]
-            raise KeyError(f"span term outside its block at multidegree {key}")
-        row_bytes = width[row_block[r0:r1]]
-        offset = np.cumsum(row_bytes) - row_bytes
-        odd = (c & 1).astype(bool)
-        bit = blocks.pos[col[odd]]
-        packed = np.zeros(int(row_bytes.sum()), dtype=np.uint8)
-        np.bitwise_xor.at(packed, offset[row[odd]] + (bit >> 3), (1 << (bit & 7)).astype(np.uint8))
-        for b in range(b0, b1):
-            start = int(offset[first_row[b] - r0]) if rows_of[b] else 0
-            rows = packed[start:start + int(rows_of[b] * width[b])].view((np.void, int(width[b])))
-            yield b, list(map(int.from_bytes, rows.tolist(), repeat("little")))
+def _complexes(ideal: ToricIdeal, degree: int) -> list[tuple[Point, int, int, np.ndarray]]:
+    """(m, E, E - V + c, triangles) for every point m of weighted degree
+    degree * s, in descending order: Delta_m, the complex of the sets F of
+    slice indices with m - sum_F u >= 0, has E edges, V vertices and c
+    components, and triangles is a (T, 3) int array that gives, for each
+    triangle i < j < k, the positions of its edges ij, ik and jk.  The vertex
+    in the most triangles (the lowest on ties) is the star vertex: the edges
+    through it take the lowest positions and the triangles through it come
+    first, so each of those owns the highest position among its edges.
+
+    A face F of Delta_m lies at m = sum_F u + r with r in the slice of degree
+    (degree - |F|) * s, so the faces of all m are enumerated as arrays at
+    once; every such r is a sum of slice points, by projective normality."""
+    space, pts = ideal.space, np.array(ideal.slice_s.points, dtype=np.int64)
+    n, s = len(pts), ideal.slice_s.degree
+    keys = lattice.degree_slice(space, degree * s).points
+    base = degree * int(pts.max()) + 1
+    codes = -_pack(np.array(keys, dtype=np.int64), base)
+    faces = []
+    for size in (1, 2, 3):
+        members = np.array(list(combinations(range(n), size)), dtype=np.int32).reshape(-1, size)
+        rest = np.array(lattice.degree_slice(space, (degree - size) * s).points, dtype=np.int64)
+        # _pack is linear: the code of sum_F u + r is the sum of their codes.
+        code = _pack(pts[members].sum(1), base)[:, None] + _pack(rest, base)
+        block = np.searchsorted(codes, -code.ravel()).astype(np.int32)
+        faces.append((block, np.repeat(members, len(rest), axis=0)))
+    (vb, v), (eb, e), (tb, t) = faces
+    del faces, code, block
+    nb = len(keys)
+    # slot[b, i, i] is the vertex i of block b in the whole-space graph,
+    # slot[b, i, j] for i < j the position of the edge ij within block b.
+    slot = np.empty((nb, n, n), dtype=np.int32)
+    slot[vb, v[:, 0], v[:, 0]] = np.arange(len(vb))
+    i, j = e.T
+    roots = _component_roots(slot[eb, i, i], slot[eb, j, j], len(vb))
+    edges = np.bincount(eb, minlength=nb)
+    cycles = edges - np.bincount(vb, minlength=nb) + np.bincount(vb[roots], minlength=nb)
+    star = np.bincount((tb[:, None] * n + t).ravel(), minlength=nb * n).reshape(nb, n).argmax(1)
+    order = np.lexsort((j, i, (i != star[eb]) & (j != star[eb]), eb))
+    slot[eb[order], i[order], j[order]] = np.arange(len(eb)) - (np.cumsum(edges) - edges)[eb[order]]
+    order = np.lexsort(((t != star[tb, None]).all(1), tb))
+    t, tb = t[order], tb[order]
+    i, j, k = t.T
+    triangles = np.stack([slot[tb, i, j], slot[tb, i, k], slot[tb, j, k]], axis=1)
+    bounds = np.searchsorted(tb, np.arange(nb + 1)).tolist()
+    return [
+        (key, int(edges[b]), int(cycles[b]), triangles[bounds[b]:bounds[b + 1]])
+        for b, key in enumerate(keys)
+    ]
+
+
+def _signed_boundary(triangles, edges: int) -> list[list[int]]:
+    """The rows e_jk - e_ik + e_ij of the boundary map of a complex with
+    `edges` edges, one per triangle of _complexes' triangles array."""
+    rows = []
+    for ij, ik, jk in triangles.tolist():
+        row = [0] * edges
+        row[ij], row[ik], row[jk] = 1, -1, 1
+        rows.append(row)
+    return rows
 
 
 def check_no_quartic_syzygies(
     ideal: ToricIdeal,
-    syzygies: SyzygyBasis,
+    syzygies: SyzygyBasis | None = None,
     fields: tuple[FieldSpec, FieldSpec] | None = None,
 ) -> QuarticSyzygyReport:
-    """Blockwise verification that there are no minimal quartic syzygies.
+    """Verification that there are no minimal quartic syzygies: H~_1(Delta_m)
+    = 0 at every degree-4s point m (see the module docstring).
 
-    For every weighted-degree-4s multidegree the span of variable multiples
-    y_i * sigma of the cubic syzygies must have rank E - V + c, the dimension
-    of the degree-4 kernel, the cycle space of the block's graph.  Every
-    sigma is checked to cancel as a polynomial, so every y_i * sigma does and
-    the span lies in the cycle space: its rational rank is at most E - V + c.
-    The GF(2) rank of the span rows over all E columns of the block is a
-    lower bound on it, taken up to E - V + c + 1.  Equal to E - V + c proves
-    the block; above it is an AssertionError (a wrong E, V or c); below it
-    the span matrix is solved under two primes and counted as a fallback.
-    The vertices, components and span rows of all blocks are built as integer
-    arrays over the whole space.
+    The rank of the boundary map of Delta_m is at most E - V + c; its GF(2)
+    rank, taken up to E - V + c + 1, is a lower bound.  Equal to E - V + c
+    proves m; above it is an AssertionError naming m (a wrong E, V or c);
+    below it the signed map is ranked exactly (exactla.echelon) and counted
+    as a fallback, and an exact shortfall makes m a witness.  The first
+    witness in descending order is reported.  `syzygies` and `fields` are
+    accepted for compatibility and unused: the check reads no syzygy and no
+    prime field.
     """
-    if fields is None:
-        fields = exactla.default_fields()
-    if not ideal.generators:
-        return QuarticSyzygyReport(ok=True, witness=None, blocks_checked=0, fallbacks=0)
-    _check_cancels(ideal, syzygies)
-    blocks = _quartic_blocks(ideal)
-    kernel_dims = (blocks.edges - blocks.vertices + blocks.components).tolist()
     witness = None
-    fallbacks = 0
-    grouped = None
-    for b, rows in _span_rows(ideal, blocks, syzygies):
-        key, kernel_dim = blocks.keys[b], kernel_dims[b]
-        span_rank = exactla.rank_gf2(rows, kernel_dim + 1)
-        if span_rank > kernel_dim:
-            raise AssertionError(
-                f"GF(2) span rank {span_rank} above the kernel dimension {kernel_dim} "
-                f"at multidegree {key}"
-            )
-        if span_rank < kernel_dim:
+    checked = fallbacks = 0
+    for m, edges, cycles, triangles in _complexes(ideal, 4):
+        checked += 1
+        rows = [(1 << a) | (1 << b) | (1 << c) for a, b, c in triangles.tolist()]
+        rank = exactla.rank_gf2(rows, cycles + 1)
+        if rank < cycles:
             fallbacks += 1
-            grouped = grouped or incident_pairs_degree4(ideal)
-            span = _span_matrix(ideal, syzygies, key, grouped[key])
-            span_rank = span.cols - exactla.solution_dim(span, *fields)
-        if kernel_dim != span_rank and witness is None:
-            witness = key
+            rank = len(exactla.echelon(_signed_boundary(triangles, edges), cycles + 1))
+        if rank > cycles:
+            raise AssertionError(
+                f"boundary rank {rank} above the cycle dimension {cycles} at multidegree {m}"
+            )
+        if rank < cycles and witness is None:
+            witness = m
     return QuarticSyzygyReport(
-        ok=witness is None, witness=witness, blocks_checked=len(blocks.keys), fallbacks=fallbacks
+        ok=witness is None, witness=witness, blocks_checked=checked, fallbacks=fallbacks
     )

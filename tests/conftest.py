@@ -7,30 +7,44 @@ bases by mod-p elimination instead of spanning forests, tangent shift blocks
 as undeduplicated Python rows instead of deduplicated int64 arrays.  The
 per-block tuple-graph forests, the per-fiber degree-3 check and the full
 weight scan are the constructions the library replaced with whole-space
-arrays and a bounded search, kept here as oracles.
+arrays and a bounded search, kept here as oracles.  The span route of the
+quartic check, the paper's own method, which the library replaced with the
+homology of squarefree divisor complexes, is kept here as their oracle.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gwpskit._util import tadd
-from gwpskit.exactla import SparseMatrix, default_fields, kernel_basis_mod_p, solution_dim
+from gwpskit.exactla import (
+    SparseMatrix,
+    default_fields,
+    kernel_basis_mod_p,
+    rank_gf2,
+    solution_dim,
+)
 from gwpskit.resolution import (
+    QuarticSyzygyReport,
     SyzygyBasis,
     SyzygyElement,
+    _check_cancels,
+    _generator_ends,
     incident_pairs_degree3,
+    incident_pairs_degree4,
     linear_syzygies,
 )
 from gwpskit.tangent import hom_dimension_minus1
-from gwpskit.lattice import degree_slice
-from gwpskit.toric import ConnectivityReport, quadric_generators
+from gwpskit.lattice import Point, degree_slice
+from gwpskit.toric import ConnectivityReport, _component_roots, _pack, quadric_generators
 from gwpskit.wps import WeightedSpace, enumerate_gorenstein, invariants, weighted_space
 
 
@@ -96,7 +110,7 @@ def binomial_edges(ideal, cols):
 
 def projected_span_rows_gf2(ideal, syzygies, key, column_bit):
     """The rows y_i * sigma of a quartic block mod 2, in the order of
-    resolution._span_matrix, as bitsets: the odd terms of a row XOR together
+    span_matrix, as bitsets: the odd terms of a row XOR together
     column_bit[(pair, generator)], which must hold every column of the block.
     With the non-tree columns of a spanning forest as the bits and the tree
     columns as 0, this is the projection the quartic check used to eliminate."""
@@ -366,6 +380,215 @@ def raw_block_rows(ideal, syzygies, shift):
             if any(row):
                 rows.append(tuple(row))
     return unknowns, rows
+
+
+# -- the span route of the quartic check ------------------------------------
+
+# How many terms plus packed row bytes span_rows gathers at once.  Gathering
+# all rows of a space at once doubles the peak memory of the check.
+_SPAN_CHUNK = 1 << 16
+
+
+def span_matrix(ideal, syzygies, key, cols):
+    """Rows are y_i * sigma for every cubic syzygy sigma with multidegree
+    key - u_i, written in the (pair, generator) coordinates of the block;
+    repeated positions are summed and zero sums dropped."""
+    col_index = {pk: idx for idx, pk in enumerate(cols)}
+    pts = ideal.slice_s.points
+    at_row, at_col, values = [], [], []
+    nrows = 0
+    for i, u in enumerate(pts):
+        sub = tuple(a - b for a, b in zip(key, u))
+        if min(sub) < 0:
+            continue
+        for syz in syzygies.by_multidegree.get(sub, ()):
+            for (j, k, c) in syz.terms:
+                at_row.append(nrows)
+                at_col.append(col_index[((i, j) if i <= j else (j, i), k)])
+                values.append(c)
+            nrows += 1
+    return SparseMatrix.summed(nrows, len(cols), at_row, at_col, values)
+
+
+@dataclass(frozen=True)
+class QuarticBlocks:
+    """Every weighted-degree-4s block of an ideal at once.  Column p*G + k is
+    the pair p of (i, j), i <= j, in lexicographic order, times generator k;
+    block b is the b-th multidegree in descending order."""
+
+    keys: list[Point]
+    codes: np.ndarray  # packed keys, negated, ascending
+    base: int
+    block: np.ndarray  # block of each column
+    pos: np.ndarray  # position of each column within its block
+    edges: np.ndarray  # E, V and c of each block's graph
+    vertices: np.ndarray
+    components: np.ndarray
+
+
+def _quartic_codes(n: int, *indices):
+    """The code ((a*n + b)*n + c)*n + d of each quartic monomial
+    y_a y_b y_c y_d, given as one index array per factor, factors sorted."""
+    a, b, c, d = np.sort(np.stack(indices), axis=0)
+    return ((a * n + b) * n + c) * n + d
+
+
+def quartic_blocks(ideal) -> QuarticBlocks:
+    """The blocks, their columns and the E, V and c of their graphs: column
+    (pair, k) joins the quartic monomials pair * lhs_k and pair * rhs_k, and
+    both lie at the column's multidegree, so the components of the whole
+    graph split by block."""
+    pts = np.array(ideal.slice_s.points, dtype=np.int64)
+    n, ngens = len(pts), len(ideal.generators)
+    base = 4 * int(pts.max()) + 1
+    pi, pj = np.triu_indices(n)
+    gen_codes = _pack(np.array([gen.multidegree for gen in ideal.generators]), base)
+    codes, block = np.unique(
+        -(_pack(pts[pi] + pts[pj], base)[:, None] + gen_codes).ravel(), return_inverse=True
+    )
+    block = block.astype(np.int32)
+    edges = np.bincount(block)
+    pos = np.empty_like(block)
+    pos[np.argsort(block, kind="stable")] = np.arange(len(block), dtype=np.int32) - np.repeat(
+        (np.cumsum(edges) - edges).astype(np.int32), edges
+    )
+    index = np.int32 if n**4 < 2**31 else np.int64
+    i = np.repeat(pi.astype(index), ngens)
+    j = np.repeat(pj.astype(index), ngens)
+    gen = _generator_ends(ideal)[np.tile(np.arange(ngens), len(pi))]
+    ends = np.concatenate([
+        _quartic_codes(n, i, j, gen[:, 0], gen[:, 1]),
+        _quartic_codes(n, i, j, gen[:, 2], gen[:, 3]),
+    ])
+    del i, j, gen
+    monomials, ends = np.unique(ends, return_inverse=True)
+    nv = len(monomials)
+    ends = ends.astype(np.int32)
+    plus, minus = ends[: len(block)], ends[len(block):]
+    vertex_block = np.empty(nv, dtype=np.int32)
+    vertex_block[plus] = block
+    vertex_block[minus] = block
+    roots = _component_roots(plus, minus, nv)
+    keys = -codes
+    digits = np.stack([keys // base**3, keys // base**2 % base, keys // base % base, keys % base])
+    return QuarticBlocks(
+        keys=list(map(tuple, digits.T.tolist())),
+        codes=codes,
+        base=base,
+        block=block,
+        pos=pos,
+        edges=edges,
+        vertices=np.bincount(vertex_block, minlength=len(edges)),
+        components=np.bincount(vertex_block[roots], minlength=len(edges)),
+    )
+
+
+def _ranges(starts, lengths):
+    """The concatenated ranges [starts[t], starts[t] + lengths[t])."""
+    ends = np.cumsum(lengths)
+    return np.arange(int(ends[-1]) if len(ends) else 0) + np.repeat(starts - (ends - lengths), lengths)
+
+
+def span_rows(ideal, blocks, syzygies):
+    """(block, rows) for every block in order: its rows y_i * sigma, in the
+    order of span_matrix, mod 2 as Python-int bitsets over all E columns of
+    the block, bit = position.  A term whose column lies in another block is
+    a KeyError naming the row's multidegree."""
+    pts = np.array(ideal.slice_s.points, dtype=np.int64)
+    n, ngens, nblocks = len(pts), len(ideal.generators), len(blocks.keys)
+    multidegrees, counts = syzygies.multidegrees, syzygies.counts
+    lengths, terms = syzygies.lengths, syzygies.terms
+    # Row (i, sigma) lies in the block of u_i + multidegree(sigma), if any;
+    # the rows are sorted by block, then i, then sigma.
+    total = multidegrees[:, None, :] + pts
+    code = -_pack(total, blocks.base)
+    at = np.searchsorted(blocks.codes, code).clip(max=nblocks - 1)
+    hit = (total >= 0).all(2) & (total < blocks.base).all(2) & (blocks.codes[at] == code)
+    d, i = np.nonzero(hit)
+    order = np.argsort(at[d, i] * n + i, kind="stable")
+    d, i = d[order], i[order]
+    row_block = np.repeat(at[d, i], counts[d])
+    row_i = np.repeat(i, counts[d])
+    row_syz = _ranges((np.cumsum(counts) - counts)[d], counts[d])
+    term_start = np.cumsum(lengths) - lengths
+    rows_of = np.bincount(row_block, minlength=nblocks)
+    width = (blocks.edges + 7) >> 3
+    first_row = np.cumsum(rows_of) - rows_of
+    cost = np.bincount(row_block, weights=lengths[row_syz], minlength=nblocks) + rows_of * width
+    chunk = (np.cumsum(cost) - cost) // _SPAN_CHUNK
+    bounds = [0, *(np.flatnonzero(np.diff(chunk)) + 1).tolist(), nblocks]
+    for b0, b1 in zip(bounds, bounds[1:]):
+        r0 = int(first_row[b0])
+        r1 = r0 + int(rows_of[b0:b1].sum())
+        syz = row_syz[r0:r1]
+        run = lengths[syz]
+        j, k, c = terms[_ranges(term_start[syz], run)].T
+        row = np.repeat(np.arange(r1 - r0), run)
+        i = row_i[r0:r1][row]
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        col = (lo * (2 * n + 1 - lo) // 2 + hi - lo) * ngens + k
+        in_block = row_block[r0:r1][row]
+        outside = blocks.block[col] != in_block
+        if outside.any():
+            key = blocks.keys[in_block[np.argmax(outside)]]
+            raise KeyError(f"span term outside its block at multidegree {key}")
+        row_bytes = width[row_block[r0:r1]]
+        offset = np.cumsum(row_bytes) - row_bytes
+        odd = (c & 1).astype(bool)
+        bit = blocks.pos[col[odd]]
+        packed = np.zeros(int(row_bytes.sum()), dtype=np.uint8)
+        np.bitwise_xor.at(packed, offset[row[odd]] + (bit >> 3), (1 << (bit & 7)).astype(np.uint8))
+        for b in range(b0, b1):
+            start = int(offset[first_row[b] - r0]) if rows_of[b] else 0
+            rows = packed[start:start + int(rows_of[b] * width[b])].view((np.void, int(width[b])))
+            yield b, list(map(int.from_bytes, rows.tolist(), repeat("little")))
+
+
+def span_quartic_check(ideal, syzygies, fields=None) -> QuarticSyzygyReport:
+    """The paper's quartic check, which resolution.check_no_quartic_syzygies
+    replaced: blockwise verification that there are no minimal quartic
+    syzygies.
+
+    For every weighted-degree-4s multidegree the span of variable multiples
+    y_i * sigma of the cubic syzygies must have rank E - V + c, the dimension
+    of the degree-4 kernel, the cycle space of the block's graph.  Every
+    sigma is checked to cancel as a polynomial, so every y_i * sigma does and
+    the span lies in the cycle space: its rational rank is at most E - V + c.
+    The GF(2) rank of the span rows over all E columns of the block is a
+    lower bound on it, taken up to E - V + c + 1.  Equal to E - V + c proves
+    the block; above it is an AssertionError (a wrong E, V or c); below it
+    the span matrix is solved under two primes and counted as a fallback.
+    The vertices, components and span rows of all blocks are built as integer
+    arrays over the whole space.
+    """
+    if fields is None:
+        fields = default_fields()
+    if not ideal.generators:
+        return QuarticSyzygyReport(ok=True, witness=None, blocks_checked=0, fallbacks=0)
+    _check_cancels(ideal, syzygies)
+    blocks = quartic_blocks(ideal)
+    kernel_dims = (blocks.edges - blocks.vertices + blocks.components).tolist()
+    witness = None
+    fallbacks = 0
+    grouped = None
+    for b, rows in span_rows(ideal, blocks, syzygies):
+        key, kernel_dim = blocks.keys[b], kernel_dims[b]
+        span_rank = rank_gf2(rows, kernel_dim + 1)
+        if span_rank > kernel_dim:
+            raise AssertionError(
+                f"GF(2) span rank {span_rank} above the kernel dimension {kernel_dim} "
+                f"at multidegree {key}"
+            )
+        if span_rank < kernel_dim:
+            fallbacks += 1
+            grouped = grouped or incident_pairs_degree4(ideal)
+            span = span_matrix(ideal, syzygies, key, grouped[key])
+            span_rank = span.cols - solution_dim(span, *fields)
+        if kernel_dim != span_rank and witness is None:
+            witness = key
+    return QuarticSyzygyReport(
+        ok=witness is None, witness=witness, blocks_checked=len(blocks.keys), fallbacks=fallbacks
+    )
 
 
 @pytest.fixture(scope="session")

@@ -159,6 +159,8 @@ def test_python_dash_m_runs_the_cli(module):
     ["classify", "--prime2", "7"],
     ["classify", "--max-genus", "15"],
     ["betti", "--cache", "D"],
+    ["betti", "--prime", "7"],
+    ["betti", "--prime2", "7"],
     ["betti", "--verify", "--all"],
     ["betti", "--max-genus", "15"],
     ["alpha", "--all"],
@@ -226,7 +228,7 @@ def test_betti_verify_failure_is_reported(monkeypatch, capsys, only_2334):
 
     witness = (17, 2, 0, 2)
     failed = cli.resolution.QuarticSyzygyReport(
-        ok=False, witness=witness, blocks_checked=334, fallbacks=0
+        ok=False, witness=witness, blocks_checked=369, fallbacks=0
     )
     monkeypatch.setattr(cli.resolution, "check_no_quartic_syzygies", lambda *a, **kw: failed)
     code = run(["betti", "--verify", "--check"])
@@ -234,6 +236,24 @@ def test_betti_verify_failure_is_reported(monkeypatch, capsys, only_2334):
     out, err = capsys.readouterr()
     assert out.splitlines()[1].split("\t")[7:] == ["pass", "FAIL"]
     assert f"VERIFY FAIL: (2,3,3,4): quartic syzygy at {witness}" in err
+
+
+def test_betti_verify_reads_no_syzygy_and_no_prime(monkeypatch, only_2334):
+    """The quartic check ranks boundary maps of complexes: with the syzygy
+    basis and every prime-field rank made to raise, `betti --verify --check`
+    still passes."""
+    import gwpskit.exactla as exactla
+    import gwpskit.resolution as resolution
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a syzygy or a prime field was used")
+
+    for name in ("_dense_rank", "_sparse_rank", "rank_mod_p", "kernel_basis_mod_p",
+                 "solution_dim", "certified_solution_dim"):
+        monkeypatch.setattr(exactla, name, forbidden)
+    for name in ("linear_syzygies", "_check_cancels", "_fundamental_cycles"):
+        monkeypatch.setattr(resolution, name, forbidden)
+    assert run(["betti", "--verify", "--check"]) == 0
 
 
 def test_betti_disconnected_cubic_fiber_is_an_error(monkeypatch, capsys, only_2334):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conftest
 from conftest import rational_rank
 from gwpskit.exactla import (
     DENSE_COLUMN_LIMIT,
@@ -22,7 +23,6 @@ from gwpskit.exactla import (
     rank_mod_p,
     solution_dim,
 )
-from gwpskit import resolution
 
 F1, F2 = default_fields()
 
@@ -372,15 +372,15 @@ def test_flipped_derivation_component_is_rejected(pipeline_2334):
 
 def test_span_rank_above_kernel_dimension_raises(pipeline_2334, monkeypatch):
     """A component step that misses a component puts E - V + c of its block
-    below the GF(2) rank of the block's span: the quartic check raises and
+    below the GF(2) rank of the block's span: the span route raises and
     names the block."""
-    roots = resolution._component_roots
+    roots = conftest._component_roots
 
     def understated(a, b, nv):
         mask = roots(a, b, nv)
         mask[np.argmax(mask)] = False
         return mask
 
-    monkeypatch.setattr(resolution, "_component_roots", understated)
+    monkeypatch.setattr(conftest, "_component_roots", understated)
     with pytest.raises(AssertionError, match=r"above the kernel dimension .* at multidegree \("):
-        resolution.check_no_quartic_syzygies(pipeline_2334["ideal"], pipeline_2334["syzygies"])
+        conftest.span_quartic_check(pipeline_2334["ideal"], pipeline_2334["syzygies"])

@@ -43,6 +43,10 @@ def test_traced_steps_on_smallest_space(bench, tmp_path):
         tracer.uninstall()
     assert betti_errors == [] and alpha_errors == []
     assert betti_counts["resolution.syzygies"] == 320
+    # The quartic check ranks the boundary maps of the 369 degree-4s
+    # complexes over GF(2) and solves nothing under two primes.
+    assert betti_counts["resolution.quartic_blocks"] == 369
+    assert spans.summarize(tracer.spans, 0, first)["exactla.solution_dim_calls"] == 0
     # alpha reads T^1 off Altmann's formula: no syzygies, no block solves.
     assert alpha_counts["resolution.syzygies"] == 0
     assert alpha_counts["cache.misses"] > 0
@@ -63,7 +67,6 @@ def test_traced_steps_on_smallest_space(bench, tmp_path):
     assert census["tangent.blocks"] > 0
     # Blocks arrive deduplicated: no row left for the census to merge.
     assert census["tangent.block_rows"] == census["tangent.block_rows_distinct"]
-    assert betti_counts["resolution.quartic_blocks"] == 334
     names = {span[0] for span in tracer.spans}
     assert {"resolution.linear_syzygies", "resolution.quartic_check",
             "tangent.hom", "cli.compute_alpha"} <= names

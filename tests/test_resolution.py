@@ -1,14 +1,21 @@
 import re
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+import conftest
 from conftest import (
     binomial_edges,
     elimination_syzygies,
     forest_syzygies,
     incidence_matrix,
     projected_span_rows_gf2,
+    quartic_blocks,
+    rational_rank,
+    span_matrix,
+    span_quartic_check,
+    span_rows,
     spanning_forest,
 )
 from gwpskit.cache import syzygies_to_text
@@ -19,9 +26,6 @@ from gwpskit.resolution import (
     QuarticSyzygyReport,
     SyzygyBasis,
     SyzygyElement,
-    _quartic_blocks,
-    _span_matrix,
-    _span_rows,
     beta2,
     check_no_quartic_syzygies,
     incident_pairs_degree3,
@@ -29,7 +33,7 @@ from gwpskit.resolution import (
     linear_syzygies,
 )
 from gwpskit.toric import ConnectivityReport, ToricIdeal, quadric_generators
-from gwpskit.wps import invariants, weighted_space
+from gwpskit.wps import enumerate_gorenstein, invariants, weighted_space
 
 
 def test_beta2_examples():
@@ -83,19 +87,21 @@ def test_local_counts_match_incidence(pipeline_2334):
 
 
 def test_quartic_check_small_spaces(pipeline_2334, pipeline_231015):
-    rep = check_no_quartic_syzygies(pipeline_2334["ideal"], pipeline_2334["syzygies"])
-    assert rep.ok and rep.witness is None
-    rep = check_no_quartic_syzygies(pipeline_231015["ideal"], pipeline_231015["syzygies"])
-    assert rep.ok
+    """One block per degree-4s point, each proven by its GF(2) rank."""
+    rep = check_no_quartic_syzygies(pipeline_2334["ideal"])
+    assert rep == QuarticSyzygyReport(ok=True, witness=None, blocks_checked=369, fallbacks=0)
+    rep = check_no_quartic_syzygies(pipeline_231015["ideal"])
+    assert rep == QuarticSyzygyReport(ok=True, witness=None, blocks_checked=459, fallbacks=0)
 
 
 def test_quartic_check_vacuous_for_empty_ideal():
+    """The span route has no block without a generator."""
     sp = weighted_space(2, 3, 3, 4)
     s = invariants(sp).s
     empty = ToricIdeal(
         space=sp, slice_s=degree_slice(sp, s), generators=(), fibers={}
     )
-    rep = check_no_quartic_syzygies(empty, SyzygyBasis.from_elements({}))
+    rep = span_quartic_check(empty, SyzygyBasis.from_elements({}))
     assert rep.ok and rep.blocks_checked == 0
 
 
@@ -153,7 +159,7 @@ def test_certified_quartic_ranks_equal_two_prime_ranks(pipeline_2334, pipeline_2
             column_bit.update((cols[j], 1 << b) for b, j in enumerate(non_tree))
             rows = projected_span_rows_gf2(ideal, syz, key, column_bit)
             certified = rank_gf2(rows, len(non_tree))
-            span = _span_matrix(ideal, syz, key, cols)
+            span = span_matrix(ideal, syz, key, cols)
             assert certified == len(cols) - vertices + components, key
             assert certified == span.cols - solution_dim(span, *fields), key
 
@@ -162,28 +168,28 @@ def test_certified_quartic_ranks_equal_two_prime_ranks(pipeline_2334, pipeline_2
 def test_array_blocks_equal_forests_and_span_matrices(
     pipeline_2334, pipeline_231015, chunk, monkeypatch
 ):
-    """Oracle for the whole-space arrays of the quartic check, block by block
-    in descending order: (E, V, c) equals the Kruskal forest of the block's
+    """Oracle for the whole-space arrays of the span route, block by block in
+    descending order: (E, V, c) equals the Kruskal forest of the block's
     edges, the full-width rows are the span matrix mod 2 with bit = column
     position, and their GF(2) rank equals its two-prime rank.  A small chunk
     gathers the rows of one or a few blocks at a time."""
     if chunk:
-        monkeypatch.setattr(resolution, "_SPAN_CHUNK", chunk)
+        monkeypatch.setattr(conftest, "_SPAN_CHUNK", chunk)
     fields = default_fields()
     for pipe in (pipeline_2334, pipeline_231015):
         ideal, syz = pipe["ideal"], pipe["syzygies"]
         grouped = incident_pairs_degree4(ideal)
-        blocks = _quartic_blocks(ideal)
+        blocks = quartic_blocks(ideal)
         assert blocks.keys == sorted(grouped, reverse=True)
         seen = []
-        for b, rows in _span_rows(ideal, blocks, syz):
+        for b, rows in span_rows(ideal, blocks, syz):
             seen.append(b)
             key = blocks.keys[b]
             cols = grouped[key]
             vertices, components, _, _ = spanning_forest(binomial_edges(ideal, cols))
             graph = (blocks.edges[b], blocks.vertices[b], blocks.components[b])
             assert graph == (len(cols), vertices, components), key
-            span = _span_matrix(ideal, syz, key, cols)
+            span = span_matrix(ideal, syz, key, cols)
             mod2 = [0] * span.rows
             for r, c, v in span.entries.tolist():
                 mod2[r] |= (v & 1) << c
@@ -194,7 +200,8 @@ def test_array_blocks_equal_forests_and_span_matrices(
 
 def test_span_term_outside_its_block_is_a_key_error(pipeline_2334):
     """A syzygy filed under another multidegree still cancels, but its terms
-    lie outside the blocks of the rows it makes: the check names the block."""
+    lie outside the blocks of the rows it makes: the span route names the
+    block."""
     ideal, syz = pipeline_2334["ideal"], pipeline_2334["syzygies"]
     key, other = list(syz.by_multidegree)[:2]
     first, *rest = syz.by_multidegree[key]
@@ -205,12 +212,12 @@ def test_span_term_outside_its_block_is_a_key_error(pipeline_2334):
     else:
         del by_multidegree[key]
     with pytest.raises(KeyError, match=r"outside its block at multidegree \("):
-        check_no_quartic_syzygies(ideal, SyzygyBasis.from_elements(by_multidegree))
+        span_quartic_check(ideal, SyzygyBasis.from_elements(by_multidegree))
 
 
 def test_non_cancelling_syzygy_is_rejected(pipeline_2334):
     """The span lies in the cycle space only if every cubic syzygy cancels;
-    the quartic check verifies that before it bounds the span's rank by
+    the span route verifies that before it bounds the span's rank by
     E - V + c."""
     syz = pipeline_2334["syzygies"]
     key = next(iter(syz.by_multidegree))
@@ -222,7 +229,7 @@ def test_non_cancelling_syzygy_is_rejected(pipeline_2334):
         broken = SyzygyElement(multidegree=key, terms=(first_term, *terms))
         basis = SyzygyBasis.from_elements({**syz.by_multidegree, key: (broken, *rest)})
         with pytest.raises(AssertionError, match=re.escape(f"at multidegree {key} does not cancel")):
-            check_no_quartic_syzygies(pipeline_2334["ideal"], basis)
+            span_quartic_check(pipeline_2334["ideal"], basis)
 
 
 def test_linear_syzygies_rejects_a_non_cancelling_cycle(pipeline_2334, monkeypatch):
@@ -280,14 +287,121 @@ def _corrupted_2334(pipeline_2334, doubled: bool):
 def test_doubled_syzygy_falls_back_and_passes(pipeline_2334):
     """A doubled syzygy still spans over Q but vanishes mod 2: the blocks it
     reaches fall short of E - V + c over GF(2), go to two primes and pass."""
-    rep = check_no_quartic_syzygies(pipeline_2334["ideal"], _corrupted_2334(pipeline_2334, True))
+    rep = span_quartic_check(pipeline_2334["ideal"], _corrupted_2334(pipeline_2334, True))
     assert rep == QuarticSyzygyReport(ok=True, witness=None, blocks_checked=334, fallbacks=3)
 
 
 def test_dropped_syzygy_is_a_witness(pipeline_2334):
     """Without one syzygy the span misses a kernel vector: the first block
     that needs it, in descending order, is the witness."""
-    rep = check_no_quartic_syzygies(pipeline_2334["ideal"], _corrupted_2334(pipeline_2334, False))
+    rep = span_quartic_check(pipeline_2334["ideal"], _corrupted_2334(pipeline_2334, False))
     assert rep == QuarticSyzygyReport(
         ok=False, witness=(17, 2, 0, 2), blocks_checked=334, fallbacks=3
     )
+
+
+def _gf2_h1(complexes):
+    """{m: E - V + c - GF(2) rank of the boundary map} over the complexes,
+    where that is nonzero: an upper bound on dim H~_1(Delta_m; Q)."""
+    out = {}
+    for m, _, cycles, triangles in complexes:
+        rows = [(1 << a) | (1 << b) | (1 << c) for a, b, c in triangles.tolist()]
+        h1 = cycles - rank_gf2(rows, cycles + 1)
+        if h1:
+            out[m] = h1
+    return out
+
+
+def test_degree3_homology_counts_the_linear_syzygies():
+    """Tor_2 in degree 3s: on every space, H~_1(Delta_m) from GF(2) ranks is,
+    point by point, the number of cubic syzygies that linear_syzygies puts
+    at m, and the total is beta_2.  As GF(2) ranks bound the rational ranks
+    from below, the equal total also proves every GF(2) value exact."""
+    for sp in enumerate_gorenstein(50):
+        ideal = quadric_generators(sp)
+        h1 = _gf2_h1(resolution._complexes(ideal, 3))
+        counts = linear_syzygies(ideal).by_multidegree
+        assert h1 == {m: len(elems) for m, elems in counts.items()}, sp
+        assert sum(h1.values()) == beta2(sp), sp
+
+
+def _complex(edges, triangles):
+    """_complexes' record of the complex with these triangles on the given
+    edges of one component, at a dummy multidegree."""
+    vertices = {v for e in edges for v in e}
+    position = {e: p for p, e in enumerate(edges)}
+    rows = [[position[i, j], position[i, k], position[j, k]] for i, j, k in triangles]
+    cycles = len(edges) - len(vertices) + 1
+    return (0, 0, 0, 0), len(edges), cycles, np.array(rows, dtype=np.int64).reshape(-1, 3)
+
+
+# The six-vertex real projective plane: H_1 is Z/2, so H~_1 vanishes over Q
+# but not over GF(2).
+RP2 = [(0, 1, 3), (0, 1, 5), (0, 2, 4), (0, 2, 5), (0, 3, 4),
+       (1, 2, 3), (1, 2, 4), (1, 4, 5), (2, 3, 5), (3, 4, 5)]
+
+
+def test_two_torsion_falls_back_to_the_exact_rank(pipeline_2334, monkeypatch):
+    record = _complex(list(combinations(range(6), 2)), RP2)
+    _, edges, cycles, triangles = record
+    signed = resolution._signed_boundary(triangles, edges)
+    assert (cycles, rational_rank(signed)) == (10, 10)
+    assert rank_gf2([sum(1 << p for p in t) for t in triangles.tolist()], 11) == 9
+    monkeypatch.setattr(resolution, "_complexes", lambda ideal, degree: [record])
+    rep = check_no_quartic_syzygies(pipeline_2334["ideal"])
+    assert rep == QuarticSyzygyReport(ok=True, witness=None, blocks_checked=1, fallbacks=1)
+
+
+def test_hollow_triangle_is_a_witness(pipeline_2334, monkeypatch):
+    record = _complex([(0, 1), (0, 2), (1, 2)], [])
+    monkeypatch.setattr(resolution, "_complexes", lambda ideal, degree: [record])
+    rep = check_no_quartic_syzygies(pipeline_2334["ideal"])
+    assert rep == QuarticSyzygyReport(
+        ok=False, witness=(0, 0, 0, 0), blocks_checked=1, fallbacks=1
+    )
+
+
+def test_dropped_triangle_is_a_witness(pipeline_2334, monkeypatch):
+    """A triangle with an edge in no other triangle is the only one whose
+    boundary covers that edge: without it, its boundary is a cycle that
+    bounds nothing, and its complex's point is the witness."""
+    ideal = pipeline_2334["ideal"]
+    complexes = list(resolution._complexes(ideal, 4))
+    for b, (m, _, _, triangles) in enumerate(complexes):
+        _, at, count = np.unique(triangles, return_inverse=True, return_counts=True)
+        lone = np.flatnonzero((count[at.reshape(-1, 3)] == 1).any(1))
+        if lone.size:
+            break
+    assert lone.size
+    complexes[b] = complexes[b][:3] + (np.delete(triangles, lone[0], axis=0),)
+    monkeypatch.setattr(resolution, "_complexes", lambda ideal, degree: complexes)
+    rep = check_no_quartic_syzygies(ideal)
+    assert rep == QuarticSyzygyReport(ok=False, witness=m, blocks_checked=369, fallbacks=1)
+
+
+def test_understated_components_raise(pipeline_2334, monkeypatch):
+    """A component step that misses a component puts E - V + c below the
+    rank of the boundary map: the check raises and names the point, here
+    the first, 4 u_0, whose complex is the vertex 0 alone."""
+    roots = resolution._component_roots
+
+    def understated(a, b, nv):
+        mask = roots(a, b, nv)
+        mask[np.argmax(mask)] = False
+        return mask
+
+    monkeypatch.setattr(resolution, "_component_roots", understated)
+    sp = pipeline_2334["space"]
+    first = degree_slice(sp, 4 * invariants(sp).s).points[0]
+    with pytest.raises(AssertionError, match=re.escape(
+            f"boundary rank 0 above the cycle dimension -1 at multidegree {first}")):
+        check_no_quartic_syzygies(pipeline_2334["ideal"])
+
+
+@pytest.mark.parametrize("weights", [(2, 3, 3, 4), (1, 2, 2, 5), (1, 6, 14, 21)])
+def test_span_route_and_complexes_agree(weights):
+    ideal = quadric_generators(weighted_space(*weights))
+    old = span_quartic_check(ideal, linear_syzygies(ideal))
+    new = check_no_quartic_syzygies(ideal)
+    assert (old.ok, old.witness, old.fallbacks) == (new.ok, new.witness, new.fallbacks)
+    assert new.ok

@@ -12,11 +12,10 @@ from conftest import (
     rational_rank,
     raw_block_rows,
 )
-from gwpskit.exactla import SparseMatrix, default_fields, solution_dim
+from gwpskit.exactla import SparseMatrix, default_fields, echelon, solution_dim
 from gwpskit.lattice import degree_slice
 from gwpskit.resolution import linear_syzygies
 from gwpskit.tangent import (
-    _echelon,
     alpha_report,
     assemble_report,
     build_block,
@@ -199,6 +198,18 @@ def test_shift_enumeration_is_sorted(pipeline_2334):
     assert all(sum(w * x for w, x in zip(ws, sh)) == -s for sh in shifts)
 
 
+def test_shift_enumeration_equals_the_set_loop(gorenstein_spaces):
+    """Oracle: the broadcast enumeration is the sorted set of the tuples
+    v - c over generator multidegrees c and slice points v."""
+    for sp in gorenstein_spaces:
+        ideal = quadric_generators(sp)
+        shifts = {
+            tuple(a - b for a, b in zip(v, gen.multidegree))
+            for gen in ideal.generators for v in ideal.slice_s.points
+        }
+        assert enumerate_shifts(ideal) == sorted(shifts), sp
+
+
 
 # Every nonzero T^1 dimension of the 14 spaces, taken from the elimination
 # route: hom_dimension_minus1's per-shift table minus one at each coordinate
@@ -292,7 +303,7 @@ vectors = st.lists(st.tuples(*[st.integers(-3, 3)] * 4), max_size=5)
 def test_echelon_is_a_canonical_span_key(a, b):
     """Two row lists get the same basis exactly when they span the same
     space, and its length is the rank."""
-    key_a, key_b = _echelon(a, 4), _echelon(b, 4)
+    key_a, key_b = echelon(a, 4), echelon(b, 4)
     assert len(key_a) == rational_rank(a)
     same = rational_rank(a) == rational_rank(b) == rational_rank(a + b)
     assert (key_a == key_b) == same
