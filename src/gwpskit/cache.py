@@ -1,23 +1,22 @@
-"""Line-oriented on-disk cache of per-shift block tables.
+"""Line-oriented text format and on-disk store of per-shift block tables,
+ideals and syzygy bases.  No command reads or writes it: it is kept as the
+tests' serializers and for perfbench, which wraps these names.
 
-Every cache file starts with the header
+Every file starts with the header
 
     GWPSKIT v1 <kind> <weights> <fingerprint>
 
-followed by one record per line.  The only stored kind is "blocks", under
-empty params, with records "blk d0 d1 d2 d3 dim": the per-shift Hom table of
-an alpha run.  A stored block table ends in the line "sum <hex>", the first
-16 hex digits of the SHA-256 of its record lines, so that a table with an
-edited or lost record reads as stale.  The ideal ("gen a b g d", slice
-indices of the two pairs) and syzygy ("syz d0 d1 d2 d3 : (i,k,c) ...")
-serializers are kept as round-trip oracles for the tests.
+followed by one record per line.  A block table ("blk d0 d1 d2 d3 dim", the
+per-shift Hom table of alpha) ends in the line "sum <hex>", the first 16 hex
+digits of the SHA-256 of its record lines, so that a table with an edited or
+lost record does not parse.  The ideal ("gen a b g d", slice indices of the
+two pairs) and syzygy ("syz d0 d1 d2 d3 : (i,k,c) ...") serializers are
+round-trip oracles for the tests.
 The format is plain text, diffable, and round-trip stable bit for bit.
-Writes go to a uniquely named temp file and are renamed into place
-atomically; an alpha run writes each table once, whole, so a run that is cut
-off recomputes.  The ".part" sidecar of appended records (append_partial_block,
-load_partial_blocks) is written by no command; finalize_blocks removes one
-that an older run left, and another run may delete it at any moment, so a
-missing one reads as empty.
+Cache.store writes to a uniquely named temp file and renames it into place
+atomically.  A ".part" sidecar of appended records (append_partial_block,
+load_partial_blocks) has no sum line; a torn last line is cut off, and a
+missing sidecar reads as empty.
 """
 
 from __future__ import annotations
@@ -188,7 +187,7 @@ class Cache:
             tmp.unlink(missing_ok=True)
         return path
 
-    # Partial block tables, record by record; no command appends them now.
+    # Partial block tables, record by record.
 
     def partial_blocks_path(self, space: WeightedSpace, params: str = "") -> Path:
         return self.path_for(space, "blocks", params).with_suffix(".part")
@@ -218,9 +217,3 @@ class Cache:
             if fh.tell() == 0:
                 fh.write(header_line(space, "blocks", params) + "\n")
             fh.write(f"blk {shift[0]} {shift[1]} {shift[2]} {shift[3]} {dim}\n")
-
-    def finalize_blocks(
-        self, space: WeightedSpace, by_shift: dict[Point, int], params: str = ""
-    ) -> None:
-        self.store(space, "blocks", blocks_to_text(space, by_shift, params), params)
-        self.partial_blocks_path(space, params).unlink(missing_ok=True)

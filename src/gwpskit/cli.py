@@ -1,19 +1,19 @@
 """Command-line frontend: classification, Betti and extendability tables,
-Veronese presentations, value checking against the shipped reference table,
-and the persistent cache of per-shift block tables."""
+Veronese presentations, and value checking against the shipped reference
+table.  No command reads or writes a file other than that table."""
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass
 from importlib.resources import files
 
 from . import __version__, exactla, resolution, tangent, toric, wps
-from .cache import Cache, blocks_from_text
 # Unused here: perfbench/spans.py wraps these by name as cli attributes.
-from .cache import ideal_from_text, ideal_to_text, syzygies_from_text, syzygies_to_text  # noqa: F401
+from .cache import (  # noqa: F401
+    blocks_from_text, ideal_from_text, ideal_to_text, syzygies_from_text, syzygies_to_text,
+)
 from .exactla import FieldSpec
 from .wps import WeightedSpace, invariants
 
@@ -27,6 +27,7 @@ class RunConfig:
     verify: bool = False
     # No command reads primes or fields(); perfbench/run.py does.
     primes: tuple[int, int] = (exactla.MERSENNE_PRIME_31, exactla.SECOND_PRIME)
+    # No command reads cache_dir; perfbench/run.py passes it (ROADMAP H removes it).
     cache_dir: str | None = None
     output_format: str = "tsv"
     check: bool = False
@@ -41,9 +42,6 @@ class RunConfig:
 
     def fields(self) -> tuple[FieldSpec, FieldSpec]:
         return FieldSpec(self.primes[0]), FieldSpec(self.primes[1])
-
-    def cache(self) -> Cache | None:
-        return Cache(self.cache_dir) if self.cache_dir else None
 
 
 def table_order(spaces) -> list[WeightedSpace]:
@@ -196,24 +194,9 @@ def cmd_betti(config: RunConfig) -> tuple[str, int]:
 
 
 def compute_alpha(sp: WeightedSpace, config: RunConfig) -> tangent.T1Report:
-    """tangent.alpha_report, with the per-shift table read from the cache
-    when it holds a current one, and otherwise computed and stored once."""
-    cache = config.cache()
-    ideal = toric.quadric_generators(sp)
-    by_shift = None
-    if cache is not None:
-        text = cache.load(sp, "blocks")
-        try:
-            by_shift = None if text is None else blocks_from_text(sp, text)
-        except ValueError:  # a bad record or sum, or a stale header: recompute
-            by_shift = None
-        if by_shift is not None and by_shift.keys() != set(tangent.enumerate_shifts(ideal)):
-            by_shift = None  # a table that lacks a shift: recompute
-    if by_shift is None:
-        by_shift = tangent.hom_by_shift(ideal)
-        if cache is not None:
-            cache.finalize_blocks(sp, by_shift)
-    return tangent.report_from_table(sp, by_shift)
+    """cmd_alpha's step for one space, which perfbench times by this name;
+    `config` is unused."""
+    return tangent.alpha_report(sp)
 
 
 def cmd_alpha(config: RunConfig) -> tuple[str, int]:
@@ -259,13 +242,9 @@ def _add_table_flags(parser: argparse.ArgumentParser):
 def _config_from_args(args) -> RunConfig:
     """The run configuration; a flag that the subcommand does not register
     keeps its default."""
-    cache_dir = None
-    if args.command == "alpha":
-        cache_dir = os.environ.get("GWPSKIT_CACHE") or args.cache
     return RunConfig(
         bound=args.bound,
         verify=getattr(args, "verify", False),
-        cache_dir=cache_dir,
         output_format=args.format,
         check=args.check,
     )
@@ -289,8 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("alpha", help="tangent dimensions and extendability counts")
     _add_table_flags(p)
-    p.add_argument("--cache", default=None,
-                   help="block table cache directory (GWPSKIT_CACHE overrides it)")
 
     p = sub.add_parser("veronese", help="Veronese subring presentation")
     p.add_argument("weights", help="comma-separated weights, e.g. 1,1,4,6")

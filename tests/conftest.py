@@ -613,8 +613,3 @@ def pipeline_231015():
     syzygies = linear_syzygies(ideal)
     hom = hom_dimension_minus1(ideal, syzygies)
     return {"space": sp, "ideal": ideal, "syzygies": syzygies, "hom": hom}
-
-
-@pytest.fixture(scope="session")
-def session_cache_dir(tmp_path_factory):
-    return str(tmp_path_factory.mktemp("gwpskit-cache"))

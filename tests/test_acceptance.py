@@ -97,9 +97,9 @@ def test_criterion_4_no_quartic_syzygies():
     _report(4, "quartic-syzygy-vanishing", ok, t0)
 
 
-def test_criterion_5_alpha_values(session_cache_dir):
+def test_criterion_5_alpha_values():
     t0 = time.time()
-    text, code = cmd_alpha(RunConfig(check=True, cache_dir=session_cache_dir))
+    text, code = cmd_alpha(RunConfig(check=True))
     rows = [line.split("\t") for line in text.strip().split("\n")[1:]]
     by_weights = {_weights(r[1]): r for r in rows}
     ok = code == 0 and len(rows) == 14 and by_weights.keys() == EXPECTED.keys()
@@ -135,7 +135,7 @@ def test_criterion_7_veronese_presentations():
     _report(7, "veronese-presentations", ok, t0)
 
 
-def test_criterion_8_property_suites(desk_pipelines, session_cache_dir, tmp_path):
+def test_criterion_8_property_suites(desk_pipelines):
     t0 = time.time()
     ok = True
 

@@ -12,12 +12,9 @@ from gwpskit.cli import (
     cmd_betti,
     cmd_classify,
     cmd_veronese,
-    compute_alpha,
     load_expected,
     run,
 )
-from gwpskit.resolution import linear_syzygies
-from gwpskit.tangent import hom_dimension_minus1
 from gwpskit.toric import quadric_generators
 from gwpskit.wps import weighted_space
 
@@ -164,6 +161,7 @@ def test_python_dash_m_runs_the_cli(module):
     ["betti", "--verify", "--all"],
     ["betti", "--max-genus", "15"],
     ["alpha", "--all"],
+    ["alpha", "--cache", "D"],
     ["alpha", "--max-genus", "15"],
     ["alpha", "--prime", "7"],
     ["alpha", "--prime2", "7"],
@@ -207,20 +205,17 @@ def test_alpha_small_run(only_2334):
     assert rows == [["1", "(2,3,3,4)", "4", "2", "6", "5", "5"]]
 
 
-def test_alpha_cold_and_cached_runs_identical(tmp_path, only_2334):
-    cold, code0 = cmd_alpha(RunConfig(cache_dir=str(tmp_path)))
-    warm, code1 = cmd_alpha(RunConfig(cache_dir=str(tmp_path)))
-    assert code0 == code1 == 0
-    assert cold == warm
-    nocache, _ = cmd_alpha(RunConfig())
-    assert nocache == cold
-
-
-def test_cache_env_override(tmp_path, monkeypatch, capsys, only_2334):
+def test_alpha_ignores_the_cache_variable(tmp_path, monkeypatch, capsys, only_2334):
+    """alpha reads no environment variable and writes no file: with
+    GWPSKIT_CACHE set to the working directory, it prints the same table and
+    leaves that directory empty."""
+    assert run(["alpha"]) == 0
+    plain = capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("GWPSKIT_CACHE", str(tmp_path))
-    code = run(["alpha"])
-    assert code == 0
-    assert any(tmp_path.iterdir())
+    assert run(["alpha"]) == 0
+    assert capsys.readouterr() == plain
+    assert not any(tmp_path.iterdir())
 
 
 def test_betti_verify_failure_is_reported(monkeypatch, capsys, only_2334):
@@ -307,42 +302,21 @@ def test_betti_verify_builds_each_ideal_once(monkeypatch, only_2334):
     assert calls == [weighted_space(2, 3, 3, 4)]
 
 
-def test_leftover_partial_blocks_are_ignored_and_removed(tmp_path, pipeline_2334):
-    """A .part table that an interrupted older run left, here with a wrong
-    dimension, does not change the result, and the run removes it."""
-    sp = pipeline_2334["space"]
-    by_shift = pipeline_2334["hom"].by_shift
-    cfg = RunConfig(cache_dir=str(tmp_path))
-    cache = cfg.cache()
-    first_shift, first_dim = min(by_shift.items())
-    cache.append_partial_block(sp, first_shift, first_dim + 1)
-    rep = compute_alpha(sp, cfg)
-    assert rep.alpha_S == 6
-    assert not cache.partial_blocks_path(sp).exists()
-    stored = cache_mod.blocks_from_text(sp, cache.load(sp, "blocks"))
-    assert stored == by_shift
-
-
 def test_torn_partial_blocks_at_every_offset(tmp_path, pipeline_2334):
-    """A .part file cut at any byte, as an interrupted append leaves it, still
-    gives the reference alpha and the uncached block table."""
+    """A .part file cut at any byte, as an interrupted append leaves it, reads
+    as a part of the block table, and whole it reads as all its records."""
     sp = pipeline_2334["space"]
     by_shift = pipeline_2334["hom"].by_shift
-    cfg = RunConfig(cache_dir=str(tmp_path))
-    cache = cfg.cache()
-    for shift in sorted(by_shift)[:2]:
-        cache.append_partial_block(sp, shift, by_shift[shift])
+    cache = cache_mod.Cache(tmp_path)
+    appended = {shift: by_shift[shift] for shift in sorted(by_shift)[:2]}
+    for shift, dim in appended.items():
+        cache.append_partial_block(sp, shift, dim)
     part = cache.partial_blocks_path(sp)
     data = part.read_bytes()
     for cut in range(len(data) + 1):
         part.write_bytes(data[:cut])
-        known = cache.load_partial_blocks(sp)
-        assert known.items() <= by_shift.items()
-        assert compute_alpha(sp, cfg).alpha_S == 6
-        assert not part.exists()
-        final = cache.path_for(sp, "blocks")
-        assert cache_mod.blocks_from_text(sp, final.read_text()) == by_shift
-        final.unlink()
+        assert cache.load_partial_blocks(sp).items() <= appended.items()
+    assert cache.load_partial_blocks(sp) == appended
 
 
 def test_append_after_torn_line_starts_a_new_line(tmp_path):
@@ -357,36 +331,14 @@ def test_append_after_torn_line_starts_a_new_line(tmp_path):
 
 
 def test_partial_table_deleted_by_another_run(tmp_path, monkeypatch):
-    """Another run's finalize_blocks may delete the .part table between any
-    two steps; a table seen as present and then gone reads as empty."""
+    """Another run may delete the .part table between any two steps; a table
+    seen as present and then gone reads as empty."""
     cache = cache_mod.Cache(tmp_path)
     sp = weighted_space(2, 3, 3, 4)
     part = cache.partial_blocks_path(sp)
     exists = Path.exists
     monkeypatch.setattr(Path, "exists", lambda self: self == part or exists(self))
     assert cache.load_partial_blocks(sp) == {}
-    cache.finalize_blocks(sp, {(-8, 0, 0, 1): 0})
-    assert cache_mod.blocks_from_text(sp, cache.load(sp, "blocks")) == {(-8, 0, 0, 1): 0}
-
-
-def test_two_runs_share_one_cache(tmp_path):
-    # Bound 1 selects (1,1,1,1) only.
-    cmd = [sys.executable, "-m", "gwpskit", "alpha", "--bound", "1", "--check",
-           "--cache", str(tmp_path)]
-    procs = [
-        subprocess.Popen(cmd, env=src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                         text=True)
-        for _ in range(2)
-    ]
-    outs = [proc.communicate(timeout=300) for proc in procs]
-    assert [proc.returncode for proc in procs] == [0, 0], [err for _, err in outs]
-    assert outs[0][0] == outs[1][0]
-    sp = weighted_space(1, 1, 1, 1)
-    ideal = quadric_generators(sp)
-    uncached = hom_dimension_minus1(ideal, linear_syzygies(ideal)).by_shift
-    cache = cache_mod.Cache(tmp_path)
-    assert list(tmp_path.iterdir()) == [cache.path_for(sp, "blocks")]
-    assert cache_mod.blocks_from_text(sp, cache.load(sp, "blocks")) == uncached
 
 
 def test_store_uses_unique_temp_files(tmp_path):
@@ -400,68 +352,6 @@ def test_store_uses_unique_temp_files(tmp_path):
     assert path.read_text() == "second\n"
     assert stray.read_text() == "another writer's entry\n"
     assert sorted(tmp_path.iterdir()) == sorted([path, stray])
-
-
-def _alpha_cli_with_cache(tmp_path) -> int:
-    return run(["alpha", "--check", "--cache", str(tmp_path)])
-
-
-@pytest.mark.parametrize("corrupt", ["stale", "unparsable"])
-def test_corrupted_block_table_is_recomputed(tmp_path, pipeline_2334, corrupt, capsys, only_2334):
-    sp = pipeline_2334["space"]
-    cache = cache_mod.Cache(tmp_path)
-    assert _alpha_cli_with_cache(tmp_path) == 0
-    path = cache.path_for(sp, "blocks")
-    good = path.read_text()
-    header, first, rest = good.split("\n", 2)
-    if corrupt == "stale":
-        header = header.replace(" blocks ", " block ")
-    else:
-        first = "blk 1 2"
-    path.write_text("\n".join([header, first, rest]))
-    assert _alpha_cli_with_cache(tmp_path) == 0
-    assert path.read_text() == good
-
-
-def test_block_table_missing_a_shift_is_recomputed(tmp_path, pipeline_2334, only_2334):
-    """A cached table that parses but lacks a shift is recomputed and
-    rewritten, not summed short."""
-    sp = pipeline_2334["space"]
-    assert _alpha_cli_with_cache(tmp_path) == 0
-    path = cache_mod.Cache(tmp_path).path_for(sp, "blocks")
-    good = path.read_text()
-    path.write_text("".join(line for line in good.splitlines(True) if " 0 -2 -2 0 " not in line))
-    assert path.read_text() != good
-    assert _alpha_cli_with_cache(tmp_path) == 0
-    assert path.read_text() == good
-
-
-def test_block_table_with_a_wrong_dimension_is_recomputed(tmp_path, only_2334, capsys):
-    """A record edited to a wrong dimension no longer matches the table's sum
-    line: the run recomputes, prints the reference alpha_S and rewrites the
-    table."""
-    assert _alpha_cli_with_cache(tmp_path) == 0
-    path = cache_mod.Cache(tmp_path).path_for(weighted_space(2, 3, 3, 4), "blocks")
-    good = path.read_text()
-    assert good.splitlines()[-1].startswith("sum ")
-    assert "\nblk -8 0 0 1 0\n" in good
-    path.write_text(good.replace("\nblk -8 0 0 1 0\n", "\nblk -8 0 0 1 3\n"))
-    capsys.readouterr()
-    assert _alpha_cli_with_cache(tmp_path) == 0
-    row = capsys.readouterr().out.strip().split("\n")[1].split("\t")
-    assert row[1:5] == ["(2,3,3,4)", "4", "2", "6"]
-    assert path.read_text() == good
-
-
-def test_block_table_without_a_sum_is_recomputed(tmp_path, only_2334):
-    """A table without the sum line, as versions before it wrote them, is
-    recomputed and rewritten with it."""
-    assert _alpha_cli_with_cache(tmp_path) == 0
-    path = cache_mod.Cache(tmp_path).path_for(weighted_space(2, 3, 3, 4), "blocks")
-    good = path.read_text()
-    path.write_text(good[: good.rindex("sum ")])
-    assert _alpha_cli_with_cache(tmp_path) == 0
-    assert path.read_text() == good
 
 
 def test_alpha_runs_no_elimination(monkeypatch, only_2334):
@@ -532,6 +422,22 @@ def test_blocks_round_trip(pipeline_2334):
     back = cache_mod.blocks_from_text(sp, text)
     assert back == table
     assert cache_mod.blocks_to_text(sp, back) == text
+
+
+def test_block_record_with_a_wrong_dimension_fails_the_sum(pipeline_2334):
+    sp = pipeline_2334["space"]
+    good = cache_mod.blocks_to_text(sp, pipeline_2334["hom"].by_shift)
+    assert "\nblk -8 0 0 1 0\n" in good
+    edited = good.replace("\nblk -8 0 0 1 0\n", "\nblk -8 0 0 1 3\n")
+    with pytest.raises(cache_mod.CacheFormatError, match="sum"):
+        cache_mod.blocks_from_text(sp, edited)
+
+
+def test_block_table_without_a_sum_is_rejected(pipeline_2334):
+    sp = pipeline_2334["space"]
+    good = cache_mod.blocks_to_text(sp, pipeline_2334["hom"].by_shift)
+    with pytest.raises(cache_mod.CacheFormatError, match="sum"):
+        cache_mod.blocks_from_text(sp, good[: good.rindex("sum ")])
 
 
 def test_stale_header_rejected(pipeline_2334):
