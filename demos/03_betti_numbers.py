@@ -1,12 +1,14 @@
-"""Quadric generators, fiber graphs, and the first two Betti numbers.
+"""Quadric generators, squarefree divisor complexes, and the first two Betti
+numbers.
 
 The anticanonical ideal is toric: whenever two pairs of degree-s monomials
 share a product, their difference is a quadric relation.  A spanning tree per
-shared product gives beta_1 = C(g-2, 2) minimal quadrics.  Connectivity of
-the analogous degree-3s fiber graphs shows the cubics are generated by the
-quadrics, and a blockwise kernel computation counts the beta_2 linear
-syzygies.  No minimal quartic syzygies exist: at every point m of weighted
-degree 4s the complex of index sets F with m - sum_F u >= 0 has no
+shared product gives beta_1 = C(g-2, 2) minimal quadrics.  At a point m of
+weighted degree ks, the complex Delta_m of index sets F with m - sum_F u >= 0
+carries the minimal relations and syzygies there.  Delta_m is connected at
+every point of degree 3s, so the cubics are generated by the quadrics, and a
+blockwise kernel computation counts the beta_2 linear syzygies.  No minimal
+quartic syzygies exist: at every point of degree 4s, Delta_m has no
 1-dimensional homology, which needs no syzygy at all.
 """
 
@@ -29,7 +31,7 @@ gen = ideal.generators[0]
 print(f"example generator: y{gen.lhs} - y{gen.rhs} at multidegree {gen.multidegree}")
 
 rep = check_degree3_generation(sp)
-print(f"all {rep.fibers_checked} cubic fibers connected: {rep.connected}")
+print(f"Delta_m connected at all {rep.fibers_checked} degree-3s points: {rep.connected}")
 
 syz = linear_syzygies(ideal)
 print(f"linear syzygies: {syz.total_count} (counting formula: {beta2(sp)})")

@@ -175,7 +175,7 @@ def cmd_betti(config: RunConfig) -> tuple[str, int]:
         generation = toric.check_degree3_generation(sp)
         ideal = toric.quadric_generators(sp) if config.verify else None
         b1 = toric.beta1(sp, ideal=ideal)
-        # beta2 raises on a disconnected cubic fiber, so a row means `pass`.
+        # beta2 raises on a disconnected degree-3s complex, so a row means `pass`.
         b2 = resolution.beta2(sp, generation=generation)
         row = [idx, str(sp), inv.g1, inv.i_S, inv.g, b1, b2]
         columns[sp] = dict(zip(("g_1", "i_S", "g", "beta_1", "beta_2"), row[2:]))

@@ -13,21 +13,20 @@ monomial has one multidegree, so no component leaves its block), and the
 basis is one term table, which the tests' tangent shift blocks read.
 
 The quartic check reads no syzygy.  A = K[S] is the ring of the semigroup S
-generated by the degree-s slice u_0, ..., u_{g+1}, and for such a ring
-Tor_i^R(A, K)_m = H~_{i-1}(Delta_m; K), where Delta_m is the complex of the
-sets F of slice indices with m - sum_F u in S (Bruns and Herzog, Semigroup
-rings and simplicial complexes, J. Pure Appl. Algebra 122 (1997) 185-208;
-Miller and Sturmfels, Combinatorial Commutative Algebra, ch. 9).  By
-projective normality (the gwpskit.tangent docstring) a point of degree
-divisible by s lies in S iff it is >= 0, so Delta_m has at most g+2
-vertices and each face is one comparison.  No minimal quartic syzygy means
-H~_1(Delta_m) = 0 at every point m of degree 4s: the rank of the boundary
-map from triangles to edges equals E - V + c, the cycle dimension of the
-complex's 1-skeleton, over Q.  As the boundary of a boundary is zero, that
-rank is at most E - V + c, and its GF(2) rank bounds it from below, since a
-minor that is odd is not zero; where the two meet, m is proven.  At degree
-3s the same complexes give the linear syzygies, H~_1(Delta_m) of them at m,
-and H~_0(Delta_m) = 0 there is degree-3 generation.
+generated by the degree-s slice u_0, ..., u_{g+1}, so Tor_2^R(A, K)_m =
+H~_1(Delta_m; K) for the squarefree divisor complexes Delta_m of the
+gwpskit.toric docstring.  By projective normality (the gwpskit.tangent
+docstring) m - sum_F u lies in S iff it is >= 0, so Delta_m has at most g+2
+vertices, and toric._divisor_complexes enumerates the faces of all Delta_m
+of one degree at once as arrays and counts the components c of each.  No
+minimal quartic syzygy means H~_1(Delta_m) = 0 at every point m of degree
+4s: the rank of the boundary map from triangles to edges equals E - V + c,
+the cycle dimension of the complex's 1-skeleton, over Q.  As the boundary
+of a boundary is zero, that rank is at most E - V + c, and its GF(2) rank
+bounds it from below, since a minor that is odd is not zero; where the two
+meet, m is proven.  At degree 3s the same complexes give the linear
+syzygies, H~_1(Delta_m) of them at m, and H~_0(Delta_m) = c - 1 = 0 there
+is degree-3 generation (toric.check_degree3_generation).
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, islice
+from itertools import chain, islice
 from math import comb
 
 import numpy as np
@@ -48,6 +47,7 @@ from .toric import (
     ConnectivityReport,
     ToricIdeal,
     _component_roots,
+    _divisor_complexes,
     _pack,
     check_degree3_generation,
 )
@@ -323,34 +323,18 @@ def _complexes(ideal: ToricIdeal, degree: int) -> list[tuple[Point, int, int, np
     through it take the lowest positions and the triangles through it come
     first, so each of those owns the highest position among its edges.
 
-    A face F of Delta_m lies at m = sum_F u + r with r in the slice of degree
-    (degree - |F|) * s, so the faces of all m are enumerated as arrays at
-    once; every such r is a sum of slice points, by projective normality."""
-    space, pts = ideal.space, np.array(ideal.slice_s.points, dtype=np.int64)
-    n, s = len(pts), ideal.slice_s.degree
-    keys = lattice.degree_slice(space, degree * s).points
-    base = degree * int(pts.max()) + 1
-    codes = -_pack(np.array(keys, dtype=np.int64), base)
-    faces = []
-    for size in (1, 2, 3):
-        members = np.array(list(combinations(range(n), size)), dtype=np.int32).reshape(-1, size)
-        rest = np.array(lattice.degree_slice(space, (degree - size) * s).points, dtype=np.int64)
-        # _pack is linear: the code of sum_F u + r is the sum of their codes.
-        code = _pack(pts[members].sum(1), base)[:, None] + _pack(rest, base)
-        block = np.searchsorted(codes, -code.ravel()).astype(np.int32)
-        faces.append((block, np.repeat(members, len(rest), axis=0)))
-    (vb, v), (eb, e), (tb, t) = faces
-    del faces, code, block
+    The faces are those of toric._divisor_complexes, with unit s."""
+    n, s = len(ideal.slice_s), ideal.slice_s.degree
+    keys, components, ((vb, _), (eb, e), (tb, t)) = _divisor_complexes(
+        ideal.space, ideal.slice_s.points, s, degree, 3
+    )
     nb = len(keys)
-    # slot[b, i, i] is the vertex i of block b in the whole-space graph,
-    # slot[b, i, j] for i < j the position of the edge ij within block b.
-    slot = np.empty((nb, n, n), dtype=np.int32)
-    slot[vb, v[:, 0], v[:, 0]] = np.arange(len(vb))
-    i, j = e.T
-    roots = _component_roots(slot[eb, i, i], slot[eb, j, j], len(vb))
     edges = np.bincount(eb, minlength=nb)
-    cycles = edges - np.bincount(vb, minlength=nb) + np.bincount(vb[roots], minlength=nb)
+    cycles = edges - np.bincount(vb, minlength=nb) + components
     star = np.bincount((tb[:, None] * n + t).ravel(), minlength=nb * n).reshape(nb, n).argmax(1)
+    # slot[b, i, j] for i < j is the position of the edge ij within block b.
+    slot = np.empty((nb, n, n), dtype=np.int32)
+    i, j = e.T
     order = np.lexsort((j, i, (i != star[eb]) & (j != star[eb]), eb))
     slot[eb[order], i[order], j[order]] = np.arange(len(eb)) - (np.cumsum(edges) - edges)[eb[order]]
     order = np.lexsort(((t != star[tb, None]).all(1), tb))
@@ -385,10 +369,10 @@ def check_no_quartic_syzygies(
 
     The rank of the boundary map of Delta_m is at most E - V + c; its GF(2)
     rank, taken up to E - V + c + 1, is a lower bound.  Equal to E - V + c
-    proves m; above it is an AssertionError naming m (a wrong E, V or c);
-    below it the signed map is ranked exactly (exactla.echelon) and counted
-    as a fallback, and an exact shortfall makes m a witness.  The first
-    witness in descending order is reported.  `syzygies` and `fields` are
+    proves m; above it is an AssertionError naming the space and m (a wrong
+    E, V or c); below it the signed map is ranked exactly (exactla.echelon)
+    and counted as a fallback, and an exact shortfall makes m a witness.  The
+    first witness in descending order is reported.  `syzygies` and `fields` are
     accepted for compatibility and unused: the check reads no syzygy and no
     prime field.
     """
@@ -403,7 +387,8 @@ def check_no_quartic_syzygies(
             rank = len(exactla.echelon(_signed_boundary(triangles, edges), cycles + 1))
         if rank > cycles:
             raise AssertionError(
-                f"boundary rank {rank} above the cycle dimension {cycles} at multidegree {m}"
+                f"boundary rank {rank} above the cycle dimension {cycles} at multidegree {m} "
+                f"of {ideal.space}"
             )
         if rank < cycles and witness is None:
             witness = m

@@ -305,12 +305,16 @@ def hom_by_shift(ideal: ToricIdeal) -> dict[Point, int]:
     each coordinate shift -u_m, whose derivation d/dy_m is nonzero on I.
 
     Asserts that every slice index occurs in some quadric generator, which is
-    what makes each d/dy_m nonzero.
+    what makes each d/dy_m nonzero; the error names the space and the first
+    index that occurs in none.
     """
     points = ideal.slice_s.points
     used = {m for gen in ideal.generators for m in gen.lhs + gen.rhs}
-    if len(used) != len(points):
-        raise AssertionError("a slice coordinate occurs in no quadric generator")
+    unused = [m for m in range(len(points)) if m not in used]
+    if unused:
+        raise AssertionError(
+            f"slice coordinate {unused[0]} occurs in no quadric generator of {ideal.space}"
+        )
     coordinate = {(-u[0], -u[1], -u[2], -u[3]) for u in points}
     return {d: t1 + (d in coordinate) for d, t1 in t1_by_shift(ideal).items()}
 
@@ -355,7 +359,6 @@ def hom_dimension_minus1(
     syzygies: SyzygyBasis,
     fields: tuple[FieldSpec, FieldSpec] | None = None,
     known: dict[Point, int] | None = None,
-    progress=None,
 ) -> HomTable:
     """Dimension of the space of degree -1 module maps on the ideal, as the
     sum of per-shift block solution dimensions, each exact.
@@ -366,8 +369,7 @@ def hom_dimension_minus1(
     the dimension is proven; elsewhere it is solved under two primes and
     counted in `fallbacks` (exactla.certified_solution_dim).
 
-    `known` supplies already-computed shift dimensions, which are not solved;
-    `progress(shift, dim)` is invoked per newly solved block.
+    `known` supplies already-computed shift dimensions, which are not solved.
     """
     if fields is None:
         fields = exactla.default_fields()
@@ -392,8 +394,6 @@ def hom_dimension_minus1(
             )
             fallbacks += fell_back
         by_shift[shift] = dim
-        if progress is not None:
-            progress(shift, dim)
     by_shift = {s: by_shift[s] for s in shifts}
     # The derivations of shifts resumed from `known` were not built above.
     derivations = tuple(

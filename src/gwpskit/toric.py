@@ -1,25 +1,36 @@
-"""Quadric binomial generators of the anticanonical ideal and the
-fiber-graph test for generation in degree 2, with the array component count
-that the test and the syzygy layers share.
+"""Quadric binomial generators of the anticanonical ideal, the test that
+they generate it in degree 3, and the squarefree divisor complexes and the
+array component count that the test, the syzygy layers and the Veronese
+relations share.
 
 The ideal of the anticanonically embedded space is toric: its degree-2 part
 is spanned, fiberwise over exponent-sum multidegrees, by differences of
 unordered pairs of degree-s lattice points with equal sum.  A star spanning
-tree per fiber yields a canonical minimal generating set; connectivity of the
-analogous degree-3 fiber graphs is equivalent to the cubic part being
-generated by the quadrics.
+tree per fiber yields a canonical minimal generating set.
+
+Minimal relations are read off squarefree divisor complexes.  For the ring
+A = K[S] of the semigroup S generated by points g_0, ..., g_N,
+Tor_i^R(A, K)_m = H~_{i-1}(Delta_m; K), where Delta_m is the complex of the
+sets F of generators with m - sum_F g in S (Bruns and Herzog, Semigroup
+rings and simplicial complexes, J. Pure Appl. Algebra 122 (1997) 185-208;
+Miller and Sturmfels, Combinatorial Commutative Algebra, ch. 9).  So the
+minimal relations at m number c(Delta_m) - 1, and the quadrics generate the
+cubic part of the ideal iff every Delta_m of degree 3s is connected.
+`_divisor_complexes` enumerates the faces of all Delta_m of one degree at
+once and counts the components of each.
 
 A binomial relation between monomials is an edge between them, and a matrix
 whose columns are such edges has the cycle space of the graph as its kernel,
 over Z and over every field, of dimension E - V + c (Sturmfels, Groebner
 Bases and Convex Polytopes, ch. 4-5).  Components are counted on integer
-arrays by min-label propagation (`_component_roots`), for all fibers or
+arrays by min-label propagation (`_component_roots`), for all complexes or
 blocks of a space at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -115,46 +126,74 @@ class ConnectivityReport:
 
 
 def check_degree3_generation(space: WeightedSpace) -> ConnectivityReport:
-    """Connectivity of every degree-3s fiber graph.
+    """Degree-3 generation: c(Delta_m) = 1 at every point m of weighted
+    degree 3s.
 
-    Vertices are unordered index triples of the degree-s slice grouped by
-    point sum; two triples are adjacent iff they share an index (equivalently,
-    differ by replacing a sub-pair with an equal-sum pair).  All fibers
-    connected is equivalent to the cubic part of the ideal being generated by
-    the quadrics.  All fibers are counted at once, as the shared-member
-    graph of each triple's (fiber, index) nodes.  The witness is the first
-    disconnected fiber in descending order.
+    The quadrics generate the cubic part of the ideal iff no minimal relation
+    lies in degree 3s, that is iff H~_0(Delta_m) = c(Delta_m) - 1 vanishes at
+    every such m (the module docstring).  fibers_checked counts the
+    degree-3s points; the witness is the first m in descending order with
+    more than one component, and components_at_witness is its count.
     """
     inv = invariants(space)
     if not inv.gorenstein:
         raise ValueError("degree-3 generation check requires a Gorenstein space")
-    pts = np.array(lattice.degree_slice(space, inv.s).points, dtype=np.int64)
-    n = len(pts)
-    ijk = np.indices((n, n, n)).reshape(3, -1)
-    triples = ijk[:, (ijk[0] <= ijk[1]) & (ijk[1] <= ijk[2])]
-    sums = pts[triples].sum(axis=0)
-    _, fiber = np.unique(-_pack(sums, 3 * int(pts.max(initial=0)) + 1), return_inverse=True)
-    sets, members = np.tile(np.arange(len(fiber)), 3), (fiber * n + triples).ravel()
-    # Every fiber has a triple, and so a root: one count per fiber.
-    components = np.bincount(fiber[shared_member_roots(sets, members, len(fiber))])
+    keys, components, _ = _divisor_complexes(
+        space, lattice.degree_slice(space, inv.s).points, inv.s, 3
+    )
     bad = np.flatnonzero(components > 1)
     if bad.size:
         return ConnectivityReport(
             connected=False,
-            witness=tuple(sums[np.argmax(fiber == bad[0])].tolist()),
-            fibers_checked=len(components),
+            witness=keys[bad[0]],
+            fibers_checked=len(keys),
             components_at_witness=int(components[bad[0]]),
         )
-    return ConnectivityReport(connected=True, witness=None, fibers_checked=len(components))
+    return ConnectivityReport(connected=True, witness=None, fibers_checked=len(keys))
 
 
-def shared_member_roots(sets, members, nsets: int):
-    """A mask over nsets sets with one True per connected component of the
-    graph in which two sets are adjacent iff they share a member, at the
-    component's lowest set.  Set sets[e] holds the member with integer code
-    members[e]; a set that holds none is a component of its own."""
-    _, node = np.unique(members, return_inverse=True)
-    return _component_roots(sets, nsets + node, nsets + int(node.max(initial=-1)) + 1)[:nsets]
+def _divisor_complexes(space: WeightedSpace, generators, unit: int, degree: int, size: int = 2):
+    """(keys, components, faces) for the squarefree divisor complexes Delta_m
+    (the module docstring) of the semigroup S generated by the points
+    `generators`, at every point m of weighted degree degree * unit: keys
+    lists the m in descending order, components[b] is c(Delta_m) at
+    m = keys[b], and faces[k - 1], for each face size k from 1 to `size` (at
+    least 2), is a pair (block, members): the ascending generator indices
+    members[f] are a face of the complex at keys[block[f]].
+
+    S must be every point >= 0 of weighted degree divisible by unit, as it is
+    for the degree-s slice with unit s, by projective normality (the
+    gwpskit.tangent docstring), and for the Veronese generators with unit d.
+    Then a face F lies at m = sum_F g + r for every point r of the remaining
+    degree, and the faces of all m are enumerated as arrays at once, one
+    slice per degree sum of the member sets."""
+    keys = lattice.degree_slice(space, degree * unit).points
+    gens = np.array(generators, dtype=np.int64).reshape(-1, 4)
+    gen_degree = gens @ np.array(space.weights) // unit
+    base = degree * unit // space.weights[0] + 1
+    codes = -_pack(np.array(keys, dtype=np.int64).reshape(-1, 4), base)
+    faces = []
+    for k in range(1, size + 1):
+        members = np.array(list(combinations(range(len(gens)), k)), dtype=np.int32).reshape(-1, k)
+        total = gen_degree[members].sum(1)
+        pieces = [(np.empty(0, dtype=np.int32), members[:0])]
+        for t in np.unique(total[total <= degree]).tolist():
+            group = members[total == t]
+            rest = lattice.degree_slice(space, (degree - t) * unit).points
+            rest = np.array(rest, dtype=np.int64).reshape(-1, 4)
+            # _pack is linear: the code of sum_F g + r is the sum of their codes.
+            code = _pack(gens[group].sum(1), base)[:, None] + _pack(rest, base)
+            pieces.append((np.searchsorted(codes, -code.ravel()).astype(np.int32),
+                           np.repeat(group, len(rest), axis=0)))
+            del code
+        # A single degree sum, as in the anticanonical ring, is not copied.
+        faces.append(pieces[1] if len(pieces) == 2 else tuple(map(np.concatenate, zip(*pieces))))
+    (vb, v), (eb, e) = faces[:2]
+    # vertex[b, i] numbers the vertex i of Delta_m, m = keys[b], across all m.
+    vertex = np.empty((len(keys), len(gens)), dtype=np.int32)
+    vertex[vb, v[:, 0]] = np.arange(len(vb))
+    roots = _component_roots(vertex[eb, e[:, 0]], vertex[eb, e[:, 1]], len(vb))
+    return keys, np.bincount(vb[roots], minlength=len(keys)), faces
 
 
 def _component_roots(a, b, nv: int):

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
-
 from . import lattice
 
 
@@ -138,6 +136,9 @@ class VeronesePresentation:
     """Generator and relation degrees of a d-th Veronese subring.
 
     Degrees are measured in the regraded ring (original degree divided by d).
+    relation_degrees holds one entry per minimal relation of degree at most
+    cutoff, ascending; a relation of degree n involves only generators of
+    degree at most n, all of which the scan finds, so these are exact.
     `complete` reports whether the generator scan provably exhausted all
     minimal generators: every indecomposable has weighted degree at most
     max(sum_i (lcm(a_i, d) - a_i), max_i lcm(a_i, d)), so the scan is complete
@@ -161,11 +162,13 @@ def veronese_presentation(space: WeightedSpace, d: int, cutoff: int) -> Veronese
     cutoff*d, and the degrees of its minimal relations up to degree cutoff.
 
     A monomial of weighted degree n*d is a generator iff it is not the product
-    of two subring monomials of lower positive degree.  New minimal relations
-    in degree n are counted fiberwise: products of generators with equal
-    exponent sum fall in one fiber, two products are adjacent when they share
-    a generator factor, and each fiber contributes (components - 1).
+    of two subring monomials of lower positive degree.  The minimal relations
+    at a point m of degree n*d number H~_0(Delta_m) = c(Delta_m) - 1, for the
+    squarefree divisor complex Delta_m of the generators (the gwpskit.toric
+    docstring), so degree n holds sum_m (c(Delta_m) - 1) of them.
     """
+    from .toric import _divisor_complexes
+
     if d < 1:
         raise ValueError("Veronese index d must be >= 1")
     if cutoff < 1:
@@ -189,56 +192,16 @@ def veronese_presentation(space: WeightedSpace, d: int, cutoff: int) -> Veronese
     complete = cutoff * d >= _indecomposable_bound(space.weights, d)
 
     gen_points = [p for p, _ in generators]
-    gen_degs = [n for _, n in generators]
     relation_degrees: list[int] = []
     for n in range(2, cutoff + 1):
-        fibers: dict[lattice.Point, list[tuple[int, ...]]] = {}
-        for expo in _exponent_vectors(gen_degs, n):
-            img = [0, 0, 0, 0]
-            for gi, e in enumerate(expo):
-                if e:
-                    pt = gen_points[gi]
-                    for c in range(4):
-                        img[c] += e * pt[c]
-            fibers.setdefault(tuple(img), []).append(expo)
-        relation_degrees.extend([n] * _extra_components(list(fibers.values())))
+        _, components, _ = _divisor_complexes(space, gen_points, d, n)
+        relation_degrees.extend([n] * int((components - 1).sum()))
 
     return VeronesePresentation(
         d=d,
-        generator_degrees=tuple(sorted(gen_degs)),
+        generator_degrees=tuple(sorted(n for _, n in generators)),
         relation_degrees=tuple(relation_degrees),
         cutoff=cutoff,
         complete=complete,
     )
 
-
-def _exponent_vectors(degrees: list[int], total: int):
-    """All exponent tuples e with sum(e_i * degrees_i) == total."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(i: int, remaining: int, acc: list[int]):
-        if i == len(degrees):
-            if remaining == 0:
-                out.append(tuple(acc))
-            return
-        step = degrees[i]
-        for e in range(remaining // step + 1):
-            rec(i + 1, remaining - e * step, acc + [e])
-
-    rec(0, total, [])
-    return out
-
-
-def _extra_components(fibers: list[list[tuple[int, ...]]]) -> int:
-    """The sum over fibers of their connected components minus one, where two
-    exponent vectors of a fiber are adjacent iff some coordinate is positive
-    in both."""
-    from .toric import shared_member_roots
-
-    members = [expo for fiber in fibers for expo in fiber]
-    if not members:
-        return 0
-    fiber_of = np.repeat(np.arange(len(fibers)), [len(fiber) for fiber in fibers])
-    t, coordinate = np.nonzero(np.array(members))
-    roots = shared_member_roots(t, fiber_of[t] * len(members[0]) + coordinate, len(members))
-    return int(roots.sum()) - len(fibers)

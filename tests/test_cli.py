@@ -331,14 +331,32 @@ def test_append_after_torn_line_starts_a_new_line(tmp_path):
 
 
 def test_partial_table_deleted_by_another_run(tmp_path, monkeypatch):
-    """Another run may delete the .part table between any two steps; a table
-    seen as present and then gone reads as empty."""
+    """Another run may delete the .part table between any two steps: a table
+    that goes just before it is read, or just before its torn last line is
+    cut off, reads as empty."""
     cache = cache_mod.Cache(tmp_path)
     sp = weighted_space(2, 3, 3, 4)
     part = cache.partial_blocks_path(sp)
-    exists = Path.exists
-    monkeypatch.setattr(Path, "exists", lambda self: self == part or exists(self))
-    assert cache.load_partial_blocks(sp) == {}
+    deleted = []
+
+    def delete_first(call):
+        def racing(path, *args, **kwargs):
+            Path(path).unlink()
+            deleted.append(call.__name__)
+            return call(path, *args, **kwargs)
+        return racing
+
+    cache.append_partial_block(sp, (-8, 0, 0, 1), 0)
+    with monkeypatch.context() as patch:
+        patch.setattr(Path, "read_text", delete_first(Path.read_text))
+        assert cache.load_partial_blocks(sp) == {}
+    cache.append_partial_block(sp, (-8, 0, 0, 1), 0)
+    part.write_text(part.read_text() + "blk -8 0")
+    with monkeypatch.context() as patch:
+        patch.setattr(cache_mod.os, "truncate", delete_first(cache_mod.os.truncate))
+        assert cache.load_partial_blocks(sp) == {}
+    assert deleted == ["read_text", "truncate"]
+    assert not part.exists()
 
 
 def test_store_uses_unique_temp_files(tmp_path):

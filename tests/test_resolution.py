@@ -19,7 +19,7 @@ from conftest import (
     spanning_forest,
 )
 from gwpskit.cache import syzygies_to_text
-from gwpskit import resolution
+from gwpskit import resolution, toric
 from gwpskit.exactla import default_fields, rank_gf2, solution_dim
 from gwpskit.lattice import degree_slice
 from gwpskit.resolution import (
@@ -393,20 +393,20 @@ def test_dropped_triangle_is_a_witness(pipeline_2334, monkeypatch):
 
 def test_understated_components_raise(pipeline_2334, monkeypatch):
     """A component step that misses a component puts E - V + c below the
-    rank of the boundary map: the check raises and names the point, here
-    the first, 4 u_0, whose complex is the vertex 0 alone."""
-    roots = resolution._component_roots
+    rank of the boundary map: the check raises and names the space and the
+    point, here the first, 4 u_0, whose complex is the vertex 0 alone."""
+    roots = toric._component_roots
 
     def understated(a, b, nv):
         mask = roots(a, b, nv)
         mask[np.argmax(mask)] = False
         return mask
 
-    monkeypatch.setattr(resolution, "_component_roots", understated)
+    monkeypatch.setattr(toric, "_component_roots", understated)
     sp = pipeline_2334["space"]
     first = degree_slice(sp, 4 * invariants(sp).s).points[0]
     with pytest.raises(AssertionError, match=re.escape(
-            f"boundary rank 0 above the cycle dimension -1 at multidegree {first}")):
+            f"boundary rank 0 above the cycle dimension -1 at multidegree {first} of {sp}")):
         check_no_quartic_syzygies(pipeline_2334["ideal"])
 
 

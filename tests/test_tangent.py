@@ -1,3 +1,5 @@
+import dataclasses
+import re
 from itertools import combinations, islice
 from math import gcd
 
@@ -242,6 +244,17 @@ def test_hom_table_equals_the_elimination_route(pipeline_2334, pipeline_231015):
     pairs.append((ideal, hom_dimension_minus1(ideal, linear_syzygies(ideal))))
     for ideal, hom in pairs:
         assert hom_by_shift(ideal) == hom.by_shift, ideal.space
+
+
+def test_a_coordinate_in_no_generator_is_named(pipeline_2334):
+    """Without the generators that hold slice index 7, the derivation
+    d/dy_7 would vanish on the ideal: hom_by_shift raises and names the
+    space and the index (no other index goes unused with them)."""
+    ideal = pipeline_2334["ideal"]
+    kept = tuple(gen for gen in ideal.generators if 7 not in gen.lhs + gen.rhs)
+    with pytest.raises(AssertionError, match=re.escape(
+            "slice coordinate 7 occurs in no quadric generator of (2,3,3,4)")):
+        hom_by_shift(dataclasses.replace(ideal, generators=kept))
 
 
 def _box_outside_shifts(ideal):

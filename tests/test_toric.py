@@ -87,21 +87,26 @@ def test_trivial_fiber_connected():
 
 
 def test_disconnected_cubic_fiber_names_its_witness(monkeypatch):
-    # Without the point (4,0,0,1) of the degree-12 slice of (2,3,3,4), the
-    # triples summing to (7,2,0,4) fall into two components.
+    # Without the point (4,0,0,1) of the degree-12 slice of (2,3,3,4), and
+    # with the slices of degree 24 and 36 whole, Delta_m at m = (13,2,0,1)
+    # has the vertices (6,0,0,0), (3,2,0,0) and (1,2,0,1) but only the edge
+    # from (6,0,0,0) to (1,2,0,1): the edge from (6,0,0,0) to (3,2,0,0)
+    # would need the rest (4,0,0,1), and (3,2,0,0) + (1,2,0,1) exceeds m.
+    # It is the first of 17 such points, each with two components, among
+    # the 175 points of degree 36.
     import gwpskit.toric as toric
 
     sp = weighted_space(2, 3, 3, 4)
-    full = degree_slice(sp, 12)
-    cut = DegreeSlice(12, tuple(p for p in full.points if p != (4, 0, 0, 1)))
+    full = {d: degree_slice(sp, d) for d in (12, 24, 36)}
+    cut = DegreeSlice(12, tuple(p for p in full[12].points if p != (4, 0, 0, 1)))
 
     def slice_without_point(space, d):
-        assert (space, d) == (sp, 12)
-        return cut
+        assert space == sp and d in full
+        return cut if d == 12 else full[d]
 
     monkeypatch.setattr(toric.lattice, "degree_slice", slice_without_point)
     assert check_degree3_generation(sp) == ConnectivityReport(
-        connected=False, witness=(7, 2, 0, 4), fibers_checked=174, components_at_witness=2
+        connected=False, witness=(13, 2, 0, 1), fibers_checked=175, components_at_witness=2
     )
 
 

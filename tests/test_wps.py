@@ -123,6 +123,9 @@ def test_restriction_requires_gorenstein():
         ((2, 3, 3, 4), 6, 4, (1, 1, 1, 1, 1, 2), (2, 3)),
         ((1, 1, 2, 4), 2, 2, (1, 1, 1, 1, 2), (2,)),
         ((1, 1, 1, 1), 1, 3, (1, 1, 1, 1), ()),
+        ((1, 1, 1, 1), 2, 4, (1,) * 10, (2,) * 20),
+        ((1, 1, 1, 1), 3, 4, (1,) * 20, (2,) * 126),
+        ((1, 1, 1, 3), 2, 6, (1, 1, 1, 1, 1, 1, 2, 2, 2, 3), (2,) * 6 + (3,) * 8 + (4,) * 6),
     ],
 )
 def test_veronese_presentations(weights, d, cutoff, gens, rels):
