@@ -19,10 +19,10 @@ from gwpskit import (
     check_no_quartic_syzygies,
     enumerate_gorenstein,
     invariants,
-    linear_syzygies,
     quadric_generators,
     weighted_space,
 )
+from gwpskit.resolution import linear_syzygies
 
 sp = weighted_space(2, 3, 3, 4)
 ideal = quadric_generators(sp)

@@ -4,10 +4,9 @@ counts via the degree -1 tangent module of the affine cone."""
 
 __version__ = "0.1.0"
 
-from .exactla import FieldSpec, SparseMatrix, default_fields
 from .lattice import count_points, degree_slice, h_vector, verify_projective_normality
-from .resolution import beta2, check_no_quartic_syzygies, linear_syzygies
-from .tangent import alpha_report, derivation_vectors, hom_dimension_minus1, t1_by_shift
+from .resolution import beta2, check_no_quartic_syzygies
+from .tangent import alpha_report, t1_by_shift
 from .toric import beta1, check_degree3_generation, quadric_generators
 from .wps import (
     WeightedSpace,
@@ -20,8 +19,6 @@ from .wps import (
 )
 
 __all__ = [
-    "FieldSpec",
-    "SparseMatrix",
     "WeightedSpace",
     "WeightValidationError",
     "alpha_report",
@@ -30,14 +27,10 @@ __all__ = [
     "check_degree3_generation",
     "check_no_quartic_syzygies",
     "count_points",
-    "default_fields",
     "degree_slice",
-    "derivation_vectors",
     "enumerate_gorenstein",
     "h_vector",
-    "hom_dimension_minus1",
     "invariants",
-    "linear_syzygies",
     "quadric_generators",
     "restriction_invertible",
     "t1_by_shift",

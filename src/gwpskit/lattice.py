@@ -71,29 +71,10 @@ def degree_slice(space: "WeightedSpace", d: int) -> DegreeSlice:
     return DegreeSlice(d, tuple(pts))
 
 
-def _decomposes(point: Point, parts: int, slice_pts: tuple[Point, ...],
-                slice_set: set[Point], memo: dict) -> bool:
-    """Can `point` be written as a sum of `parts` slice points?"""
-    if parts == 1:
-        return point in slice_set
-    key = (point, parts)
-    if key in memo:
-        return memo[key]
-    ok = False
-    for v in slice_pts:
-        rest = (point[0] - v[0], point[1] - v[1], point[2] - v[2], point[3] - v[3])
-        if min(rest) < 0:
-            continue
-        if _decomposes(rest, parts - 1, slice_pts, slice_set, memo):
-            ok = True
-            break
-    memo[key] = ok
-    return ok
-
-
 @dataclass
 class NormalityReport:
-    """Per-degree decomposability verdicts, with a witness for any failure."""
+    """Per-degree verdicts, True where no minimal generator lies in that
+    degree, with a witness for any failure."""
 
     by_degree: dict[int, bool] = field(default_factory=dict)
     witnesses: dict[int, Point] = field(default_factory=dict)
@@ -103,30 +84,28 @@ class NormalityReport:
 
 
 def verify_projective_normality(space: "WeightedSpace", d_max: int) -> NormalityReport:
-    """Check, for each 2 <= d <= d_max, that every lattice point of weighted
-    degree d*s is a sum of d points of degree s.
+    """Check, for each 2 <= d <= d_max, that the anticanonical ring, the s-th
+    Veronese ring, has no minimal generator of degree d*s.
 
     Requires a Gorenstein space (the degree-s slice is the anticanonical
-    system).  Failures record the first indecomposable point as witness.
+    system).  Read off `wps._minimal_presentation`: a failure records the
+    first new generator in canonical order as witness.  Up to the first
+    failure, a passing degree d means that every point of degree d*s is a sum
+    of d points of degree s; after it, only that no new generator lies there.
+    All 14 Gorenstein spaces are projectively normal (the gwpskit.tangent
+    docstring), so no report reaches a degree after a failure.
     """
-    from .wps import invariants
+    from .wps import _minimal_presentation, invariants
 
     inv = invariants(space)
     if not inv.gorenstein:
         raise ValueError("projective normality check requires a Gorenstein space")
-    s = inv.s
-    base = degree_slice(space, s)
-    slice_set = set(base.points)
-    memo: dict = {}
+    generators, _ = _minimal_presentation(space, inv.s, d_max)
     report = NormalityReport()
     for d in range(2, d_max + 1):
-        ok = True
-        for p in degree_slice(space, d * s).points:
-            if not _decomposes(p, d, base.points, slice_set, memo):
-                ok = False
-                report.witnesses[d] = p
-                break
-        report.by_degree[d] = ok
+        report.by_degree[d] = not generators[d - 1]
+        if generators[d - 1]:
+            report.witnesses[d] = generators[d - 1][0]
     return report
 
 

@@ -78,7 +78,7 @@ c = g - 2 be the codimension.  The minimal first syzygies of I lie in degrees
 - The Gorenstein resolution is self-dual and ends in R(-c-3), so
   Tor_i(A)_j = Tor_{c-i}(A)_{c+3-j}.  Hence Tor_2(A)_5 = Tor_{g-4}(A)_{g-4},
   which is 0 because I has no linear forms, so Tor_i(A) starts in degree
-  i + 1.  The tests confirm it on five spaces: H~_1 of the squarefree
+  i + 1.  The tests confirm it on nine spaces: H~_1 of the squarefree
   divisor complex of every degree-5s point vanishes.
 
 Degree 4, Tor_2(A)_4 = 0, is the quartic check
@@ -99,10 +99,13 @@ Polytopes, Rings, and K-Theory (Springer, 2009), ch. 2.
 
 The tests check the premises: acceptance criterion 6 the h-vectors of all
 14 spaces, tests/test_lattice.py::test_normality_all_spaces projective
-normality through degree 3s on all 14 spaces, and
-tests/test_lattice.py::test_normality_small_spaces through degree 4s on three
-of them.  See Bruns-Herzog, Cohen-Macaulay Rings, sections 3.3, 4.4 and 6.3;
-Schenzel, J. Algebra 64 (1980).
+normality through degree 4s on all 14 spaces.  Every `betti` run checks
+normality through degree 3s: quadric_generators' count C(g+3, 2) - N(2s)
+holds only if every degree-2s point is a sum of two slice points, and
+check_degree3_generation's c(Delta_m) = 1 gives every degree-3s point a
+slice point below it with the rest of degree 2s.  See Bruns-Herzog,
+Cohen-Macaulay Rings, sections 3.3, 4.4 and 6.3; Schenzel, J. Algebra 64
+(1980).
 
 Why the report's alpha_S and alpha_C are alpha_P + 1 and alpha_P + 2.  For X
 in P^N, alpha(X) = h^0(N_X(-1)) - N - 1; for P in P^{g+1} it is the tangent

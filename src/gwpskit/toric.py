@@ -1,7 +1,7 @@
 """Quadric binomial generators of the anticanonical ideal, the test that
 they generate it in degree 3, and the squarefree divisor complexes and the
 array component count that the test, the syzygy layers and the Veronese
-relations share.
+generators and relations share.
 
 The ideal of the anticanonically embedded space is toric: its degree-2 part
 is spanned, fiberwise over exponent-sum multidegrees, by differences of
@@ -15,7 +15,9 @@ sets F of generators with m - sum_F g in S (Bruns and Herzog, Semigroup
 rings and simplicial complexes, J. Pure Appl. Algebra 122 (1997) 185-208;
 Miller and Sturmfels, Combinatorial Commutative Algebra, ch. 9).  So the
 minimal relations at m number c(Delta_m) - 1, and the quadrics generate the
-cubic part of the ideal iff every Delta_m of degree 3s is connected.
+cubic part of the ideal iff every Delta_m of degree 3s is connected.  Over
+the generators of lower degree alone, c(Delta_m) = 0 marks m as a new
+generator, which is how wps reads the minimal generators of a Veronese ring.
 `_divisor_complexes` enumerates the faces of all Delta_m of one degree at
 once and counts the components of each.
 
@@ -131,9 +133,11 @@ def check_degree3_generation(space: WeightedSpace) -> ConnectivityReport:
 
     The quadrics generate the cubic part of the ideal iff no minimal relation
     lies in degree 3s, that is iff H~_0(Delta_m) = c(Delta_m) - 1 vanishes at
-    every such m (the module docstring).  fibers_checked counts the
-    degree-3s points; the witness is the first m in descending order with
-    more than one component, and components_at_witness is its count.
+    every such m (the module docstring).  An empty Delta_m, c = 0, is a point
+    that is no sum of three slice points, which the counting formula of
+    beta2 would count all the same, so it fails too.  fibers_checked counts
+    the degree-3s points; the witness is the first m in descending order
+    with c(Delta_m) != 1, and components_at_witness is its count.
     """
     inv = invariants(space)
     if not inv.gorenstein:
@@ -141,7 +145,7 @@ def check_degree3_generation(space: WeightedSpace) -> ConnectivityReport:
     keys, components, _ = _divisor_complexes(
         space, lattice.degree_slice(space, inv.s).points, inv.s, 3
     )
-    bad = np.flatnonzero(components > 1)
+    bad = np.flatnonzero(components != 1)
     if bad.size:
         return ConnectivityReport(
             connected=False,
@@ -161,12 +165,13 @@ def _divisor_complexes(space: WeightedSpace, generators, unit: int, degree: int,
     least 2), is a pair (block, members): the ascending generator indices
     members[f] are a face of the complex at keys[block[f]].
 
-    S must be every point >= 0 of weighted degree divisible by unit, as it is
-    for the degree-s slice with unit s, by projective normality (the
-    gwpskit.tangent docstring), and for the Veronese generators with unit d.
-    Then a face F lies at m = sum_F g + r for every point r of the remaining
-    degree, and the faces of all m are enumerated as arrays at once, one
-    slice per degree sum of the member sets."""
+    Below degree * unit, S must be every point >= 0 of weighted degree
+    divisible by unit, as it is for the degree-s slice with unit s, by
+    projective normality (the gwpskit.tangent docstring), and for the
+    minimal generators of the d-th Veronese ring below degree * d, with unit
+    d.  Then a face F lies at m = sum_F g + r for every point r of the
+    remaining degree, and the faces of all m are enumerated as arrays at
+    once, one slice per degree sum of the member sets."""
     keys = lattice.degree_slice(space, degree * unit).points
     gens = np.array(generators, dtype=np.int64).reshape(-1, 4)
     gen_degree = gens @ np.array(space.weights) // unit

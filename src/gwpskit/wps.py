@@ -136,13 +136,12 @@ class VeronesePresentation:
     """Generator and relation degrees of a d-th Veronese subring.
 
     Degrees are measured in the regraded ring (original degree divided by d).
-    relation_degrees holds one entry per minimal relation of degree at most
-    cutoff, ascending; a relation of degree n involves only generators of
-    degree at most n, all of which the scan finds, so these are exact.
-    `complete` reports whether the generator scan provably exhausted all
-    minimal generators: every indecomposable has weighted degree at most
-    max(sum_i (lcm(a_i, d) - a_i), max_i lcm(a_i, d)), so the scan is complete
-    once cutoff*d reaches that bound.
+    generator_degrees and relation_degrees hold one entry per minimal
+    generator and per minimal relation of degree at most cutoff, ascending;
+    both are exact up to cutoff.  `complete` reports whether no minimal
+    generator lies above cutoff: every indecomposable has weighted degree at
+    most max(sum_i (lcm(a_i, d) - a_i), max_i lcm(a_i, d)), so the list is
+    complete once cutoff*d reaches that bound.
     """
 
     d: int
@@ -157,51 +156,43 @@ def _indecomposable_bound(ws: tuple[int, int, int, int], d: int) -> int:
     return max(sum(l - a for l, a in zip(lcms, ws)), max(lcms))
 
 
-def veronese_presentation(space: WeightedSpace, d: int, cutoff: int) -> VeronesePresentation:
-    """Minimal monomial generators of the d-th Veronese subring up to degree
-    cutoff*d, and the degrees of its minimal relations up to degree cutoff.
+def _minimal_presentation(space: WeightedSpace, d: int, cutoff: int):
+    """(generators, relations) of the d-th Veronese ring in degrees 1 to
+    cutoff: generators[n - 1] lists its minimal generators of degree n in
+    canonical order, and relations[n - 1] counts its minimal relations of
+    degree n.
 
-    A monomial of weighted degree n*d is a generator iff it is not the product
-    of two subring monomials of lower positive degree.  The minimal relations
-    at a point m of degree n*d number H~_0(Delta_m) = c(Delta_m) - 1, for the
-    squarefree divisor complex Delta_m of the generators (the gwpskit.toric
-    docstring), so degree n holds sum_m (c(Delta_m) - 1) of them.
-    """
+    Over the generators of lower degree, the squarefree divisor complex
+    Delta_m of a point m of degree n (the gwpskit.toric docstring) is empty
+    exactly when m is a new generator; otherwise it is the complex over all
+    generators, since no other point of degree n lies below m, and m carries
+    c(Delta_m) - 1 minimal relations."""
     from .toric import _divisor_complexes
 
+    generators: list[list[lattice.Point]] = []
+    relations: list[int] = []
+    for n in range(1, cutoff + 1):
+        lower = [u for degree in generators for u in degree]
+        keys, components, _ = _divisor_complexes(space, lower, d, n)
+        components = components.tolist()
+        generators.append([m for m, c in zip(keys, components) if c == 0])
+        relations.append(sum(c - 1 for c in components if c))
+    return generators, relations
+
+
+def veronese_presentation(space: WeightedSpace, d: int, cutoff: int) -> VeronesePresentation:
+    """Minimal monomial generators of the d-th Veronese subring up to degree
+    cutoff*d, and the degrees of its minimal relations up to degree cutoff,
+    both read off `_minimal_presentation`."""
     if d < 1:
         raise ValueError("Veronese index d must be >= 1")
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    slices = {n: lattice.degree_slice(space, n * d).points for n in range(1, cutoff + 1)}
-
-    generators: list[tuple[lattice.Point, int]] = []
-    for n in range(1, cutoff + 1):
-        for u in slices[n]:
-            decomposable = False
-            for k in range(1, n // 2 + 1):
-                for v in slices[k]:
-                    if all(ui >= vi for ui, vi in zip(u, v)):
-                        decomposable = True
-                        break
-                if decomposable:
-                    break
-            if not decomposable:
-                generators.append((u, n))
-
-    complete = cutoff * d >= _indecomposable_bound(space.weights, d)
-
-    gen_points = [p for p, _ in generators]
-    relation_degrees: list[int] = []
-    for n in range(2, cutoff + 1):
-        _, components, _ = _divisor_complexes(space, gen_points, d, n)
-        relation_degrees.extend([n] * int((components - 1).sum()))
-
+    generators, relations = _minimal_presentation(space, d, cutoff)
     return VeronesePresentation(
         d=d,
-        generator_degrees=tuple(sorted(n for _, n in generators)),
-        relation_degrees=tuple(relation_degrees),
+        generator_degrees=tuple(n for n, gens in enumerate(generators, 1) for _ in gens),
+        relation_degrees=tuple(n for n, count in enumerate(relations, 1) for _ in range(count)),
         cutoff=cutoff,
-        complete=complete,
+        complete=cutoff * d >= _indecomposable_bound(space.weights, d),
     )
-

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from conftest import brute_count
 from gwpskit.lattice import (
+    DegreeSlice,
     count_points,
     degree_slice,
     h_vector,
@@ -73,11 +74,12 @@ def test_normality_small_spaces():
 
 def test_normality_all_spaces(gorenstein_spaces):
     """Degrees 2s and 3s decide projective normality (box-point argument in
-    the gwpskit.tangent docstring); they hold on all 14 spaces."""
+    the gwpskit.tangent docstring); it holds through degree 4s on all 14
+    spaces."""
     assert len(gorenstein_spaces) == 14
     for sp in gorenstein_spaces:
-        rep = verify_projective_normality(sp, 3)
-        assert rep.by_degree == {2: True, 3: True} and rep.witnesses == {}
+        rep = verify_projective_normality(sp, 4)
+        assert rep.by_degree == {2: True, 3: True, 4: True} and rep.witnesses == {}
 
 
 def test_normality_requires_gorenstein():
@@ -85,18 +87,25 @@ def test_normality_requires_gorenstein():
         verify_projective_normality(weighted_space(1, 1, 1, 2), 3)
 
 
-def test_normality_witness_on_failure():
-    # A synthetic failure: degree-s basis with one monomial removed cannot
-    # reach a doubled point that needed it.
-    from gwpskit.lattice import _decomposes
+def test_normality_witness_on_failure(monkeypatch):
+    # A synthetic failure: without the first point x of the degree-s slice,
+    # 2x, the first point of degree 2s, is a sum of no two slice points.
+    import gwpskit.lattice as lattice
 
     sp = weighted_space(2, 3, 3, 4)
-    full = degree_slice(sp, 12).points
-    missing = full[0]
-    crippled = tuple(p for p in full if p != missing)
-    doubled = tuple(2 * x for x in missing)
-    assert _decomposes(doubled, 2, full, set(full), {})
-    assert not _decomposes(doubled, 2, crippled, set(crippled), {})
+    # The degree-12 complexes read the degree-0 slice for their rests.
+    full = {d: degree_slice(sp, d) for d in (0, 12, 24)}
+    x = full[12].points[0]
+    cut = DegreeSlice(12, full[12].points[1:])
+
+    def slice_without_x(space, d):
+        assert space == sp and d in full
+        return cut if d == 12 else full[d]
+
+    monkeypatch.setattr(lattice, "degree_slice", slice_without_x)
+    rep = verify_projective_normality(sp, 2)
+    assert rep.by_degree == {2: False}
+    assert rep.witnesses == {2: tuple(2 * c for c in x)}
 
 
 def test_h_vector_examples():

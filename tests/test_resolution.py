@@ -326,7 +326,9 @@ def test_degree3_homology_counts_the_linear_syzygies():
 
 
 @pytest.mark.parametrize(
-    "weights", [(2, 3, 3, 4), (2, 3, 10, 15), (1, 3, 4, 4), (1, 4, 5, 10), (1, 6, 14, 21)]
+    "weights",
+    [(2, 3, 3, 4), (2, 3, 10, 15), (1, 3, 4, 4), (1, 4, 5, 10), (1, 6, 14, 21),
+     (1, 2, 2, 5), (1, 2, 3, 6), (1, 2, 6, 9), (1, 3, 8, 12)],
 )
 def test_no_first_syzygy_of_degree_5s(weights):
     """Tor_2 in degree 5s, which the tangent docstring derives to be 0 from

@@ -110,6 +110,29 @@ def test_disconnected_cubic_fiber_names_its_witness(monkeypatch):
     )
 
 
+def test_empty_cubic_complex_names_its_witness(monkeypatch):
+    # Without the first point x = (6,0,0,0) of the degree-12 slice of
+    # (2,3,3,4), no slice point lies below 3x = (18,0,0,0), the first point
+    # of degree 36: Delta_m there has no vertex, and 3x is no sum of three
+    # slice points.
+    import gwpskit.toric as toric
+
+    sp = weighted_space(2, 3, 3, 4)
+    full = {d: degree_slice(sp, d) for d in (12, 24, 36)}
+    x = full[12].points[0]
+    cut = DegreeSlice(12, full[12].points[1:])
+
+    def slice_without_x(space, d):
+        assert space == sp and d in full
+        return cut if d == 12 else full[d]
+
+    monkeypatch.setattr(toric.lattice, "degree_slice", slice_without_x)
+    assert check_degree3_generation(sp) == ConnectivityReport(
+        connected=False, witness=tuple(3 * c for c in x), fibers_checked=175,
+        components_at_witness=0,
+    )
+
+
 def test_array_degree3_report_equals_per_fiber_oracle():
     for sp in enumerate_gorenstein(21):
         assert check_degree3_generation(sp) == per_fiber_degree3_report(sp), sp

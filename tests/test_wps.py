@@ -126,6 +126,10 @@ def test_restriction_requires_gorenstein():
         ((1, 1, 1, 1), 2, 4, (1,) * 10, (2,) * 20),
         ((1, 1, 1, 1), 3, 4, (1,) * 20, (2,) * 126),
         ((1, 1, 1, 3), 2, 6, (1, 1, 1, 1, 1, 1, 2, 2, 2, 3), (2,) * 6 + (3,) * 8 + (4,) * 6),
+        # Not Gorenstein, with generators in many degrees.
+        ((1, 2, 3, 5), 2, 8, (1, 1, 2, 3, 3, 4, 5), (4, 5, 6, 6, 7, 8)),
+        ((1, 2, 3, 5), 3, 6, (1, 1, 1, 2, 2, 3, 4, 5), (3, 4, 4, 5, 5, 6, 6, 6)),
+        ((1, 1, 2, 3), 2, 6, (1, 1, 1, 1, 2, 2, 3), (2, 3, 3, 4, 4, 4)),
     ],
 )
 def test_veronese_presentations(weights, d, cutoff, gens, rels):
@@ -136,10 +140,15 @@ def test_veronese_presentations(weights, d, cutoff, gens, rels):
 
 
 def test_veronese_incomplete_flag():
-    # w^2 sits in degree 10 = 5*d, beyond cutoff 2; the scan must say so.
+    # w^2 sits in degree 10 = 5*d, beyond cutoff 2; the flag must say so.
     pres = veronese_presentation(weighted_space(1, 2, 2, 5), 2, 2)
     assert not pres.complete
     assert pres.generator_degrees == (1, 1, 1)
+    # For (2,3,5,7) and d = 3 the bound on indecomposables is 28 > 6*3.
+    pres = veronese_presentation(weighted_space(2, 3, 5, 7), 3, 6)
+    assert not pres.complete
+    assert pres.generator_degrees == (1, 2, 3, 3, 4, 4, 5)
+    assert tuple(sorted(pres.relation_degrees)) == (6, 6)
 
 
 def test_veronese_validates_arguments():
