@@ -1,15 +1,15 @@
 """Walk through the classification of Gorenstein weighted projective 3-spaces.
 
 A weight system (a0, a1, a2, a3) is Gorenstein when the lcm of the weights
-divides their sum.  Scanning all well-formed coprime systems up to a bound
-finds exactly fourteen of them, and the count is stable long past the largest
-member, so the list is complete in the scanned range.
+divides their sum s.  Then k_i = s / a_i are integers with
+1/k0 + 1/k1 + 1/k2 + 1/k3 = 1, and that equation has exactly fourteen sorted
+solutions, so the list below is complete: no bound on the weights is needed.
 """
 
 from gwpskit import enumerate_gorenstein, invariants, restriction_invertible
 
-spaces = enumerate_gorenstein(50)
-print(f"Gorenstein weight systems with weights <= 50: {len(spaces)}\n")
+spaces = enumerate_gorenstein()
+print(f"Gorenstein weight systems: {len(spaces)}\n")
 
 print(f"{'weights':<16}{'m':>4}{'s':>4}{'-K^3':>6}{'g':>4}{'i_S':>5}{'g_1':>5}")
 for sp in spaces:
@@ -19,10 +19,11 @@ for sp in spaces:
         f"{inv.g:>4}{inv.i_S:>5}{inv.g1:>5}"
     )
 
-# The count stays at 14 no matter how far the bound is pushed (within reason).
-for bound in (21, 30, 40, 50):
-    assert len(enumerate_gorenstein(bound)) == 14
-print("\ncount is stable from bound 21 through 50")
+# Each space is one solution k of 1/k0 + 1/k1 + 1/k2 + 1/k3 = 1.
+print("\nk_i = s / a_i for each space, k0 <= k1 <= k2 <= k3:")
+for sp in spaces:
+    s = sum(sp.weights)
+    print(f"  {str(sp):<16}{tuple(s // a for a in reversed(sp.weights))}")
 
 # The divisibility index i_S = s / lcm(pairwise gcds) tells which twists
 # restrict to line bundles on a general anticanonical surface.

@@ -17,13 +17,11 @@ from .cache import (  # noqa: F401
 from .exactla import FieldSpec
 from .wps import WeightedSpace, invariants
 
-DEFAULT_BOUND = 50
 FORMATS = ("tsv", "markdown", "latex")
 
 
 @dataclass
 class RunConfig:
-    bound: int = DEFAULT_BOUND
     verify: bool = False
     # No command reads primes or fields(); perfbench/run.py does.
     primes: tuple[int, int] = (exactla.MERSENNE_PRIME_31, exactla.SECOND_PRIME)
@@ -117,17 +115,16 @@ def format_table(headers, rows, fmt: str) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def check_reference(columns: dict[WeightedSpace, dict[str, int]],
-                    count_spaces: bool = False) -> int:
-    """Compare each space's computed columns with the shipped reference table.
+def check_reference(columns: dict[WeightedSpace, dict[str, int]]) -> int:
+    """Compare the number of spaces and each space's computed columns with
+    the shipped reference table.
 
     Prints one failure line per mismatch to stderr, or one line counting the
-    verified rows when there is none, and returns the exit code.  With `count_spaces` the number
-    of spaces must also match the table's.
+    verified rows when there is none, and returns the exit code.
     """
     expected = load_expected()
     errors = []
-    if count_spaces and len(columns) != len(expected):
+    if len(columns) != len(expected):
         errors.append(f"expected {len(expected)} spaces, found {len(columns)}")
     for sp, got in columns.items():
         exp = expected.get(sp.weights)
@@ -148,7 +145,7 @@ def check_reference(columns: dict[WeightedSpace, dict[str, int]],
 
 
 def cmd_classify(config: RunConfig) -> tuple[str, int]:
-    spaces = table_order(wps.enumerate_gorenstein(config.bound))
+    spaces = table_order(wps.enumerate_gorenstein())
     headers = ["#", "weights", "-K^3", "m", "s", "i_S", "g_1"]
     rows = []
     columns = {}
@@ -158,12 +155,12 @@ def cmd_classify(config: RunConfig) -> tuple[str, int]:
         rows.append(row)
         columns[sp] = dict(zip(("row", "K3", "m", "s", "i_S", "g_1"), row[:1] + row[2:]))
     text = format_table(headers, rows, config.output_format)
-    code = check_reference(columns, count_spaces=config.bound >= 21) if config.check else 0
+    code = check_reference(columns) if config.check else 0
     return text, code
 
 
 def cmd_betti(config: RunConfig) -> tuple[str, int]:
-    spaces = table_order(wps.enumerate_gorenstein(config.bound))
+    spaces = table_order(wps.enumerate_gorenstein())
     headers = ["#", "weights", "g_1", "i_S", "g", "beta_1", "beta_2"]
     if config.verify:
         headers += ["deg3_generation", "quartic_syzygies"]
@@ -200,7 +197,7 @@ def compute_alpha(sp: WeightedSpace, config: RunConfig) -> tangent.T1Report:
 
 
 def cmd_alpha(config: RunConfig) -> tuple[str, int]:
-    spaces = table_order(wps.enumerate_gorenstein(config.bound))
+    spaces = table_order(wps.enumerate_gorenstein())
     headers = ["#", "weights", "g_1", "i_S", "alpha_S", "alpha_P", "extendability"]
     rows = []
     columns = {}
@@ -233,7 +230,6 @@ def _parse_weights(token: str) -> WeightedSpace:
 
 
 def _add_table_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--bound", type=int, default=DEFAULT_BOUND)
     parser.add_argument("--format", default="tsv", choices=FORMATS)
     parser.add_argument("--check", action="store_true",
                         help="compare against the shipped reference table")
@@ -243,7 +239,6 @@ def _config_from_args(args) -> RunConfig:
     """The run configuration; a flag that the subcommand does not register
     keeps its default."""
     return RunConfig(
-        bound=args.bound,
         verify=getattr(args, "verify", False),
         output_format=args.format,
         check=args.check,
@@ -292,7 +287,7 @@ def run(argv=None) -> int:
                 text, code = cmd_alpha(config)
             else:
                 raise ValueError(f"unknown command {args.command!r}")
-    except (ValueError, wps.WeightValidationError) as exc:
+    except (ValueError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(text)

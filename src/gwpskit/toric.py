@@ -92,7 +92,7 @@ def quadric_generators(space: WeightedSpace, tree: str = "min") -> ToricIdeal:
     expected = comb(g + 3, 2) - lattice.count_points(space, 2 * inv.s)
     if len(gens) != expected:
         raise BettiConsistencyError(
-            f"generator count {len(gens)} != C(g+3,2) - N(2s) = {expected}; "
+            f"generator count {len(gens)} != C(g+3,2) - N(2s) = {expected} for {space}; "
             "degree-2 decomposability fails for this input"
         )
     return ToricIdeal(space=space, slice_s=sl, generators=tuple(gens), fibers=fibers)

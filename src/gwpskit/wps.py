@@ -3,8 +3,9 @@
 A weight system is a tuple of four positive integers, canonicalized to
 non-decreasing order, globally coprime and well formed (every three weights
 coprime).  The Gorenstein members are exactly those whose weight lcm divides
-the weight sum; their numerical invariants (degree, genus, divisibility
-index) are computed here in exact integer arithmetic.
+the weight sum s, the 14 solutions of sum 1/k_i = 1 with k_i = s / a_i; their
+numerical invariants (degree, genus, divisibility index) are computed here in
+exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -102,24 +103,27 @@ def invariants(space: WeightedSpace) -> WpsInvariants:
     )
 
 
-def enumerate_gorenstein(max_weight: int) -> list[WeightedSpace]:
-    """All Gorenstein weight systems with largest weight <= max_weight,
-    in lexicographic order."""
-    out = []
-    if max_weight < 1:
-        return out
-    for a0 in range(1, max_weight + 1):
-        for a1 in range(a0, max_weight + 1):
-            for a2 in range(a1, max_weight + 1):
-                # a3 divides s, so it divides t = a0 + a1 + a2 <= 3 * a3.
-                t = a0 + a1 + a2
-                for a3 in (t // q for q in (3, 2, 1) if t % q == 0):
-                    ws = (a0, a1, a2, a3)
-                    if a2 <= a3 <= max_weight and sum(ws) % math.lcm(*ws) == 0 and all(
-                        math.gcd(*triple) == 1 for triple in combinations(ws, 3)
-                    ):
-                        out.append(WeightedSpace(ws))
-    return out
+def enumerate_gorenstein(max_weight: int | None = None) -> list[WeightedSpace]:
+    """The Gorenstein weight systems, all 14 or those with largest weight <=
+    max_weight, in lexicographic order.
+
+    Each weight divides s = a0 + a1 + a2 + a3, so the k_i = s / a_i are
+    integers with sum 1/k_i = 1.  Sorted ascending, each 1/k_i is at least the
+    mean of those left: k0 <= 4, max(k0, 3) <= k1 <= 3 / (1 - 1/k0),
+    k2 <= 2 / (1 - 1/k0 - 1/k1), and 1/k3 is the remainder.  As s / lcm(k)
+    divides every a_i and the weights are coprime, s = lcm(k).
+    """
+    spaces = []
+    for k0 in range(2, 5):
+        for k1 in range(max(k0, 3), math.floor(3 / (1 - Fraction(1, k0))) + 1):
+            rest = 1 - Fraction(1, k0) - Fraction(1, k1)
+            for k2 in range(k1, math.floor(2 / rest) + 1):
+                last = rest - Fraction(1, k2)
+                if last.numerator == 1 and last.denominator >= k2:
+                    ks = (k0, k1, k2, last.denominator)
+                    spaces.append(WeightedSpace(tuple(math.lcm(*ks) // k for k in ks)))
+    return sorted((sp for sp in spaces if max_weight is None or sp.weights[3] <= max_weight),
+                  key=lambda sp: sp.weights)
 
 
 def restriction_invertible(space: WeightedSpace, k: int) -> bool:

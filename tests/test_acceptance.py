@@ -45,7 +45,7 @@ def desk_pipelines():
 
 def test_criterion_1_classification():
     t0 = time.time()
-    text, code = cmd_classify(RunConfig(bound=50, check=True))
+    text, code = cmd_classify(RunConfig(check=True))
     rows = text.strip().split("\n")[1:]
     ok = code == 0 and len(rows) == 14
     for line in rows:

@@ -28,12 +28,6 @@ def test_classify_default_rows():
     assert lines[9].split("\t") == ["9", "(2,3,3,4)", "24", "12", "12", "2", "4"]
 
 
-def test_classify_bound_three():
-    text, code = cmd_classify(RunConfig(bound=3))
-    assert code == 0
-    assert len(text.strip().split("\n")) == 4
-
-
 def test_classify_check_passes():
     _, code = cmd_classify(RunConfig(check=True))
     assert code == 0
@@ -49,16 +43,31 @@ def test_classify_check_detects_mismatch(monkeypatch):
     assert code == 1
 
 
-def test_classify_check_counts_spaces(monkeypatch, capsys):
+@pytest.fixture
+def without_1_6_14_21(monkeypatch):
+    """The table commands see every space but (1,6,14,21)."""
     import gwpskit.cli as cli
 
     enumerate_all = cli.wps.enumerate_gorenstein
     last = weighted_space(1, 6, 14, 21)
-    monkeypatch.setattr(
-        cli.wps, "enumerate_gorenstein", lambda bound: [sp for sp in enumerate_all(bound) if sp != last]
-    )
+    monkeypatch.setattr(cli.wps, "enumerate_gorenstein",
+                        lambda *bound: [sp for sp in enumerate_all(*bound) if sp != last])
+
+
+def test_classify_check_counts_spaces(capsys, without_1_6_14_21):
     assert run(["classify", "--check"]) == 1
     assert capsys.readouterr().err == "CHECK FAIL: expected 14 spaces, found 13\n"
+
+
+@pytest.mark.parametrize("command", ["betti", "alpha"])
+def test_table_check_counts_spaces(command, capsys, without_1_6_14_21):
+    """betti --check and alpha --check, like classify --check, need all 14
+    rows of the reference table."""
+    assert run([command, "--check"]) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("CHECK")] == [
+        "CHECK FAIL: expected 14 spaces, found 13"
+    ]
 
 
 def test_classify_check_reports_an_unexpected_space(monkeypatch, capsys):
@@ -100,17 +109,18 @@ def test_betti_check():
 
 
 def test_markdown_and_latex_formats():
-    md, _ = cmd_classify(RunConfig(bound=3, output_format="markdown"))
+    md, _ = cmd_classify(RunConfig(output_format="markdown"))
     assert md.startswith("| # | weights |")
-    assert md.count("\n") == 5
-    tex, _ = cmd_classify(RunConfig(bound=3, output_format="latex"))
+    assert md.count("\n") == 16  # header, rule and 14 rows
+    tex, _ = cmd_classify(RunConfig(output_format="latex"))
     assert tex.startswith("\\begin{tabular}")
     assert "\\end{tabular}" in tex
 
 
 def test_tsv_contract():
-    text, _ = cmd_classify(RunConfig(bound=3))
+    text, _ = cmd_classify(RunConfig())
     lines = text.splitlines()
+    assert len(lines) == 15
     assert all("\t" in line for line in lines)
     assert lines[0].startswith("#\t")
 
@@ -127,10 +137,10 @@ def test_veronese_command_lines():
 
 
 def test_run_entrypoint(capsys):
-    code = run(["classify", "--bound", "3"])
+    code = run(["classify"])
     assert code == 0
     out = capsys.readouterr().out
-    assert out.count("\n") == 4
+    assert out.count("\n") == 15
 
 
 @pytest.mark.parametrize("module", ["gwpskit", "gwpskit.cli"])
@@ -151,16 +161,19 @@ def test_python_dash_m_runs_the_cli(module):
     ["veronese", "1,1,4,6", "2", "--prime", "7"],
     ["veronese", "1,1,4,6", "2", "--prime2", "7"],
     ["veronese", "1,1,4,6", "2", "--max-genus", "15"],
+    ["classify", "--bound", "50"],
     ["classify", "--cache", "D"],
     ["classify", "--prime", "7"],
     ["classify", "--prime2", "7"],
     ["classify", "--max-genus", "15"],
+    ["betti", "--bound", "50"],
     ["betti", "--cache", "D"],
     ["betti", "--prime", "7"],
     ["betti", "--prime2", "7"],
     ["betti", "--verify", "--all"],
     ["betti", "--max-genus", "15"],
     ["alpha", "--all"],
+    ["alpha", "--bound", "50"],
     ["alpha", "--cache", "D"],
     ["alpha", "--max-genus", "15"],
     ["alpha", "--prime", "7"],
@@ -191,11 +204,13 @@ def test_run_config_validation():
 
 @pytest.fixture
 def only_2334(monkeypatch):
-    """The table commands see (2,3,3,4), the smallest space, whatever the
-    bound."""
+    """The table commands see (2,3,3,4), the smallest space, and the
+    reference table holds its row alone."""
     import gwpskit.cli as cli
 
-    monkeypatch.setattr(cli.wps, "enumerate_gorenstein", lambda bound: [weighted_space(2, 3, 3, 4)])
+    monkeypatch.setattr(cli.wps, "enumerate_gorenstein", lambda *bound: [weighted_space(2, 3, 3, 4)])
+    row = load_expected()[(2, 3, 3, 4)]
+    monkeypatch.setattr(cli, "load_expected", lambda: {(2, 3, 3, 4): row})
 
 
 def test_alpha_small_run(only_2334):
@@ -268,6 +283,23 @@ def test_betti_disconnected_cubic_fiber_is_an_error(monkeypatch, capsys, only_23
     )
 
 
+def test_betti_consistency_failure_is_an_error(monkeypatch, capsys, only_2334):
+    """A failed Betti cross-check stops `betti` with one error line that
+    names the space, exit 2 and no table, like a disconnected cubic fiber."""
+    import gwpskit.lattice as lattice
+
+    count = lattice.count_points
+    monkeypatch.setattr(lattice, "count_points",
+                        lambda space, d: count(space, d) + (d == 24))
+    assert run(["betti"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: generator count 55 != C(g+3,2) - N(2s) = 54 for (2,3,3,4); "
+        "degree-2 decomposability fails for this input\n"
+    )
+
+
 @pytest.mark.parametrize("command, column, computed", [
     ("betti", "beta_2", 320),
     ("alpha", "alpha_S", 6),
@@ -276,9 +308,8 @@ def test_check_reports_a_wrong_reference_value(command, column, computed, monkey
                                                only_2334):
     import gwpskit.cli as cli
 
-    expected = load_expected()
-    expected[(2, 3, 3, 4)] = dict(expected[(2, 3, 3, 4)], **{column: computed + 1})
-    monkeypatch.setattr(cli, "load_expected", lambda: expected)
+    row = dict(load_expected()[(2, 3, 3, 4)], **{column: computed + 1})
+    monkeypatch.setattr(cli, "load_expected", lambda: {(2, 3, 3, 4): row})
     assert run([command, "--check"]) == 1
     err = capsys.readouterr().err
     assert [line for line in err.splitlines() if line.startswith("CHECK")] == [

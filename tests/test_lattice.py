@@ -65,13 +65,6 @@ def test_slice_length_is_g_plus_2(gorenstein_spaces):
         assert count_points(sp, inv.s) == inv.g + 2
 
 
-def test_normality_small_spaces():
-    for w in [(2, 3, 3, 4), (1, 1, 4, 6), (2, 3, 10, 15)]:
-        rep = verify_projective_normality(weighted_space(*w), 4)
-        assert rep.all_normal()
-        assert rep.witnesses == {}
-
-
 def test_normality_all_spaces(gorenstein_spaces):
     """Degrees 2s and 3s decide projective normality (box-point argument in
     the gwpskit.tangent docstring); it holds through degree 4s on all 14

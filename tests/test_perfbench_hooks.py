@@ -1,7 +1,7 @@
 """The traced benchmark (perfbench/) wraps gwpskit functions by name and binds
-their parameters by name; this runs its two workloads' steps on (2,3,3,4)
-under the tracer, and the elimination route that the census still reads, so
-that an API change which breaks the benchmark fails here."""
+their parameters by name; this runs its setup, its two workloads' steps on
+(2,3,3,4) under the tracer, and the elimination route that the census still
+reads, so that an API change which breaks the benchmark fails here."""
 
 import importlib
 import sys
@@ -73,3 +73,13 @@ def test_traced_steps_on_smallest_space(bench, tmp_path):
     assert {"resolution.linear_syzygies", "resolution.quartic_check",
             "tangent.hom", "cli.compute_alpha"} <= names
     assert not hasattr(gw["resolution"].linear_syzygies, "__wrapped__")
+
+
+def test_setup_returns_the_benchmark_spaces(bench):
+    """setup, the benchmark's one call into the classification, returns the
+    eight spaces of run.SPACES with the reference table's rows."""
+    run, _, gw = bench
+    spaces, expected = run.setup(gw)
+    assert [sp.weights for sp in spaces] == list(run.SPACES)
+    assert expected == gw["cli"].load_expected()
+    assert all(sp.weights in expected for sp in spaces)

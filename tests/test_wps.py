@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import scan_gorenstein
+from gwpskit.cli import load_expected
 from gwpskit.wps import (
     WeightedSpace,
     WeightValidationError,
@@ -63,6 +64,16 @@ def test_enumeration_equals_the_full_weight_scan():
     full = scan_gorenstein(60)
     for bound in range(61):
         assert enumerate_gorenstein(bound) == [sp for sp in full if sp.weights[3] <= bound]
+
+
+def test_enumeration_is_the_reference_table():
+    """With no bound, the enumeration is the reference table's 14 weight
+    systems in lexicographic order, and each is a solution of
+    1/k0 + ... + 1/k3 = 1: every k_i = s / a_i is an integer."""
+    spaces = enumerate_gorenstein()
+    assert [sp.weights for sp in spaces] == sorted(load_expected())
+    for sp in spaces:
+        assert all(sum(sp.weights) % a == 0 for a in sp.weights)
 
 
 def test_enumerate_bounds():
