@@ -79,9 +79,6 @@ class NormalityReport:
     by_degree: dict[int, bool] = field(default_factory=dict)
     witnesses: dict[int, Point] = field(default_factory=dict)
 
-    def all_normal(self) -> bool:
-        return all(self.by_degree.values())
-
 
 def verify_projective_normality(space: "WeightedSpace", d_max: int) -> NormalityReport:
     """Check, for each 2 <= d <= d_max, that the anticanonical ring, the s-th

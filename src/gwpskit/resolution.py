@@ -27,6 +27,21 @@ bounds it from below, since a minor that is odd is not zero; where the two
 meet, m is proven.  At degree 3s the same complexes give the linear
 syzygies, H~_1(Delta_m) of them at m, and H~_0(Delta_m) = c - 1 = 0 there
 is degree-3 generation (toric.check_degree3_generation).
+
+Most of that GF(2) rank is counted, not eliminated: the star-cover
+closure.  Let w be the star vertex of Delta_m.  Each triangle wxy is the
+only one through w with the edge xy, so the rows of these triangles are
+independent over every ring; their edges xy are covered.  Modulo the rows
+counted so far, a covered edge xy equals the star edges wx + wy; call this
+substitution phi, whose kernel is exactly the span of the counted rows.  A
+triangle without w whose three edges are covered then adds nothing, as
+phi of its row is zero (the boundary of the boundary of wijk is zero); one
+with exactly two covered edges pq and pr adds the row qr + wq + wr, new in
+its edge qr: it is counted, and qr is covered.  Repeated until no edge is
+added, this leaves triangles with at most one covered edge each, and only
+their rows after phi are eliminated.  The rank of the boundary map is the
+count plus their rank, so the GF(2) rank read, up to E - V + c + 1, is the
+one a full elimination of every triangle's row would read.
 """
 
 from __future__ import annotations
@@ -313,48 +328,133 @@ class QuarticSyzygyReport:
     fallbacks: int
 
 
-def _complexes(ideal: ToricIdeal, degree: int) -> list[tuple[Point, int, int, np.ndarray]]:
-    """(m, E, E - V + c, triangles) for every point m of weighted degree
-    degree * s, in descending order: Delta_m, the complex of the sets F of
-    slice indices with m - sum_F u >= 0, has E edges, V vertices and c
-    components, and triangles is a (T, 3) int array that gives, for each
-    triangle i < j < k, the positions of its edges ij, ik and jk.  The vertex
-    in the most triangles (the lowest on ties) is the star vertex: the edges
-    through it take the lowest positions and the triangles through it come
-    first, so each of those owns the highest position among its edges.
+@dataclass(frozen=True, eq=False)
+class _Complexes:
+    """The complexes Delta_m at the points m of one degree, keys in
+    descending order, after the star-cover closure (the module docstring).
+    For the complex at keys[b]: cycles[b] is E - V + c, counted[b] the number
+    of its covered edges, each covered by one independent row, and rows[b]
+    its residual rows as GF(2) bitsets, the covered edges replaced.  The
+    triangles of all complexes are the ascending slice index triples
+    `triangles`, the one at row f in the complex at keys[block[f]]."""
 
-    The faces are those of toric._divisor_complexes, with unit s."""
-    n, s = len(ideal.slice_s), ideal.slice_s.degree
-    keys, components, ((vb, _), (eb, e), (tb, t)) = _divisor_complexes(
-        ideal.space, ideal.slice_s.points, s, degree, 3
+    keys: list[Point]
+    cycles: list[int]
+    counted: list[int]
+    rows: list[list[int]]
+    block: np.ndarray
+    triangles: np.ndarray
+
+    def gf2_rank(self, b: int) -> int:
+        """min(rank, E - V + c + 1) over GF(2) of the boundary map of the
+        complex at keys[b], the number exactla.rank_gf2 reads off all its
+        triangles' rows with the bound E - V + c + 1."""
+        bound, counted = self.cycles[b] + 1, self.counted[b]
+        return min(counted, max(bound, 0)) + exactla.rank_gf2(self.rows[b], bound - counted)
+
+
+def _complexes(ideal: ToricIdeal, degree: int) -> _Complexes:
+    """The complexes Delta_m at every point m of weighted degree degree * s:
+    Delta_m is the complex of the sets F of slice indices with
+    m - sum_F u >= 0, its faces those of toric._divisor_complexes with
+    unit s."""
+    keys, components, faces = _divisor_complexes(
+        ideal.space, ideal.slice_s.points, ideal.slice_s.degree, degree, 3
     )
+    return _star_cover(keys, components, faces, len(ideal.slice_s))
+
+
+def _star_cover(keys, components, faces, n: int) -> _Complexes:
+    """The _Complexes of the faces (vertices, edges and triangles, as
+    toric._divisor_complexes gives them) of complexes on the vertices
+    0 .. n - 1, with components[b] components at keys[b].
+
+    The star vertex w of a complex is its vertex in the most triangles (the
+    lowest on ties).  The edge pq, p < q, of the complex at keys[b] has the
+    int32 code (b*n + p)*n + q, below 3.1 million on the 14 spaces through
+    degree 5s: the closure runs on all complexes at once, one round per
+    array pass."""
+    (vb, _), (eb, _), (tb, t) = faces
     nb = len(keys)
-    edges = np.bincount(eb, minlength=nb)
-    cycles = edges - np.bincount(vb, minlength=nb) + components
-    star = np.bincount((tb[:, None] * n + t).ravel(), minlength=nb * n).reshape(nb, n).argmax(1)
-    # slot[b, i, j] for i < j is the position of the edge ij within block b.
-    slot = np.empty((nb, n, n), dtype=np.int32)
-    i, j = e.T
-    order = np.lexsort((j, i, (i != star[eb]) & (j != star[eb]), eb))
-    slot[eb[order], i[order], j[order]] = np.arange(len(eb)) - (np.cumsum(edges) - edges)[eb[order]]
-    order = np.lexsort(((t != star[tb, None]).all(1), tb))
-    t, tb = t[order], tb[order]
+    cycles = np.bincount(eb, minlength=nb) - np.bincount(vb, minlength=nb) + components
+    first = tb * n
+    star = sum(np.bincount(first + v, minlength=nb * n) for v in t.T).reshape(nb, n).argmax(1)
+    star = star.astype(np.int32)
+    covered, rest = _closure(tb, t, star, nb, n)
+    return _Complexes(
+        keys=keys,
+        cycles=cycles.tolist(),
+        counted=np.bincount(np.flatnonzero(covered) // (n * n), minlength=nb).tolist(),
+        rows=_residual_rows(covered, rest, star, nb, n),
+        block=tb,
+        triangles=t,
+    )
+
+
+def _closure(tb, t, star, nb: int, n: int):
+    """(covered, rest) for the triangles t[f] of the complexes at tb[f] with
+    the star vertices star[b]: covered marks, by code, the covered edges,
+    and rest lists the codes of the edges ij, ik and jk of every triangle
+    left with at most one covered edge."""
+    nn = n * n
     i, j, k = t.T
-    triangles = np.stack([slot[tb, i, j], slot[tb, i, k], slot[tb, j, k]], axis=1)
-    bounds = np.searchsorted(tb, np.arange(nb + 1)).tolist()
-    return [
-        (key, int(edges[b]), int(cycles[b]), triangles[bounds[b]:bounds[b + 1]])
-        for b, key in enumerate(keys)
-    ]
+    w = star[tb]
+    at_i, at_k = i == w, k == w
+    through = at_i | at_k | (j == w)
+    covered = np.zeros(nb * nn, dtype=bool)
+    # A triangle wxy covers its edge xy.
+    x, y = np.where(at_i, j, i)[through], np.where(at_k, j, k)[through]
+    covered[tb[through] * nn + x * n + y] = True
+    del w, at_i, at_k, x, y  # before the larger arrays below
+    # Of the other triangles, one with two covered edges covers the third,
+    # and one with three adds nothing.
+    other = ~through
+    base, i, j, k = tb[other] * nn, i[other] * n, j[other], k[other]
+    rest = np.empty((len(base), 3), dtype=base.dtype)
+    rest[:, 0], rest[:, 1], rest[:, 2] = base + i + j, base + i + k, base + j * n + k
+    del base, i, j, k  # before the copies of rest below
+    as_int = covered.view(np.uint8)
+    while True:
+        hit = as_int[rest]
+        count = hit[:, 0] + hit[:, 1] + hit[:, 2]
+        closing = count == 2
+        covered[rest[closing][hit[closing] == 0]] = True
+        rest = rest[count < 2]
+        if not closing.any():
+            return covered, rest
 
 
-def _signed_boundary(triangles, edges: int) -> list[list[int]]:
-    """The rows e_jk - e_ik + e_ij of the boundary map of a complex with
-    `edges` edges, one per triangle of _complexes' triangles array."""
+def _residual_rows(covered, rest, star, nb: int, n: int) -> list[list[int]]:
+    """The rows, after phi, of the triangles whose edge codes are rest, by
+    complex: a bit per edge code p*n + q within the complex.  A row has at
+    most one covered edge pq, which phi replaces by the star edges wp and
+    wq; with none, the fourth column repeats the first."""
+    nn = n * n
+    rest = rest[np.argsort(rest[:, 0], kind="stable")]
+    hit = covered[rest]
+    rb, local = rest[:, 0] // nn, rest % nn
+    p, q = np.divmod(local, n)
+    w = star[rb, None]
+    wp = np.where(hit, np.minimum(w, p) * n + np.maximum(w, p), local)
+    wq = np.where(hit, np.minimum(w, q) * n + np.maximum(w, q), local)
+    cols = np.column_stack([wp, wq[np.arange(len(rest)), hit.argmax(1)]])
+    bit = [1 << code for code in range(nn)]
+    bits = [bit[a] | bit[b] | bit[c] | bit[d] for a, b, c, d in zip(*cols.T.tolist())]
+    bounds = np.searchsorted(rb, np.arange(nb + 1)).tolist()
+    return [bits[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _signed_boundary(triangles) -> list[list[int]]:
+    """The rows e_jk - e_ik + e_ij of the boundary map, one per triangle
+    i < j < k of `triangles`, over the edges of the triangles in ascending
+    order."""
+    triangles = triangles.tolist()
+    edges = sorted({e for i, j, k in triangles for e in ((i, j), (i, k), (j, k))})
+    column = {e: p for p, e in enumerate(edges)}
     rows = []
-    for ij, ik, jk in triangles.tolist():
-        row = [0] * edges
-        row[ij], row[ik], row[jk] = 1, -1, 1
+    for i, j, k in triangles:
+        row = [0] * len(edges)
+        row[column[i, j]], row[column[i, k]], row[column[j, k]] = 1, -1, 1
         rows.append(row)
     return rows
 
@@ -368,23 +468,25 @@ def check_no_quartic_syzygies(
     = 0 at every degree-4s point m (see the module docstring).
 
     The rank of the boundary map of Delta_m is at most E - V + c; its GF(2)
-    rank, taken up to E - V + c + 1, is a lower bound.  Equal to E - V + c
-    proves m; above it is an AssertionError naming the space and m (a wrong
-    E, V or c); below it the signed map is ranked exactly (exactla.echelon)
-    and counted as a fallback, and an exact shortfall makes m a witness.  The
-    first witness in descending order is reported.  `syzygies` and `fields` are
-    accepted for compatibility and unused: the check reads no syzygy and no
-    prime field.
+    rank, taken up to E - V + c + 1, is a lower bound.  It is read as the
+    count of the star-cover closure plus the rank of the residual rows (the
+    module docstring), the number a full elimination would read.  Equal to
+    E - V + c proves m; above it is an AssertionError naming the space and m
+    (a wrong E, V or c); below it the signed map of all the triangles of
+    Delta_m is ranked exactly (exactla.echelon) and counted as a fallback,
+    and an exact shortfall makes m a witness.  The first witness in
+    descending order is reported.  `syzygies` and `fields` are accepted for
+    compatibility and unused: the check reads no syzygy and no prime field.
     """
+    complexes = _complexes(ideal, 4)
     witness = None
-    checked = fallbacks = 0
-    for m, edges, cycles, triangles in _complexes(ideal, 4):
-        checked += 1
-        rows = [(1 << a) | (1 << b) | (1 << c) for a, b, c in triangles.tolist()]
-        rank = exactla.rank_gf2(rows, cycles + 1)
+    fallbacks = 0
+    for b, (m, cycles) in enumerate(zip(complexes.keys, complexes.cycles)):
+        rank = complexes.gf2_rank(b)
         if rank < cycles:
             fallbacks += 1
-            rank = len(exactla.echelon(_signed_boundary(triangles, edges), cycles + 1))
+            triangles = complexes.triangles[complexes.block == b]
+            rank = len(exactla.echelon(_signed_boundary(triangles), cycles + 1))
         if rank > cycles:
             raise AssertionError(
                 f"boundary rank {rank} above the cycle dimension {cycles} at multidegree {m} "
@@ -393,5 +495,6 @@ def check_no_quartic_syzygies(
         if rank < cycles and witness is None:
             witness = m
     return QuarticSyzygyReport(
-        ok=witness is None, witness=witness, blocks_checked=checked, fallbacks=fallbacks
+        ok=witness is None, witness=witness, blocks_checked=len(complexes.keys),
+        fallbacks=fallbacks,
     )

@@ -78,7 +78,7 @@ c = g - 2 be the codimension.  The minimal first syzygies of I lie in degrees
 - The Gorenstein resolution is self-dual and ends in R(-c-3), so
   Tor_i(A)_j = Tor_{c-i}(A)_{c+3-j}.  Hence Tor_2(A)_5 = Tor_{g-4}(A)_{g-4},
   which is 0 because I has no linear forms, so Tor_i(A) starts in degree
-  i + 1.  The tests confirm it on nine spaces: H~_1 of the squarefree
+  i + 1.  The tests confirm it on all 14 spaces: H~_1 of the squarefree
   divisor complex of every degree-5s point vanishes.
 
 Degree 4, Tor_2(A)_4 = 0, is the quartic check

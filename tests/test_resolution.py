@@ -304,12 +304,25 @@ def _gf2_h1(complexes):
     """{m: E - V + c - GF(2) rank of the boundary map} over the complexes,
     where that is nonzero: an upper bound on dim H~_1(Delta_m; Q)."""
     out = {}
-    for m, _, cycles, triangles in complexes:
-        rows = [(1 << a) | (1 << b) | (1 << c) for a, b, c in triangles.tolist()]
-        h1 = cycles - rank_gf2(rows, cycles + 1)
+    for b, m in enumerate(complexes.keys):
+        h1 = complexes.cycles[b] - complexes.gf2_rank(b)
         if h1:
             out[m] = h1
     return out
+
+
+def _full_gf2_ranks(complexes, n: int) -> list[int]:
+    """At each point, rank_gf2 of the rows of all its triangles, with the
+    edge pq as the bit p*n + q, read to E - V + c + 1: the elimination that
+    the star-cover closure replaces."""
+    order = np.argsort(complexes.block, kind="stable")
+    bounds = np.searchsorted(complexes.block[order], np.arange(len(complexes.keys) + 1))
+    triangles = complexes.triangles[order].tolist()
+    return [
+        rank_gf2([(1 << i * n + j) | (1 << i * n + k) | (1 << j * n + k)
+                  for i, j, k in triangles[lo:hi]], cycles + 1)
+        for lo, hi, cycles in zip(bounds.tolist(), bounds[1:].tolist(), complexes.cycles)
+    ]
 
 
 def test_degree3_homology_counts_the_linear_syzygies():
@@ -325,28 +338,67 @@ def test_degree3_homology_counts_the_linear_syzygies():
         assert sum(h1.values()) == beta2(sp), sp
 
 
+ALL_WEIGHTS = [sp.weights for sp in enumerate_gorenstein()]
+# The spaces whose degree-5s complexes the oracle also eliminates in full;
+# the other five cost several seconds that way.
+DEGREE5_ORACLE = [(2, 3, 3, 4), (2, 3, 10, 15), (1, 3, 4, 4), (1, 4, 5, 10), (1, 6, 14, 21),
+                  (1, 2, 2, 5), (1, 2, 3, 6), (1, 2, 6, 9), (1, 3, 8, 12)]
+
+
+@pytest.mark.parametrize(
+    "weights, degree",
+    [(w, d) for d in (3, 4) for w in ALL_WEIGHTS] + [(w, 5) for w in DEGREE5_ORACLE],
+    ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else f"degree{v}",
+)
+def test_star_cover_rank_equals_the_full_elimination(weights, degree):
+    """Oracle: at every point, the GF(2) rank read off the counted rows and
+    the residual rows equals rank_gf2 of the rows of all the triangles."""
+    ideal = quadric_generators(weighted_space(*weights))
+    complexes = resolution._complexes(ideal, degree)
+    read = [complexes.gf2_rank(b) for b in range(len(complexes.keys))]
+    assert read == _full_gf2_ranks(complexes, len(ideal.slice_s))
+
+
 @pytest.mark.parametrize(
     "weights",
-    [(2, 3, 3, 4), (2, 3, 10, 15), (1, 3, 4, 4), (1, 4, 5, 10), (1, 6, 14, 21),
-     (1, 2, 2, 5), (1, 2, 3, 6), (1, 2, 6, 9), (1, 3, 8, 12)],
+    DEGREE5_ORACLE + [(1, 1, 1, 1), (1, 1, 1, 3), (1, 1, 2, 2), (1, 1, 2, 4), (1, 1, 4, 6)],
 )
 def test_no_first_syzygy_of_degree_5s(weights):
     """Tor_2 in degree 5s, which the tangent docstring derives to be 0 from
     Gorenstein duality: at every degree-5s point m, the GF(2) rank of the
     boundary map of Delta_m equals E - V + c, so H~_1(Delta_m) = 0."""
     complexes = resolution._complexes(quadric_generators(weighted_space(*weights)), 5)
-    assert complexes
+    assert complexes.keys
     assert _gf2_h1(complexes) == {}
 
 
 def _complex(edges, triangles):
-    """_complexes' record of the complex with these triangles on the given
-    edges of one component, at a dummy multidegree."""
-    vertices = {v for e in edges for v in e}
-    position = {e: p for p, e in enumerate(edges)}
-    rows = [[position[i, j], position[i, k], position[j, k]] for i, j, k in triangles]
-    cycles = len(edges) - len(vertices) + 1
-    return (0, 0, 0, 0), len(edges), cycles, np.array(rows, dtype=np.int64).reshape(-1, 3)
+    """_complexes' value for the one complex with these edges, of one
+    component, and these triangles, at a dummy multidegree."""
+    vertices = sorted({v for e in edges for v in e})
+    faces = [
+        (np.zeros(len(f), dtype=np.int32), np.array(f, dtype=np.int32).reshape(len(f), size))
+        for size, f in ((1, [(v,) for v in vertices]), (2, edges), (3, triangles))
+    ]
+    return resolution._star_cover([(0, 0, 0, 0)], np.array([1]), faces, max(vertices) + 1)
+
+
+def test_closure_counts_each_covered_edge_once_and_substitutes_the_rest():
+    """A complex whose star vertex 0 is in 9 triangles, which cover 12, 13,
+    14, 15, 24, 34, 78, 89 and 9 10.  The closure then takes two rounds:
+    123 and 234 both cover 23 and 145 covers 45, then 245 covers 25; 12
+    rows are counted.  The cone from 6 over 123 is left, three rows with one
+    covered edge each: replaced by their star edges, they sum to zero, so
+    they add 2 and the rank is 14 = E - V + c.  Counting 23 twice, or
+    ranking the cone's rows without the replacement, reads 15."""
+    star = [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5), (0, 2, 4), (0, 3, 4),
+            (0, 7, 8), (0, 8, 9), (0, 9, 10)]
+    closing = [(1, 2, 3), (2, 3, 4), (1, 4, 5), (2, 4, 5)]
+    cone = [(1, 2, 6), (1, 3, 6), (2, 3, 6)]
+    triangles = sorted(star + closing + cone)
+    complexes = _complex(sorted({e for t in triangles for e in combinations(t, 2)}), triangles)
+    assert (complexes.cycles, complexes.counted, len(complexes.rows[0])) == ([14], [12], 3)
+    assert complexes.gf2_rank(0) == 14 == _full_gf2_ranks(complexes, 11)[0]
 
 
 # The six-vertex real projective plane: H_1 is Z/2, so H~_1 vanishes over Q
@@ -356,19 +408,18 @@ RP2 = [(0, 1, 3), (0, 1, 5), (0, 2, 4), (0, 2, 5), (0, 3, 4),
 
 
 def test_two_torsion_falls_back_to_the_exact_rank(pipeline_2334, monkeypatch):
-    record = _complex(list(combinations(range(6), 2)), RP2)
-    _, edges, cycles, triangles = record
-    signed = resolution._signed_boundary(triangles, edges)
-    assert (cycles, rational_rank(signed)) == (10, 10)
-    assert rank_gf2([sum(1 << p for p in t) for t in triangles.tolist()], 11) == 9
-    monkeypatch.setattr(resolution, "_complexes", lambda ideal, degree: [record])
+    complexes = _complex(list(combinations(range(6), 2)), RP2)
+    signed = resolution._signed_boundary(complexes.triangles)
+    assert (complexes.cycles[0], rational_rank(signed)) == (10, 10)
+    assert complexes.gf2_rank(0) == _full_gf2_ranks(complexes, 6)[0] == 9
+    monkeypatch.setattr(resolution, "_complexes", lambda ideal, degree: complexes)
     rep = check_no_quartic_syzygies(pipeline_2334["ideal"])
     assert rep == QuarticSyzygyReport(ok=True, witness=None, blocks_checked=1, fallbacks=1)
 
 
 def test_hollow_triangle_is_a_witness(pipeline_2334, monkeypatch):
-    record = _complex([(0, 1), (0, 2), (1, 2)], [])
-    monkeypatch.setattr(resolution, "_complexes", lambda ideal, degree: [record])
+    complexes = _complex([(0, 1), (0, 2), (1, 2)], [])
+    monkeypatch.setattr(resolution, "_complexes", lambda ideal, degree: complexes)
     rep = check_no_quartic_syzygies(pipeline_2334["ideal"])
     assert rep == QuarticSyzygyReport(
         ok=False, witness=(0, 0, 0, 0), blocks_checked=1, fallbacks=1
@@ -380,17 +431,22 @@ def test_dropped_triangle_is_a_witness(pipeline_2334, monkeypatch):
     boundary covers that edge: without it, its boundary is a cycle that
     bounds nothing, and its complex's point is the witness."""
     ideal = pipeline_2334["ideal"]
-    complexes = list(resolution._complexes(ideal, 4))
-    for b, (m, _, _, triangles) in enumerate(complexes):
-        _, at, count = np.unique(triangles, return_inverse=True, return_counts=True)
-        lone = np.flatnonzero((count[at.reshape(-1, 3)] == 1).any(1))
-        if lone.size:
-            break
+    n = len(ideal.slice_s)
+    keys, components, faces = toric._divisor_complexes(
+        ideal.space, ideal.slice_s.points, ideal.slice_s.degree, 4, 3
+    )
+    tb, t = faces[2]
+    edges = (tb[:, None] * n + t[:, [0, 0, 1]]) * n + t[:, [1, 2, 2]]
+    _, at, count = np.unique(edges, return_inverse=True, return_counts=True)
+    lone = np.flatnonzero((count[at.reshape(-1, 3)] == 1).any(1))
     assert lone.size
-    complexes[b] = complexes[b][:3] + (np.delete(triangles, lone[0], axis=0),)
-    monkeypatch.setattr(resolution, "_complexes", lambda ideal, degree: complexes)
+    drop = lone[np.argmin(tb[lone])]
+    faces = [*faces[:2], (np.delete(tb, drop), np.delete(t, drop, axis=0))]
+    monkeypatch.setattr(resolution, "_divisor_complexes", lambda *args: (keys, components, faces))
     rep = check_no_quartic_syzygies(ideal)
-    assert rep == QuarticSyzygyReport(ok=False, witness=m, blocks_checked=369, fallbacks=1)
+    assert rep == QuarticSyzygyReport(
+        ok=False, witness=keys[tb[drop]], blocks_checked=369, fallbacks=1
+    )
 
 
 def test_understated_components_raise(pipeline_2334, monkeypatch):
