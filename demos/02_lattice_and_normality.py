@@ -14,7 +14,7 @@ from gwpskit import (
     enumerate_gorenstein,
     h_vector,
     invariants,
-    verify_projective_normality,
+    veronese_presentation,
     weighted_space,
 )
 
@@ -31,8 +31,11 @@ print("\nHilbert function at multiples of s:")
 for d in range(5):
     print(f"  N({d}*s) = {count_points(sp, d * inv.s)}")
 
-rep = verify_projective_normality(sp, 4)
-print(f"\nprojective normality through degree 4: {rep.by_degree}")
+pres = veronese_presentation(sp, inv.s, 4)
+assert pres.generator_degrees == (1,) * (inv.g + 2)
+print("\nthe anticanonical ring, the s-th Veronese ring, through degree 4:")
+print(f"  {len(pres.generator_degrees)} generators, all of degree 1: projectively normal")
+print(f"  {len(pres.relation_degrees)} relations, of degrees {sorted(set(pres.relation_degrees))}")
 
 print(f"h-vector: {h_vector(sp)}")
 

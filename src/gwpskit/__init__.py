@@ -4,7 +4,7 @@ counts via the degree -1 tangent module of the affine cone."""
 
 __version__ = "0.1.0"
 
-from .lattice import count_points, degree_slice, h_vector, verify_projective_normality
+from .lattice import count_points, degree_slice, h_vector
 from .resolution import beta2, check_no_quartic_syzygies
 from .tangent import alpha_report, t1_by_shift
 from .toric import beta1, check_degree3_generation, quadric_generators
@@ -35,6 +35,5 @@ __all__ = [
     "restriction_invertible",
     "t1_by_shift",
     "veronese_presentation",
-    "verify_projective_normality",
     "weighted_space",
 ]

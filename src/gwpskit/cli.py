@@ -170,14 +170,13 @@ def cmd_betti(config: RunConfig) -> tuple[str, int]:
     for idx, sp in enumerate(spaces, start=1):
         inv = invariants(sp)
         generation = toric.check_degree3_generation(sp)
-        ideal = toric.quadric_generators(sp) if config.verify else None
-        b1 = toric.beta1(sp, ideal=ideal)
+        b1 = toric.beta1(sp)
         # beta2 raises on a disconnected degree-3s complex, so a row means `pass`.
         b2 = resolution.beta2(sp, generation=generation)
         row = [idx, str(sp), inv.g1, inv.i_S, inv.g, b1, b2]
         columns[sp] = dict(zip(("g_1", "i_S", "g", "beta_1", "beta_2"), row[2:]))
         if config.verify:
-            quartic = resolution.check_no_quartic_syzygies(ideal)
+            quartic = resolution.check_no_quartic_syzygies(toric.quadric_generators(sp))
             if not quartic.ok:
                 failures.append(f"{sp}: quartic syzygy at {quartic.witness}")
             row += ["pass", "pass" if quartic.ok else "FAIL"]

@@ -1,4 +1,4 @@
-"""Lattice points of weighted degree slices: counting, enumeration, normality.
+"""Weighted degree slices: counting, enumeration, pair sums and h-vectors.
 
 A lattice point is an exponent tuple (n0, n1, n2, n3); its weighted degree is
 sum(a_i * n_i) for the ambient weight system.  The degree-d slice lists every
@@ -9,7 +9,7 @@ depend on this order, so it is fixed once and for all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 from typing import TYPE_CHECKING
 
@@ -69,41 +69,6 @@ def degree_slice(space: "WeightedSpace", d: int) -> DegreeSlice:
                     pts.append((r1 // a0, n1, n2, n3))
     pts.sort(reverse=True)
     return DegreeSlice(d, tuple(pts))
-
-
-@dataclass
-class NormalityReport:
-    """Per-degree verdicts, True where no minimal generator lies in that
-    degree, with a witness for any failure."""
-
-    by_degree: dict[int, bool] = field(default_factory=dict)
-    witnesses: dict[int, Point] = field(default_factory=dict)
-
-
-def verify_projective_normality(space: "WeightedSpace", d_max: int) -> NormalityReport:
-    """Check, for each 2 <= d <= d_max, that the anticanonical ring, the s-th
-    Veronese ring, has no minimal generator of degree d*s.
-
-    Requires a Gorenstein space (the degree-s slice is the anticanonical
-    system).  Read off `wps._minimal_presentation`: a failure records the
-    first new generator in canonical order as witness.  Up to the first
-    failure, a passing degree d means that every point of degree d*s is a sum
-    of d points of degree s; after it, only that no new generator lies there.
-    All 14 Gorenstein spaces are projectively normal (the gwpskit.tangent
-    docstring), so no report reaches a degree after a failure.
-    """
-    from .wps import _minimal_presentation, invariants
-
-    inv = invariants(space)
-    if not inv.gorenstein:
-        raise ValueError("projective normality check requires a Gorenstein space")
-    generators, _ = _minimal_presentation(space, inv.s, d_max)
-    report = NormalityReport()
-    for d in range(2, d_max + 1):
-        report.by_degree[d] = not generators[d - 1]
-        if generators[d - 1]:
-            report.witnesses[d] = generators[d - 1][0]
-    return report
 
 
 def h_vector(space: "WeightedSpace") -> tuple[int, int, int, int]:

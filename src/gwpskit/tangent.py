@@ -100,12 +100,11 @@ Polytopes, Rings, and K-Theory (Springer, 2009), ch. 2.
 The tests check the premises: acceptance criterion 6 the h-vectors of all
 14 spaces, tests/test_lattice.py::test_normality_all_spaces projective
 normality through degree 4s on all 14 spaces.  Every `betti` run checks
-normality through degree 3s: quadric_generators' count C(g+3, 2) - N(2s)
-holds only if every degree-2s point is a sum of two slice points, and
-check_degree3_generation's c(Delta_m) = 1 gives every degree-3s point a
-slice point below it with the rest of degree 2s.  See Bruns-Herzog,
-Cohen-Macaulay Rings, sections 3.3, 4.4 and 6.3; Schenzel, J. Algebra 64
-(1980).
+normality through degree 3s: beta1's c(Delta_m) >= 1 makes every degree-2s
+point a sum of two slice points, and check_degree3_generation's
+c(Delta_m) = 1 gives every degree-3s point a slice point below it with the
+rest of degree 2s.  See Bruns-Herzog, Cohen-Macaulay Rings, sections 3.3,
+4.4 and 6.3; Schenzel, J. Algebra 64 (1980).
 
 Why the report's alpha_S and alpha_C are alpha_P + 1 and alpha_P + 2.  For X
 in P^N, alpha(X) = h^0(N_X(-1)) - N - 1; for P in P^{g+1} it is the tangent
@@ -133,8 +132,9 @@ tests named above.  Acceptance criterion 5 compares alpha_P + 1 with the
 reference alpha_S of data/expected_values.tsv on all 14 spaces.  A
 linear-section solver, since deleted, cut P by y_a + y_b at the coordinate
 pairs (7, g+1) and (3, g) and gave alpha_P, alpha_P + 1 and alpha_P + 2 on
-all 14 spaces for none, one and both forms (ROADMAP K); its ranks rested on
-two-prime agreement, and those sections are special, not general.
+all 14 spaces for none, one and both forms (2120a0c^:src/gwpskit/tangent.py);
+its ranks rested on two-prime agreement, and those sections are special,
+not general.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
-"""Quadric binomial generators of the anticanonical ideal, the test that
-they generate it in degree 3, and the squarefree divisor complexes and the
-array component count that the test, the syzygy layers and the Veronese
-generators and relations share.
+"""Quadric binomial generators of the anticanonical ideal, their number
+beta_1 and the test that they generate it in degree 3, both read off the
+squarefree divisor complexes, and the array component count that these, the
+syzygy layers and the Veronese generators and relations share.
 
 The ideal of the anticanonically embedded space is toric: its degree-2 part
 is spanned, fiberwise over exponent-sum multidegrees, by differences of
@@ -14,8 +14,9 @@ Tor_i^R(A, K)_m = H~_{i-1}(Delta_m; K), where Delta_m is the complex of the
 sets F of generators with m - sum_F g in S (Bruns and Herzog, Semigroup
 rings and simplicial complexes, J. Pure Appl. Algebra 122 (1997) 185-208;
 Miller and Sturmfels, Combinatorial Commutative Algebra, ch. 9).  So the
-minimal relations at m number c(Delta_m) - 1, and the quadrics generate the
-cubic part of the ideal iff every Delta_m of degree 3s is connected.  Over
+minimal relations at m number c(Delta_m) - 1: beta_1 is their sum over the
+points of degree 2s, and the quadrics generate the cubic part of the ideal
+iff every Delta_m of degree 3s is connected.  Over
 the generators of lower degree alone, c(Delta_m) = 0 marks m as a new
 generator, which is how wps reads the minimal generators of a Veronese ring.
 `_divisor_complexes` enumerates the faces of all Delta_m of one degree at
@@ -98,23 +99,33 @@ def quadric_generators(space: WeightedSpace, tree: str = "min") -> ToricIdeal:
     return ToricIdeal(space=space, slice_s=sl, generators=tuple(gens), fibers=fibers)
 
 
-def beta1(space: WeightedSpace, ideal: ToricIdeal | None = None) -> int:
-    """Number of minimal quadric generators, cross-checked three ways:
-    C(g+3,2) - N(2s), the closed form C(g-2,2), and the explicit count of
-    `ideal` (built here when not supplied)."""
+def beta1(space: WeightedSpace) -> int:
+    """Number of minimal quadric generators, sum_m (c(Delta_m) - 1) over the
+    points m of degree 2s, cross-checked against C(g+3,2) - N(2s) and the
+    closed form C(g-2,2).  At 2s, Delta_m has the slice indices that pair to m
+    as vertices and the pairs i < j as edges, a square 2u_i = m being an
+    isolated vertex, so c(Delta_m) is the size of the fiber of m in
+    quadric_generators.  An empty Delta_m, a point that is no sum of two slice
+    points, fails projective normality and raises."""
     inv = invariants(space)
     if not inv.gorenstein:
         raise ValueError("beta1 requires a Gorenstein space")
+    slice_s = lattice.degree_slice(space, inv.s).points
+    keys, components, _ = _divisor_complexes(space, slice_s, inv.s, 2)
+    empty = np.flatnonzero(components == 0)
+    if empty.size:
+        raise BettiConsistencyError(
+            f"{keys[empty[0]]} of degree 2s is no sum of two degree-s points of {space}; "
+            "the anticanonical ring is not normal in degree 2"
+        )
     g = inv.g
     by_count = comb(g + 3, 2) - lattice.count_points(space, 2 * inv.s)
     closed_form = comb(g - 2, 2)
-    if ideal is None:
-        ideal = quadric_generators(space)
-    explicit = len(ideal.generators)
-    if not (by_count == closed_form == explicit):
+    by_complexes = int(components.sum()) - len(keys)
+    if not (by_count == closed_form == by_complexes):
         raise BettiConsistencyError(
             f"beta1 mismatch for {space}: counting {by_count}, "
-            f"closed form {closed_form}, explicit {explicit}"
+            f"closed form {closed_form}, divisor complexes {by_complexes}"
         )
     return by_count
 

@@ -295,8 +295,8 @@ def test_betti_consistency_failure_is_an_error(monkeypatch, capsys, only_2334):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == (
-        "error: generator count 55 != C(g+3,2) - N(2s) = 54 for (2,3,3,4); "
-        "degree-2 decomposability fails for this input\n"
+        "error: beta1 mismatch for (2,3,3,4): counting 54, closed form 55, "
+        "divisor complexes 55\n"
     )
 
 
@@ -317,7 +317,7 @@ def test_check_reports_a_wrong_reference_value(command, column, computed, monkey
     ]
 
 
-def test_betti_verify_builds_each_ideal_once(monkeypatch, only_2334):
+def test_betti_verify_builds_each_ideal_once(monkeypatch):
     import gwpskit.cli as cli
 
     calls = []
@@ -330,7 +330,26 @@ def test_betti_verify_builds_each_ideal_once(monkeypatch, only_2334):
     monkeypatch.setattr(cli.toric, "quadric_generators", counted)
     _, code = cmd_betti(RunConfig(verify=True, check=True))
     assert code == 0
-    assert calls == [weighted_space(2, 3, 3, 4)]
+    assert calls == cli.table_order(cli.wps.enumerate_gorenstein())
+
+
+def test_plain_betti_builds_no_ideal(monkeypatch, capsys):
+    """`betti --check` reads beta_1 off the divisor complexes: with the quadric
+    generators made to raise, it prints the reference rows and CHECK OK."""
+    import gwpskit.cli as cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("plain betti built the quadric generators")
+
+    monkeypatch.setattr(cli.toric, "quadric_generators", forbidden)
+    assert run(["betti", "--check"]) == 0
+    out, err = capsys.readouterr()
+    rows = sorted(load_expected().items(), key=lambda item: item[1]["row"])
+    assert out == "#\tweights\tg_1\ti_S\tg\tbeta_1\tbeta_2\n" + "".join(
+        f"{r['row']}\t({','.join(map(str, w))})\t{r['g_1']}\t{r['i_S']}\t{r['g']}\t"
+        f"{r['beta_1']}\t{r['beta_2']}\n" for w, r in rows
+    )
+    assert err == "CHECK OK (14 rows verified)\n"
 
 
 def test_torn_partial_blocks_at_every_offset(tmp_path, pipeline_2334):

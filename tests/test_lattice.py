@@ -1,18 +1,15 @@
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_count
 from gwpskit.lattice import (
-    DegreeSlice,
     count_points,
     degree_slice,
     h_vector,
     pair_sums,
-    verify_projective_normality,
     weighted_degree,
 )
-from gwpskit.wps import enumerate_gorenstein, invariants, weighted_space
+from gwpskit.wps import enumerate_gorenstein, invariants, veronese_presentation, weighted_space
 
 # all valid weight systems with entries <= 5, used as a hypothesis pool
 _SMALL_VALID = []
@@ -67,38 +64,17 @@ def test_slice_length_is_g_plus_2(gorenstein_spaces):
 
 def test_normality_all_spaces(gorenstein_spaces):
     """Degrees 2s and 3s decide projective normality (box-point argument in
-    the gwpskit.tangent docstring); it holds through degree 4s on all 14
-    spaces."""
+    the gwpskit.tangent docstring).  Through degree 4s on all 14 spaces, the
+    anticanonical ring, the s-th Veronese ring, is generated by its g+2
+    points of degree 1 with beta_1 quadrics as its only minimal relations."""
+    from math import comb
+
     assert len(gorenstein_spaces) == 14
     for sp in gorenstein_spaces:
-        rep = verify_projective_normality(sp, 4)
-        assert rep.by_degree == {2: True, 3: True, 4: True} and rep.witnesses == {}
-
-
-def test_normality_requires_gorenstein():
-    with pytest.raises(ValueError):
-        verify_projective_normality(weighted_space(1, 1, 1, 2), 3)
-
-
-def test_normality_witness_on_failure(monkeypatch):
-    # A synthetic failure: without the first point x of the degree-s slice,
-    # 2x, the first point of degree 2s, is a sum of no two slice points.
-    import gwpskit.lattice as lattice
-
-    sp = weighted_space(2, 3, 3, 4)
-    # The degree-12 complexes read the degree-0 slice for their rests.
-    full = {d: degree_slice(sp, d) for d in (0, 12, 24)}
-    x = full[12].points[0]
-    cut = DegreeSlice(12, full[12].points[1:])
-
-    def slice_without_x(space, d):
-        assert space == sp and d in full
-        return cut if d == 12 else full[d]
-
-    monkeypatch.setattr(lattice, "degree_slice", slice_without_x)
-    rep = verify_projective_normality(sp, 2)
-    assert rep.by_degree == {2: False}
-    assert rep.witnesses == {2: tuple(2 * c for c in x)}
+        inv = invariants(sp)
+        pres = veronese_presentation(sp, inv.s, 4)
+        assert pres.generator_degrees == (1,) * (inv.g + 2)
+        assert pres.relation_degrees == (2,) * comb(inv.g - 2, 2)
 
 
 def test_h_vector_examples():
@@ -133,6 +109,7 @@ def test_pair_sum_count_equals_slice_when_normal():
     for w in [(2, 3, 3, 4), (1, 2, 2, 5), (1, 1, 1, 3)]:
         sp = weighted_space(*w)
         s = invariants(sp).s
-        sums = pair_sums(degree_slice(sp, s))
+        sl = degree_slice(sp, s)
+        sums = pair_sums(sl)
         assert len(sums) == count_points(sp, 2 * s)
-        assert verify_projective_normality(sp, 2).by_degree[2]
+        assert veronese_presentation(sp, s, 2).generator_degrees == (1,) * len(sl)

@@ -71,6 +71,44 @@ def test_beta1_requires_gorenstein():
         beta1(weighted_space(1, 1, 1, 2))
 
 
+def test_beta1_is_the_fiber_count_at_2s(gorenstein_spaces):
+    """At degree 2s, c(Delta_m) is the fiber of m: the sum of c - 1 is the
+    explicit generator count and the reference beta_1 on all 14 spaces."""
+    from gwpskit.cli import load_expected
+    from gwpskit.toric import _divisor_complexes
+
+    expected = load_expected()
+    for sp in gorenstein_spaces:
+        s = invariants(sp).s
+        _, components, _ = _divisor_complexes(sp, degree_slice(sp, s).points, s, 2)
+        assert components.min() >= 1
+        by_complexes = int((components - 1).sum())
+        assert by_complexes == len(quadric_generators(sp).generators)
+        assert by_complexes == beta1(sp) == expected[sp.weights]["beta_1"]
+
+
+def test_beta1_names_a_point_of_no_two_slice_points(monkeypatch):
+    # A synthetic failure: without the first point x of the degree-s slice,
+    # 2x, the first point of degree 2s, is a sum of no two slice points.
+    import gwpskit.lattice as lattice
+
+    sp = weighted_space(2, 3, 3, 4)
+    # The degree-24 complexes read the degree-12 and degree-0 slices for their rests.
+    full = {d: degree_slice(sp, d) for d in (0, 12, 24)}
+    x = full[12].points[0]
+    cut = DegreeSlice(12, full[12].points[1:])
+
+    def slice_without_x(space, d):
+        assert space == sp and d in full
+        return cut if d == 12 else full[d]
+
+    monkeypatch.setattr(lattice, "degree_slice", slice_without_x)
+    with pytest.raises(BettiConsistencyError) as failure:
+        beta1(sp)
+    assert str(failure.value).startswith(f"{tuple(2 * c for c in x)} of degree 2s ")
+    assert "(2,3,3,4)" in str(failure.value)
+
+
 def test_connectivity_small_spaces():
     for w in [(2, 3, 3, 4), (1, 1, 1, 1)]:
         rep = check_degree3_generation(weighted_space(*w))
