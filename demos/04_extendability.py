@@ -7,11 +7,11 @@ only a handful of them, and its total dimension is exactly the number of times
 the anticanonical model extends to a larger variety that is not a cone.
 """
 
-from gwpskit import alpha_report, quadric_generators, t1_by_shift, weighted_space
+from gwpskit import alpha_report, t1_by_shift, weighted_space
 
 for w in [(2, 3, 3, 4), (1, 3, 4, 4), (2, 3, 10, 15), (1, 2, 2, 5), (1, 2, 3, 6)]:
     sp = weighted_space(*w)
-    t1 = t1_by_shift(quadric_generators(sp))
+    t1 = t1_by_shift(sp)
     busy = sorted(d for d, dim in t1.items() if dim)
     rep = alpha_report(sp)
     print(f"{sp}: T^1 nonzero at {len(busy)} of {len(t1)} shifts")

@@ -193,27 +193,8 @@ def _reduced_values(m: SparseMatrix, p: int) -> np.ndarray:
 
 
 def _dense_rank(a: np.ndarray, p: int) -> int:
-    """In-place forward elimination mod p; a must already be reduced."""
-    m, n = a.shape
-    rank = 0
-    for col in range(n):
-        if rank == m:
-            break
-        nz = np.nonzero(a[rank:, col])[0]
-        if nz.size == 0:
-            continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
-        inv = pow(int(a[rank, col]), p - 2, p)
-        a[rank] = a[rank] * inv % p
-        below = a[rank + 1 :, col]
-        hit = np.nonzero(below)[0]
-        if hit.size:
-            rows = hit + rank + 1
-            a[rows] = (a[rows] - np.outer(a[rows, col], a[rank])) % p
-        rank += 1
-    return rank
+    """In-place elimination mod p; a must already be reduced."""
+    return _dense_rref(a, p)[0]
 
 
 def _dense_rref(a: np.ndarray, p: int):

@@ -353,15 +353,15 @@ class _Complexes:
         return min(counted, max(bound, 0)) + exactla.rank_gf2(self.rows[b], bound - counted)
 
 
-def _complexes(ideal: ToricIdeal, degree: int) -> _Complexes:
+def _complexes(space: WeightedSpace, degree: int) -> _Complexes:
     """The complexes Delta_m at every point m of weighted degree degree * s:
     Delta_m is the complex of the sets F of slice indices with
     m - sum_F u >= 0, its faces those of toric._divisor_complexes with
     unit s."""
-    keys, components, faces = _divisor_complexes(
-        ideal.space, ideal.slice_s.points, ideal.slice_s.degree, degree, 3
-    )
-    return _star_cover(keys, components, faces, len(ideal.slice_s))
+    s = invariants(space).s
+    points = lattice.degree_slice(space, s).points
+    keys, components, faces = _divisor_complexes(space, points, s, degree, 3)
+    return _star_cover(keys, components, faces, len(points))
 
 
 def _star_cover(keys, components, faces, n: int) -> _Complexes:
@@ -478,7 +478,7 @@ def check_no_quartic_syzygies(
     descending order is reported.  `syzygies` and `fields` are accepted for
     compatibility and unused: the check reads no syzygy and no prime field.
     """
-    complexes = _complexes(ideal, 4)
+    complexes = _complexes(ideal.space, 4)
     witness = None
     fallbacks = 0
     for b, (m, cycles) in enumerate(zip(complexes.keys, complexes.cycles)):

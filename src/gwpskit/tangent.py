@@ -6,8 +6,9 @@ degree-s slice E, I the quadric ideal and A = R/I the anticanonical ring.  A
 degree -1 module map on I sends a quadric generator of multidegree c into
 A_{c+d} for one shift d, a weight -s exponent vector, and A_{c+d} is zero
 unless c + d is a slice point.  So Hom(I, A) in degree -1 is the sum of its
-pieces at the shifts d = v - c (enumerate_shifts), and is zero at every other
-shift.
+pieces at the shifts d = v - c, and is zero at every other shift.  The c
+are the degree-2s points m whose divisor complex has c(Delta_m) >= 2
+components (toric._degree_2s_complexes), so no generator is built for them.
 
 Altmann's formula (t1_by_shift; the route of alpha_report and `gwpskit
 alpha`).  Where E generates every degree-ds slice (projective normality,
@@ -47,7 +48,7 @@ primitive integer vector, positive at its pivot.  That basis is unique to
 the span, so it is also the span's canonical key, and C is ranked once per
 distinct tuple of the six keys of the E_j & E_k.  Every rank is exact, by
 fraction-free elimination on Python integers, with no prime and no float.
-At a shift off enumerate_shifts T^1 is 0, as a quotient of a zero piece of
+At a shift that is no v - c, T^1 is 0, as a quotient of a zero piece of
 Hom(I, A).
 
 Why the per-shift Hom dimension is T^1, plus one at the g+2 coordinate shifts
@@ -56,8 +57,9 @@ spanned by the d/dy_m with A_{d + u_m} != 0; in weight -s that is d = -u_m
 only.  d/dy_m sends a quadric generator in which y_m occurs to a nonzero linear
 form, nonzero in A as I has no linear forms, so its image in Hom(I, A) is not
 zero (the derivations of A of weight -s vanish: P is not a cone);
-hom_by_shift checks that every slice index occurs in some generator.  The
-total minus g+2 is the extendability count alpha_P.
+hom_by_shift checks that every slice index occurs in some generator, a
+vertex of such a Delta_m.  The total minus g+2 is the extendability count
+alpha_P.
 
 The elimination route (hom_dimension_minus1, kept as the tests' reference)
 solves the same Hom(I, A) as one linear system per shift: one unknown per
@@ -149,7 +151,7 @@ from ._util import tadd
 from .exactla import FieldSpec, echelon
 from .lattice import Point
 from .resolution import SyzygyBasis, linear_syzygies
-from .toric import ToricIdeal, _pack
+from .toric import ToricIdeal, _degree_2s_complexes, _pack
 from .wps import WeightedSpace, invariants
 
 _PAIRS = tuple(combinations(range(4), 2))
@@ -236,8 +238,13 @@ def _primitive_distinct_rows(a: np.ndarray) -> np.ndarray:
 def enumerate_shifts(ideal: ToricIdeal) -> list[Point]:
     """All shifts v - c over degree-s points v and generator multidegrees c,
     deduplicated and sorted."""
-    pts = np.array(ideal.slice_s.points, dtype=np.int64)
-    gen_md = np.array([gen.multidegree for gen in ideal.generators], dtype=np.int64).reshape(-1, 4)
+    return _shifts(ideal.slice_s.points, [gen.multidegree for gen in ideal.generators])
+
+
+def _shifts(points, multidegrees) -> list[Point]:
+    """The sorted distinct v - c over the points v and the multidegrees c."""
+    pts = np.array(points, dtype=np.int64)
+    gen_md = np.array(multidegrees, dtype=np.int64).reshape(-1, 4)
     # v - c + top lies in [0, base) in every coordinate, so its packed code
     # sorts like the tuple; _pack is linear, so that code is a difference.
     # A set dedupes the codes: np.unique's integer sort touches numpy code
@@ -296,14 +303,25 @@ def t1_dimensions(points, shifts) -> list[int]:
     return [dims[p] for p in pattern_of.tolist()]
 
 
-def t1_by_shift(ideal: ToricIdeal) -> dict[Point, int]:
-    """dim T^1 at every shift of enumerate_shifts, the only shifts where it
-    can be nonzero."""
-    shifts = enumerate_shifts(ideal)
-    return dict(zip(shifts, t1_dimensions(ideal.slice_s.points, shifts)))
+def _quadrics(space: WeightedSpace):
+    """(points, shifts, used): the degree-s slice points, the shifts v - c
+    and the slice indices that occur in some quadric generator, the vertices
+    of the degree-2s Delta_m with c(Delta_m) >= 2 (the module docstring)."""
+    points, keys, components, faces = _degree_2s_complexes(space)
+    fiber = components >= 2
+    block, vertex = faces[0]
+    shifts = _shifts(points, np.array(keys, dtype=np.int64)[fiber])
+    return points, shifts, set(vertex[fiber[block], 0].tolist())
 
 
-def hom_by_shift(ideal: ToricIdeal) -> dict[Point, int]:
+def t1_by_shift(space: WeightedSpace) -> dict[Point, int]:
+    """dim T^1 at every shift v - c over the slice points v and the quadric
+    generator multidegrees c, the only shifts where it can be nonzero."""
+    points, shifts, _ = _quadrics(space)
+    return dict(zip(shifts, t1_dimensions(points, shifts)))
+
+
+def hom_by_shift(space: WeightedSpace) -> dict[Point, int]:
     """The per-shift Hom dimension of hom_dimension_minus1: T^1 plus one at
     each coordinate shift -u_m, whose derivation d/dy_m is nonzero on I.
 
@@ -311,15 +329,14 @@ def hom_by_shift(ideal: ToricIdeal) -> dict[Point, int]:
     what makes each d/dy_m nonzero; the error names the space and the first
     index that occurs in none.
     """
-    points = ideal.slice_s.points
-    used = {m for gen in ideal.generators for m in gen.lhs + gen.rhs}
+    points, shifts, used = _quadrics(space)
     unused = [m for m in range(len(points)) if m not in used]
     if unused:
         raise AssertionError(
-            f"slice coordinate {unused[0]} occurs in no quadric generator of {ideal.space}"
+            f"slice coordinate {unused[0]} occurs in no quadric generator of {space}"
         )
     coordinate = {(-u[0], -u[1], -u[2], -u[3]) for u in points}
-    return {d: t1 + (d in coordinate) for d, t1 in t1_by_shift(ideal).items()}
+    return {d: t1 + (d in coordinate) for d, t1 in zip(shifts, t1_dimensions(points, shifts))}
 
 
 def build_block(
@@ -506,9 +523,5 @@ def report_from_table(space: WeightedSpace, by_shift: dict[Point, int]) -> T1Rep
 
 def alpha_report(space: WeightedSpace) -> T1Report:
     """alpha and the extendability count of a Gorenstein space, from its
-    quadric ideal and Altmann's formula (hom_by_shift)."""
-    from .toric import quadric_generators
-
-    if not invariants(space).gorenstein:
-        raise ValueError("alpha is computed for Gorenstein spaces only")
-    return report_from_table(space, hom_by_shift(quadric_generators(space)))
+    degree-2s divisor complexes and Altmann's formula (hom_by_shift)."""
+    return report_from_table(space, hom_by_shift(space))

@@ -65,15 +65,12 @@ class ToricIdeal:
     fibers: dict[Point, tuple[tuple[int, int], ...]]
 
 
-def quadric_generators(space: WeightedSpace, tree: str = "min") -> ToricIdeal:
-    """Construct the quadric generators, one star tree per fiber.
+def quadric_generators(space: WeightedSpace) -> ToricIdeal:
+    """Construct the quadric generators, one star tree per fiber, rooted at
+    the fiber's lexicographically smallest index pair.
 
-    tree="min" roots each fiber at its lexicographically smallest index pair,
-    tree="max" at the largest (used to verify tree-choice independence).
     The generator count must equal C(g+3, 2) - N(2s).
     """
-    if tree not in ("min", "max"):
-        raise ValueError("tree must be 'min' or 'max'")
     inv = invariants(space)
     if not inv.gorenstein:
         raise ValueError("quadric generators require a Gorenstein space")
@@ -82,13 +79,8 @@ def quadric_generators(space: WeightedSpace, tree: str = "min") -> ToricIdeal:
     fibers = {key: tuple(sorted(pairs)) for key, pairs in sums.items()}
     gens = []
     for key in sorted(fibers, reverse=True):
-        pairs = fibers[key]
-        if len(pairs) < 2:
-            continue
-        root = pairs[0] if tree == "min" else pairs[-1]
-        for pr in pairs:
-            if pr != root:
-                gens.append(BinomialGenerator(lhs=pr, rhs=root, multidegree=key))
+        root, *rest = fibers[key]
+        gens.extend(BinomialGenerator(lhs=pr, rhs=root, multidegree=key) for pr in rest)
     g = inv.g
     expected = comb(g + 3, 2) - lattice.count_points(space, 2 * inv.s)
     if len(gens) != expected:
@@ -101,23 +93,10 @@ def quadric_generators(space: WeightedSpace, tree: str = "min") -> ToricIdeal:
 
 def beta1(space: WeightedSpace) -> int:
     """Number of minimal quadric generators, sum_m (c(Delta_m) - 1) over the
-    points m of degree 2s, cross-checked against C(g+3,2) - N(2s) and the
-    closed form C(g-2,2).  At 2s, Delta_m has the slice indices that pair to m
-    as vertices and the pairs i < j as edges, a square 2u_i = m being an
-    isolated vertex, so c(Delta_m) is the size of the fiber of m in
-    quadric_generators.  An empty Delta_m, a point that is no sum of two slice
-    points, fails projective normality and raises."""
+    points m of degree 2s (_degree_2s_complexes), cross-checked against
+    C(g+3,2) - N(2s) and the closed form C(g-2,2)."""
+    _, keys, components, _ = _degree_2s_complexes(space)
     inv = invariants(space)
-    if not inv.gorenstein:
-        raise ValueError("beta1 requires a Gorenstein space")
-    slice_s = lattice.degree_slice(space, inv.s).points
-    keys, components, _ = _divisor_complexes(space, slice_s, inv.s, 2)
-    empty = np.flatnonzero(components == 0)
-    if empty.size:
-        raise BettiConsistencyError(
-            f"{keys[empty[0]]} of degree 2s is no sum of two degree-s points of {space}; "
-            "the anticanonical ring is not normal in degree 2"
-        )
     g = inv.g
     by_count = comb(g + 3, 2) - lattice.count_points(space, 2 * inv.s)
     closed_form = comb(g - 2, 2)
@@ -128,6 +107,30 @@ def beta1(space: WeightedSpace) -> int:
             f"closed form {closed_form}, divisor complexes {by_complexes}"
         )
     return by_count
+
+
+def _degree_2s_complexes(space: WeightedSpace):
+    """(slice, keys, components, faces): the degree-s slice points of a
+    Gorenstein space and _divisor_complexes of them at degree 2s, which beta1
+    and gwpskit.tangent read the quadrics off.  At 2s, Delta_m has the slice
+    indices that pair to m as vertices and the pairs i < j as edges, a square
+    2u_i = m being an isolated vertex, so c(Delta_m) is the size of the fiber
+    of m in quadric_generators: m is the multidegree of c(Delta_m) - 1
+    generators, and where c(Delta_m) >= 2 the vertices of Delta_m are the
+    slice indices that occur in them.  An empty Delta_m, a point that is no
+    sum of two slice points, fails projective normality and raises."""
+    inv = invariants(space)
+    if not inv.gorenstein:
+        raise ValueError("quadric generators require a Gorenstein space")
+    slice_s = lattice.degree_slice(space, inv.s).points
+    keys, components, faces = _divisor_complexes(space, slice_s, inv.s, 2)
+    empty = np.flatnonzero(components == 0)
+    if empty.size:
+        raise BettiConsistencyError(
+            f"{keys[empty[0]]} of degree 2s is no sum of two degree-s points of {space}; "
+            "the anticanonical ring is not normal in degree 2"
+        )
+    return slice_s, keys, components, faces
 
 
 @dataclass(frozen=True)
@@ -193,7 +196,9 @@ def _divisor_complexes(space: WeightedSpace, generators, unit: int, degree: int,
         members = np.array(list(combinations(range(len(gens)), k)), dtype=np.int32).reshape(-1, k)
         total = gen_degree[members].sum(1)
         pieces = [(np.empty(0, dtype=np.int32), members[:0])]
-        for t in np.unique(total[total <= degree]).tolist():
+        # A set, as in tangent._shifts: np.unique's integer sort would add
+        # 0.6 MB to the peak RSS of `gwpskit alpha`.
+        for t in sorted(set(total[total <= degree].tolist())):
             group = members[total == t]
             rest = lattice.degree_slice(space, (degree - t) * unit).points
             rest = np.array(rest, dtype=np.int64).reshape(-1, 4)

@@ -14,6 +14,7 @@ homology of squarefree divisor complexes, is kept here as their oracle.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 from dataclasses import dataclass
@@ -43,8 +44,14 @@ from gwpskit.resolution import (
     linear_syzygies,
 )
 from gwpskit.tangent import hom_dimension_minus1
-from gwpskit.lattice import Point, degree_slice
-from gwpskit.toric import ConnectivityReport, _component_roots, _pack, quadric_generators
+from gwpskit.lattice import DegreeSlice, Point, degree_slice
+from gwpskit.toric import (
+    BinomialGenerator,
+    ConnectivityReport,
+    _component_roots,
+    _pack,
+    quadric_generators,
+)
 from gwpskit.wps import WeightedSpace, enumerate_gorenstein, invariants, weighted_space
 
 
@@ -106,6 +113,35 @@ def binomial_edges(ideal, cols):
         gen = ideal.generators[k]
         out.append((tuple(sorted(mono + gen.lhs)), tuple(sorted(mono + gen.rhs))))
     return out
+
+
+def max_rooted(ideal):
+    """The ideal with each fiber's star tree rooted at its largest index pair
+    instead of quadric_generators' smallest, in the same fiber order: another
+    minimal generating set, for the tree-choice independence checks."""
+    gens = tuple(
+        BinomialGenerator(lhs=pr, rhs=ideal.fibers[key][-1], multidegree=key)
+        for key in sorted(ideal.fibers, reverse=True) for pr in ideal.fibers[key][:-1]
+    )
+    return dataclasses.replace(ideal, generators=gens)
+
+
+def cut_first_slice_point(monkeypatch, sp, degree: int):
+    """Patch lattice.degree_slice so that the degree-s slice of sp lacks its
+    first point x, and return x.  Only the slices that the complexes of
+    degree degree * s read may be read: those of degree k * s, k <= degree."""
+    import gwpskit.lattice as lattice
+
+    s = invariants(sp).s
+    full = {k * s: degree_slice(sp, k * s) for k in range(degree + 1)}
+    cut = DegreeSlice(s, full[s].points[1:])
+
+    def slice_without_x(space, d):
+        assert space == sp and d in full
+        return cut if d == s else full[d]
+
+    monkeypatch.setattr(lattice, "degree_slice", slice_without_x)
+    return full[s].points[0]
 
 
 def projected_span_rows_gf2(ideal, syzygies, key, column_bit):

@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from conftest import elimination_syzygies, monolithic_hom_dimension
+from conftest import elimination_syzygies, max_rooted, monolithic_hom_dimension
 from gwpskit import cache as cache_mod
 from gwpskit.cli import RunConfig, cmd_alpha, cmd_betti, cmd_classify, cmd_veronese, load_expected
 from gwpskit.lattice import count_points, degree_slice, h_vector
@@ -156,8 +156,7 @@ def test_criterion_8_property_suites(desk_pipelines):
     # spanning-tree and kernel-basis choices leave the dimension unchanged
     sp = weighted_space(2, 3, 3, 4)
     dims = set()
-    for tree in ("min", "max"):
-        ideal = quadric_generators(sp, tree=tree)
+    for ideal in (quadric_generators(sp), max_rooted(quadric_generators(sp))):
         for syz in (linear_syzygies(ideal), elimination_syzygies(ideal, reverse=True)):
             dims.add(hom_dimension_minus1(ideal, syz).total)
     ok = ok and dims == {20}

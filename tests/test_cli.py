@@ -352,6 +352,26 @@ def test_plain_betti_builds_no_ideal(monkeypatch, capsys):
     assert err == "CHECK OK (14 rows verified)\n"
 
 
+def test_alpha_builds_no_ideal(monkeypatch, capsys):
+    """`alpha --check` reads its shifts and its derivation check off the
+    degree-2s divisor complexes: with the quadric generators made to raise,
+    it prints the reference rows, the note and CHECK OK."""
+    import gwpskit.cli as cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("alpha built the quadric generators")
+
+    monkeypatch.setattr(cli.toric, "quadric_generators", forbidden)
+    assert run(["alpha", "--check"]) == 0
+    out, err = capsys.readouterr()
+    rows = sorted(load_expected().items(), key=lambda item: item[1]["row"])
+    assert out == "#\tweights\tg_1\ti_S\talpha_S\talpha_P\textendability\n" + "".join(
+        f"{r['row']}\t({','.join(map(str, w))})\t{r['g_1']}\t{r['i_S']}\t{r['alpha_S']}\t"
+        f"{r['alpha_S'] - 1}\t{r['alpha_S'] - 1}\n" for w, r in rows
+    )
+    assert err == f"note: {cli.tangent.ASSUMPTION_NOTE}\nCHECK OK (14 rows verified)\n"
+
+
 def test_torn_partial_blocks_at_every_offset(tmp_path, pipeline_2334):
     """A .part file cut at any byte, as an interrupted append leaves it, reads
     as a part of the block table, and whole it reads as all its records."""

@@ -47,7 +47,9 @@ def test_traced_steps_on_smallest_space(bench, tmp_path):
     # complexes over GF(2) and solves nothing under two primes.
     assert betti_counts["resolution.quartic_blocks"] == 369
     assert spans.summarize(tracer.spans, 0, first)["exactla.solution_dim_calls"] == 0
-    # alpha reads T^1 off Altmann's formula: no syzygies, no block solves.
+    # alpha reads T^1 off Altmann's formula and the degree-2s complexes: no
+    # quadric generators, no syzygies, no block solves.
+    assert alpha_counts["toric.generators"] == 0
     assert alpha_counts["resolution.syzygies"] == 0
     # alpha reads and writes no cache.
     assert not any(span[0].startswith("cache.") for span in tracer.spans[first:last])

@@ -331,9 +331,8 @@ def test_degree3_homology_counts_the_linear_syzygies():
     at m, and the total is beta_2.  As GF(2) ranks bound the rational ranks
     from below, the equal total also proves every GF(2) value exact."""
     for sp in enumerate_gorenstein(50):
-        ideal = quadric_generators(sp)
-        h1 = _gf2_h1(resolution._complexes(ideal, 3))
-        counts = linear_syzygies(ideal).by_multidegree
+        h1 = _gf2_h1(resolution._complexes(sp, 3))
+        counts = linear_syzygies(quadric_generators(sp)).by_multidegree
         assert h1 == {m: len(elems) for m, elems in counts.items()}, sp
         assert sum(h1.values()) == beta2(sp), sp
 
@@ -353,10 +352,10 @@ DEGREE5_ORACLE = [(2, 3, 3, 4), (2, 3, 10, 15), (1, 3, 4, 4), (1, 4, 5, 10), (1,
 def test_star_cover_rank_equals_the_full_elimination(weights, degree):
     """Oracle: at every point, the GF(2) rank read off the counted rows and
     the residual rows equals rank_gf2 of the rows of all the triangles."""
-    ideal = quadric_generators(weighted_space(*weights))
-    complexes = resolution._complexes(ideal, degree)
+    sp = weighted_space(*weights)
+    complexes = resolution._complexes(sp, degree)
     read = [complexes.gf2_rank(b) for b in range(len(complexes.keys))]
-    assert read == _full_gf2_ranks(complexes, len(ideal.slice_s))
+    assert read == _full_gf2_ranks(complexes, invariants(sp).g + 2)
 
 
 @pytest.mark.parametrize(
@@ -367,7 +366,7 @@ def test_no_first_syzygy_of_degree_5s(weights):
     """Tor_2 in degree 5s, which the tangent docstring derives to be 0 from
     Gorenstein duality: at every degree-5s point m, the GF(2) rank of the
     boundary map of Delta_m equals E - V + c, so H~_1(Delta_m) = 0."""
-    complexes = resolution._complexes(quadric_generators(weighted_space(*weights)), 5)
+    complexes = resolution._complexes(weighted_space(*weights), 5)
     assert complexes.keys
     assert _gf2_h1(complexes) == {}
 
@@ -412,14 +411,14 @@ def test_two_torsion_falls_back_to_the_exact_rank(pipeline_2334, monkeypatch):
     signed = resolution._signed_boundary(complexes.triangles)
     assert (complexes.cycles[0], rational_rank(signed)) == (10, 10)
     assert complexes.gf2_rank(0) == _full_gf2_ranks(complexes, 6)[0] == 9
-    monkeypatch.setattr(resolution, "_complexes", lambda ideal, degree: complexes)
+    monkeypatch.setattr(resolution, "_complexes", lambda space, degree: complexes)
     rep = check_no_quartic_syzygies(pipeline_2334["ideal"])
     assert rep == QuarticSyzygyReport(ok=True, witness=None, blocks_checked=1, fallbacks=1)
 
 
 def test_hollow_triangle_is_a_witness(pipeline_2334, monkeypatch):
     complexes = _complex([(0, 1), (0, 2), (1, 2)], [])
-    monkeypatch.setattr(resolution, "_complexes", lambda ideal, degree: complexes)
+    monkeypatch.setattr(resolution, "_complexes", lambda space, degree: complexes)
     rep = check_no_quartic_syzygies(pipeline_2334["ideal"])
     assert rep == QuarticSyzygyReport(
         ok=False, witness=(0, 0, 0, 0), blocks_checked=1, fallbacks=1

@@ -1,4 +1,3 @@
-import dataclasses
 import re
 from itertools import combinations, islice
 from math import gcd
@@ -9,11 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    cut_first_slice_point,
     elimination_syzygies,
+    max_rooted,
     monolithic_hom_dimension,
     rational_rank,
     raw_block_rows,
 )
+from gwpskit import tangent
 from gwpskit.exactla import SparseMatrix, default_fields, echelon, solution_dim
 from gwpskit.lattice import degree_slice
 from gwpskit.resolution import linear_syzygies
@@ -28,7 +30,7 @@ from gwpskit.tangent import (
     t1_by_shift,
     t1_dimensions,
 )
-from gwpskit.toric import quadric_generators
+from gwpskit.toric import BettiConsistencyError, quadric_generators
 from gwpskit.wps import invariants, weighted_space
 
 
@@ -175,8 +177,7 @@ def test_block_sum_equals_monolithic(pipeline_2334, pipeline_231015):
 def test_t1_invariant_under_tree_and_basis_choice():
     sp = weighted_space(2, 3, 3, 4)
     dims = set()
-    for tree in ("min", "max"):
-        ideal = quadric_generators(sp, tree=tree)
+    for ideal in (quadric_generators(sp), max_rooted(quadric_generators(sp))):
         for syz in (linear_syzygies(ideal), elimination_syzygies(ideal, reverse=True)):
             hom = hom_dimension_minus1(ideal, syz)
             dims.add(hom.total)
@@ -232,9 +233,8 @@ NONZERO_T1 = {
 def test_t1_is_nonzero_exactly_at_the_pinned_shifts(gorenstein_spaces):
     assert len(gorenstein_spaces) == 14
     for sp in gorenstein_spaces:
-        ideal = quadric_generators(sp)
-        table = t1_by_shift(ideal)
-        assert table.keys() == set(enumerate_shifts(ideal))
+        table = t1_by_shift(sp)
+        assert table.keys() == set(enumerate_shifts(quadric_generators(sp)))
         assert {d: t for d, t in table.items() if t} == NONZERO_T1.get(sp.weights, {}), sp
 
 
@@ -243,18 +243,38 @@ def test_hom_table_equals_the_elimination_route(pipeline_2334, pipeline_231015):
     pairs = [(pipe["ideal"], pipe["hom"]) for pipe in (pipeline_2334, pipeline_231015)]
     pairs.append((ideal, hom_dimension_minus1(ideal, linear_syzygies(ideal))))
     for ideal, hom in pairs:
-        assert hom_by_shift(ideal) == hom.by_shift, ideal.space
+        assert hom_by_shift(ideal.space) == hom.by_shift, ideal.space
 
 
-def test_a_coordinate_in_no_generator_is_named(pipeline_2334):
-    """Without the generators that hold slice index 7, the derivation
-    d/dy_7 would vanish on the ideal: hom_by_shift raises and names the
-    space and the index (no other index goes unused with them)."""
-    ideal = pipeline_2334["ideal"]
-    kept = tuple(gen for gen in ideal.generators if 7 not in gen.lhs + gen.rhs)
+def test_a_coordinate_in_no_generator_is_named(monkeypatch):
+    """With slice index 7 dropped from the vertices of the degree-2s
+    complexes, no generator would hold it and the derivation d/dy_7 would
+    vanish on the ideal: hom_by_shift raises and names the space and the
+    index."""
+    read = tangent._degree_2s_complexes
+
+    def without_7(space):
+        points, keys, components, faces = read(space)
+        block, vertex = faces[0]
+        kept = vertex[:, 0] != 7
+        return points, keys, components, [(block[kept], vertex[kept]), *faces[1:]]
+
+    monkeypatch.setattr(tangent, "_degree_2s_complexes", without_7)
     with pytest.raises(AssertionError, match=re.escape(
             "slice coordinate 7 occurs in no quadric generator of (2,3,3,4)")):
-        hom_by_shift(dataclasses.replace(ideal, generators=kept))
+        hom_by_shift(weighted_space(2, 3, 3, 4))
+
+
+def test_alpha_names_a_point_of_no_two_slice_points(monkeypatch):
+    """alpha reads the quadrics off the complexes that beta1 reads, and fails
+    the same way: without the first point x of the degree-s slice, 2x is a
+    sum of no two slice points."""
+    sp = weighted_space(2, 3, 3, 4)
+    x = cut_first_slice_point(monkeypatch, sp, 2)
+    with pytest.raises(BettiConsistencyError) as failure:
+        alpha_report(sp)
+    assert str(failure.value).startswith(f"{tuple(2 * c for c in x)} of degree 2s ")
+    assert "(2,3,3,4)" in str(failure.value)
 
 
 def _box_outside_shifts(ideal):

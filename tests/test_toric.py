@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import (
     binomial_edges,
+    cut_first_slice_point,
     degree2_span_crosscheck,
+    max_rooted,
     per_fiber_degree3_report,
     rational_rank,
     spanning_forest,
@@ -90,19 +92,8 @@ def test_beta1_is_the_fiber_count_at_2s(gorenstein_spaces):
 def test_beta1_names_a_point_of_no_two_slice_points(monkeypatch):
     # A synthetic failure: without the first point x of the degree-s slice,
     # 2x, the first point of degree 2s, is a sum of no two slice points.
-    import gwpskit.lattice as lattice
-
     sp = weighted_space(2, 3, 3, 4)
-    # The degree-24 complexes read the degree-12 and degree-0 slices for their rests.
-    full = {d: degree_slice(sp, d) for d in (0, 12, 24)}
-    x = full[12].points[0]
-    cut = DegreeSlice(12, full[12].points[1:])
-
-    def slice_without_x(space, d):
-        assert space == sp and d in full
-        return cut if d == 12 else full[d]
-
-    monkeypatch.setattr(lattice, "degree_slice", slice_without_x)
+    x = cut_first_slice_point(monkeypatch, sp, 2)
     with pytest.raises(BettiConsistencyError) as failure:
         beta1(sp)
     assert str(failure.value).startswith(f"{tuple(2 * c for c in x)} of degree 2s ")
@@ -153,18 +144,8 @@ def test_empty_cubic_complex_names_its_witness(monkeypatch):
     # (2,3,3,4), no slice point lies below 3x = (18,0,0,0), the first point
     # of degree 36: Delta_m there has no vertex, and 3x is no sum of three
     # slice points.
-    import gwpskit.toric as toric
-
     sp = weighted_space(2, 3, 3, 4)
-    full = {d: degree_slice(sp, d) for d in (12, 24, 36)}
-    x = full[12].points[0]
-    cut = DegreeSlice(12, full[12].points[1:])
-
-    def slice_without_x(space, d):
-        assert space == sp and d in full
-        return cut if d == 12 else full[d]
-
-    monkeypatch.setattr(toric.lattice, "degree_slice", slice_without_x)
+    x = cut_first_slice_point(monkeypatch, sp, 3)
     assert check_degree3_generation(sp) == ConnectivityReport(
         connected=False, witness=tuple(3 * c for c in x), fibers_checked=175,
         components_at_witness=0,
@@ -179,8 +160,7 @@ def test_array_degree3_report_equals_per_fiber_oracle():
 def test_tree_choice_spans_equal_rank():
     sp = weighted_space(2, 3, 3, 4)
     fields = default_fields()
-    for tree in ("min", "max"):
-        ideal = quadric_generators(sp, tree=tree)
+    for ideal in (quadric_generators(sp), max_rooted(quadric_generators(sp))):
         n = len(ideal.slice_s)
         pair_index = {}
         for i in range(n):
