@@ -16,10 +16,10 @@ from gwpskit import (
     beta1,
     beta2,
     check_degree3_generation,
-    check_no_quartic_syzygies,
     enumerate_gorenstein,
     invariants,
     quadric_generators,
+    quartic_check,
     weighted_space,
 )
 from gwpskit.resolution import linear_syzygies
@@ -36,7 +36,7 @@ print(f"Delta_m connected at all {rep.fibers_checked} degree-3s points: {rep.con
 syz = linear_syzygies(ideal)
 print(f"linear syzygies: {syz.total_count} (counting formula: {beta2(sp)})")
 
-quartic = check_no_quartic_syzygies(ideal)
+quartic = quartic_check(sp)
 print(f"no minimal quartic syzygies at the {quartic.blocks_checked} degree-4s points: {quartic.ok}")
 print(f"  points ranked exactly (GF(2) rank short of E - V + c): {quartic.fallbacks}")
 

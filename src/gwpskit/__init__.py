@@ -5,7 +5,7 @@ counts via the degree -1 tangent module of the affine cone."""
 __version__ = "0.1.0"
 
 from .lattice import count_points, degree_slice, h_vector
-from .resolution import beta2, check_no_quartic_syzygies
+from .resolution import beta2, quartic_check
 from .tangent import alpha_report, t1_by_shift
 from .toric import beta1, check_degree3_generation, quadric_generators
 from .wps import (
@@ -25,13 +25,13 @@ __all__ = [
     "beta1",
     "beta2",
     "check_degree3_generation",
-    "check_no_quartic_syzygies",
     "count_points",
     "degree_slice",
     "enumerate_gorenstein",
     "h_vector",
     "invariants",
     "quadric_generators",
+    "quartic_check",
     "restriction_invertible",
     "t1_by_shift",
     "veronese_presentation",

@@ -176,7 +176,7 @@ def cmd_betti(config: RunConfig) -> tuple[str, int]:
         row = [idx, str(sp), inv.g1, inv.i_S, inv.g, b1, b2]
         columns[sp] = dict(zip(("g_1", "i_S", "g", "beta_1", "beta_2"), row[2:]))
         if config.verify:
-            quartic = resolution.check_no_quartic_syzygies(toric.quadric_generators(sp))
+            quartic = resolution.quartic_check(sp)
             if not quartic.ok:
                 failures.append(f"{sp}: quartic syzygy at {quartic.witness}")
             row += ["pass", "pass" if quartic.ok else "FAIL"]

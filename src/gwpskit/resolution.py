@@ -12,13 +12,14 @@ as integer arrays, by one Kruskal pass over the edges in block order (a
 monomial has one multidegree, so no component leaves its block), and the
 basis is one term table, which the tests' tangent shift blocks read.
 
-The quartic check reads no syzygy.  A = K[S] is the ring of the semigroup S
-generated by the degree-s slice u_0, ..., u_{g+1}, so Tor_2^R(A, K)_m =
-H~_1(Delta_m; K) for the squarefree divisor complexes Delta_m of the
-gwpskit.toric docstring.  By projective normality (the gwpskit.tangent
-docstring) m - sum_F u lies in S iff it is >= 0, so Delta_m has at most g+2
-vertices, and toric._divisor_complexes enumerates the faces of all Delta_m
-of one degree at once as arrays and counts the components c of each.  No
+The quartic check reads the space alone.  A = K[S] is the ring of the
+semigroup S generated by the degree-s slice u_0, ..., u_{g+1}, so
+Tor_2^R(A, K)_m = H~_1(Delta_m; K) for the squarefree divisor complexes
+Delta_m of the gwpskit.toric docstring.  By projective normality (the
+gwpskit.tangent docstring) m - sum_F u lies in S iff it is >= 0, so Delta_m
+has at most g+2 vertices, and toric._anticanonical_complexes enumerates the
+faces of all Delta_m of one degree at once and counts the components c of
+each.  No
 minimal quartic syzygy means H~_1(Delta_m) = 0 at every point m of degree
 4s: the rank of the boundary map from triangles to edges equals E - V + c,
 the cycle dimension of the complex's 1-skeleton, over Q.  As the boundary
@@ -59,10 +60,11 @@ from ._util import tadd
 from .exactla import FieldSpec
 from .lattice import Point
 from .toric import (
+    BettiConsistencyError,
     ConnectivityReport,
     ToricIdeal,
+    _anticanonical_complexes,
     _component_roots,
-    _divisor_complexes,
     _pack,
     check_degree3_generation,
 )
@@ -356,11 +358,8 @@ class _Complexes:
 def _complexes(space: WeightedSpace, degree: int) -> _Complexes:
     """The complexes Delta_m at every point m of weighted degree degree * s:
     Delta_m is the complex of the sets F of slice indices with
-    m - sum_F u >= 0, its faces those of toric._divisor_complexes with
-    unit s."""
-    s = invariants(space).s
-    points = lattice.degree_slice(space, s).points
-    keys, components, faces = _divisor_complexes(space, points, s, degree, 3)
+    m - sum_F u >= 0, its faces those of toric._anticanonical_complexes."""
+    points, keys, components, faces = _anticanonical_complexes(space, degree, 3)
     return _star_cover(keys, components, faces, len(points))
 
 
@@ -459,11 +458,7 @@ def _signed_boundary(triangles) -> list[list[int]]:
     return rows
 
 
-def check_no_quartic_syzygies(
-    ideal: ToricIdeal,
-    syzygies: SyzygyBasis | None = None,
-    fields: tuple[FieldSpec, FieldSpec] | None = None,
-) -> QuarticSyzygyReport:
+def quartic_check(space: WeightedSpace) -> QuarticSyzygyReport:
     """Verification that there are no minimal quartic syzygies: H~_1(Delta_m)
     = 0 at every degree-4s point m (see the module docstring).
 
@@ -475,10 +470,17 @@ def check_no_quartic_syzygies(
     (a wrong E, V or c); below it the signed map of all the triangles of
     Delta_m is ranked exactly (exactla.echelon) and counted as a fallback,
     and an exact shortfall makes m a witness.  The first witness in
-    descending order is reported.  `syzygies` and `fields` are accepted for
-    compatibility and unused: the check reads no syzygy and no prime field.
+    descending order is reported.  The h-vector must be (1, g-2, g-2, 1),
+    which gives reg A = 3 and so Tor_2 in degrees 3s to 5s only (the
+    gwpskit.tangent docstring); a BettiConsistencyError names another.
     """
-    complexes = _complexes(ideal.space, 4)
+    complexes = _complexes(space, 4)
+    g = invariants(space).g
+    h, want = lattice.h_vector(space), (1, g - 2, g - 2, 1)
+    if h != want:
+        raise BettiConsistencyError(
+            f"h-vector {h} of {space} is not (1, g-2, g-2, 1) = {want}; reg A = 3 is not shown"
+        )
     witness = None
     fallbacks = 0
     for b, (m, cycles) in enumerate(zip(complexes.keys, complexes.cycles)):
@@ -490,7 +492,7 @@ def check_no_quartic_syzygies(
         if rank > cycles:
             raise AssertionError(
                 f"boundary rank {rank} above the cycle dimension {cycles} at multidegree {m} "
-                f"of {ideal.space}"
+                f"of {space}"
             )
         if rank < cycles and witness is None:
             witness = m
@@ -498,3 +500,9 @@ def check_no_quartic_syzygies(
         ok=witness is None, witness=witness, blocks_checked=len(complexes.keys),
         fallbacks=fallbacks,
     )
+
+
+# perfbench/spans.py wraps this name and binds its `ideal` parameter; ROADMAP H
+# deletes the adapter.  `syzygies` and `fields` are unused.
+def check_no_quartic_syzygies(ideal: ToricIdeal, syzygies=None, fields=None):
+    return quartic_check(ideal.space)

@@ -51,15 +51,15 @@ fraction-free elimination on Python integers, with no prime and no float.
 At a shift that is no v - c, T^1 is 0, as a quotient of a zero piece of
 Hom(I, A).
 
-Why the per-shift Hom dimension is T^1, plus one at the g+2 coordinate shifts
--u_m.  T^1 is Hom(I, A) modulo the image of Der(R, A), whose degree-d piece is
-spanned by the d/dy_m with A_{d + u_m} != 0; in weight -s that is d = -u_m
-only.  d/dy_m sends a quadric generator in which y_m occurs to a nonzero linear
-form, nonzero in A as I has no linear forms, so its image in Hom(I, A) is not
-zero (the derivations of A of weight -s vanish: P is not a cone);
-hom_by_shift checks that every slice index occurs in some generator, a
-vertex of such a Delta_m.  The total minus g+2 is the extendability count
-alpha_P.
+Why alpha_P is the sum of T^1.  T^1 is Hom(I, A) modulo the image of
+Der(R, A), whose degree-d piece is spanned by the d/dy_m with A_{d + u_m} !=
+0; in weight -s that is d = -u_m only.  d/dy_m sends a quadric generator in
+which y_m occurs to a nonzero linear form, nonzero in A as I has no linear
+forms, so its image in Hom(I, A) is not zero (the derivations of A of weight
+-s vanish: P is not a cone); _quadrics checks that every slice index occurs
+in some generator, a vertex of such a Delta_m.  So the per-shift Hom
+dimension is T^1 plus one at the g+2 coordinate shifts -u_m, and alpha_P,
+the Hom total minus g+2, is the sum of T^1.
 
 The elimination route (hom_dimension_minus1, kept as the tests' reference)
 solves the same Hom(I, A) as one linear system per shift: one unknown per
@@ -84,7 +84,7 @@ c = g - 2 be the codimension.  The minimal first syzygies of I lie in degrees
   divisor complex of every degree-5s point vanishes.
 
 Degree 4, Tor_2(A)_4 = 0, is the quartic check
-(resolution.check_no_quartic_syzygies, run by `betti --verify`): H~_1 of the
+(resolution.quartic_check, run by `betti --verify`): H~_1 of the
 squarefree divisor complex of every degree-4s point vanishes.  Its faces are
 read off by the test x >= 0, which stands for membership in the semigroup by
 the projective normality shown next.
@@ -101,7 +101,8 @@ Polytopes, Rings, and K-Theory (Springer, 2009), ch. 2.
 
 The tests check the premises: acceptance criterion 6 the h-vectors of all
 14 spaces, tests/test_lattice.py::test_normality_all_spaces projective
-normality through degree 4s on all 14 spaces.  Every `betti` run checks
+normality through degree 4s on all 14 spaces.  Every `betti --verify` run
+checks the h-vector too (resolution.quartic_check).  Every `betti` run checks
 normality through degree 3s: beta1's c(Delta_m) >= 1 makes every degree-2s
 point a sum of two slice points, and check_degree3_generation's
 c(Delta_m) = 1 gives every degree-3s point a slice point below it with the
@@ -130,8 +131,8 @@ at every R of the degree-2s slice on all 14 spaces.  The injectivity for X = P,
 both premises for X = S and the identification at the singular points of P
 that S meets rest on the paper (arXiv:2103.08210); they are not checked here.
 Its other premises, the h-vector and projective normality, are checked by the
-tests named above.  Acceptance criterion 5 compares alpha_P + 1 with the
-reference alpha_S of data/expected_values.tsv on all 14 spaces.  A
+tests and runs named above.  Acceptance criterion 5 compares alpha_P + 1
+with the reference alpha_S of data/expected_values.tsv on all 14 spaces.  A
 linear-section solver, since deleted, cut P by y_a + y_b at the coordinate
 pairs (7, g+1) and (3, g) and gave alpha_P, alpha_P + 1 and alpha_P + 2 on
 all 14 spaces for none, one and both forms (2120a0c^:src/gwpskit/tangent.py);
@@ -200,14 +201,10 @@ class DerivationVector:
 @dataclass(frozen=True)
 class T1Report:
     space: WeightedSpace
-    hom_dim: int
-    ambient_dim: int
-    t1_dim: int
     alpha_P: int
     alpha_S: int
     alpha_C: int
     extendability: int
-    assumption_note: str = ASSUMPTION_NOTE
 
 
 def _syzygies_by_generator(syzygies: SyzygyBasis) -> np.ndarray:
@@ -304,39 +301,27 @@ def t1_dimensions(points, shifts) -> list[int]:
 
 
 def _quadrics(space: WeightedSpace):
-    """(points, shifts, used): the degree-s slice points, the shifts v - c
-    and the slice indices that occur in some quadric generator, the vertices
-    of the degree-2s Delta_m with c(Delta_m) >= 2 (the module docstring)."""
+    """(points, shifts): the degree-s slice points and the shifts v - c, c a
+    degree-2s point with c(Delta_m) >= 2 (the module docstring).  Asserts
+    that every slice index occurs in some quadric generator, a vertex of such
+    a Delta_m, which makes each d/dy_m nonzero; the error names the space and
+    the first index that occurs in none."""
     points, keys, components, faces = _degree_2s_complexes(space)
     fiber = components >= 2
     block, vertex = faces[0]
-    shifts = _shifts(points, np.array(keys, dtype=np.int64)[fiber])
-    return points, shifts, set(vertex[fiber[block], 0].tolist())
+    unused = sorted(set(range(len(points))) - set(vertex[fiber[block], 0].tolist()))
+    if unused:
+        raise AssertionError(
+            f"slice coordinate {unused[0]} occurs in no quadric generator of {space}"
+        )
+    return points, _shifts(points, np.array(keys, dtype=np.int64)[fiber])
 
 
 def t1_by_shift(space: WeightedSpace) -> dict[Point, int]:
     """dim T^1 at every shift v - c over the slice points v and the quadric
     generator multidegrees c, the only shifts where it can be nonzero."""
-    points, shifts, _ = _quadrics(space)
+    points, shifts = _quadrics(space)
     return dict(zip(shifts, t1_dimensions(points, shifts)))
-
-
-def hom_by_shift(space: WeightedSpace) -> dict[Point, int]:
-    """The per-shift Hom dimension of hom_dimension_minus1: T^1 plus one at
-    each coordinate shift -u_m, whose derivation d/dy_m is nonzero on I.
-
-    Asserts that every slice index occurs in some quadric generator, which is
-    what makes each d/dy_m nonzero; the error names the space and the first
-    index that occurs in none.
-    """
-    points, shifts, used = _quadrics(space)
-    unused = [m for m in range(len(points)) if m not in used]
-    if unused:
-        raise AssertionError(
-            f"slice coordinate {unused[0]} occurs in no quadric generator of {space}"
-        )
-    coordinate = {(-u[0], -u[1], -u[2], -u[3]) for u in points}
-    return {d: t1 + (d in coordinate) for d, t1 in zip(shifts, t1_dimensions(points, shifts))}
 
 
 def build_block(
@@ -498,30 +483,19 @@ def assemble_report(
         raise AssertionError(
             f"{len(hom.derivations)} coordinate derivations, expected {ambient}"
         )
-    return report_from_table(space, hom.by_shift)
+    return _report(space, sum(hom.by_shift.values()) - ambient)
 
 
-def report_from_table(space: WeightedSpace, by_shift: dict[Point, int]) -> T1Report:
-    """Package a per-shift Hom table as the report; asserts that its total is
-    at least the ambient dimension g+2."""
-    hom_dim = sum(by_shift.values())
-    ambient = invariants(space).g + 2
-    if hom_dim < ambient:
-        raise AssertionError(f"hom dimension {hom_dim} below ambient {ambient}")
-    t1 = hom_dim - ambient
-    return T1Report(
-        space=space,
-        hom_dim=hom_dim,
-        ambient_dim=ambient,
-        t1_dim=t1,
-        alpha_P=t1,
-        alpha_S=t1 + 1,
-        alpha_C=t1 + 2,
-        extendability=t1,
-    )
+def _report(space: WeightedSpace, t1: int) -> T1Report:
+    """The report of the T^1 total t1, the Hom total less the g+2 coordinate
+    derivations; asserts that it is not negative."""
+    if t1 < 0:
+        ambient = invariants(space).g + 2
+        raise AssertionError(f"hom dimension {t1 + ambient} below ambient {ambient}")
+    return T1Report(space=space, alpha_P=t1, alpha_S=t1 + 1, alpha_C=t1 + 2, extendability=t1)
 
 
 def alpha_report(space: WeightedSpace) -> T1Report:
-    """alpha and the extendability count of a Gorenstein space, from its
-    degree-2s divisor complexes and Altmann's formula (hom_by_shift)."""
-    return report_from_table(space, hom_by_shift(space))
+    """alpha and the extendability count of a Gorenstein space: the sum of
+    t1_by_shift, Altmann's formula on its degree-2s divisor complexes."""
+    return _report(space, sum(t1_by_shift(space).values()))

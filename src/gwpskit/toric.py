@@ -109,21 +109,28 @@ def beta1(space: WeightedSpace) -> int:
     return by_count
 
 
-def _degree_2s_complexes(space: WeightedSpace):
+def _anticanonical_complexes(space: WeightedSpace, degree: int, size: int = 2):
     """(slice, keys, components, faces): the degree-s slice points of a
-    Gorenstein space and _divisor_complexes of them at degree 2s, which beta1
-    and gwpskit.tangent read the quadrics off.  At 2s, Delta_m has the slice
+    Gorenstein space and _divisor_complexes of them, with unit s, at degree
+    degree * s, faces through size `size`; the one reader of the complexes
+    of the anticanonical ring."""
+    inv = invariants(space)
+    if not inv.gorenstein:
+        raise ValueError("divisor complexes require a Gorenstein space")
+    slice_s = lattice.degree_slice(space, inv.s).points
+    return (slice_s, *_divisor_complexes(space, slice_s, inv.s, degree, size))
+
+
+def _degree_2s_complexes(space: WeightedSpace):
+    """_anticanonical_complexes at degree 2s, which beta1 and
+    gwpskit.tangent read the quadrics off.  At 2s, Delta_m has the slice
     indices that pair to m as vertices and the pairs i < j as edges, a square
     2u_i = m being an isolated vertex, so c(Delta_m) is the size of the fiber
     of m in quadric_generators: m is the multidegree of c(Delta_m) - 1
     generators, and where c(Delta_m) >= 2 the vertices of Delta_m are the
     slice indices that occur in them.  An empty Delta_m, a point that is no
     sum of two slice points, fails projective normality and raises."""
-    inv = invariants(space)
-    if not inv.gorenstein:
-        raise ValueError("quadric generators require a Gorenstein space")
-    slice_s = lattice.degree_slice(space, inv.s).points
-    keys, components, faces = _divisor_complexes(space, slice_s, inv.s, 2)
+    slice_s, keys, components, faces = _anticanonical_complexes(space, 2)
     empty = np.flatnonzero(components == 0)
     if empty.size:
         raise BettiConsistencyError(
@@ -153,12 +160,7 @@ def check_degree3_generation(space: WeightedSpace) -> ConnectivityReport:
     the degree-3s points; the witness is the first m in descending order
     with c(Delta_m) != 1, and components_at_witness is its count.
     """
-    inv = invariants(space)
-    if not inv.gorenstein:
-        raise ValueError("degree-3 generation check requires a Gorenstein space")
-    keys, components, _ = _divisor_complexes(
-        space, lattice.degree_slice(space, inv.s).points, inv.s, 3
-    )
+    _, keys, components, _ = _anticanonical_complexes(space, 3)
     bad = np.flatnonzero(components != 1)
     if bad.size:
         return ConnectivityReport(

@@ -581,9 +581,8 @@ def span_rows(ideal, blocks, syzygies):
 
 
 def span_quartic_check(ideal, syzygies, fields=None) -> QuarticSyzygyReport:
-    """The paper's quartic check, which resolution.check_no_quartic_syzygies
-    replaced: blockwise verification that there are no minimal quartic
-    syzygies.
+    """The paper's quartic check, which resolution.quartic_check replaced:
+    blockwise verification that there are no minimal quartic syzygies.
 
     For every weighted-degree-4s multidegree the span of variable multiples
     y_i * sigma of the cubic syzygies must have rank E - V + c, the dimension

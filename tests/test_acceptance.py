@@ -10,7 +10,7 @@ import pytest
 from conftest import elimination_syzygies, max_rooted, monolithic_hom_dimension
 from gwpskit import cache as cache_mod
 from gwpskit.cli import RunConfig, cmd_alpha, cmd_betti, cmd_classify, cmd_veronese, load_expected
-from gwpskit.lattice import count_points, degree_slice, h_vector
+from gwpskit.lattice import h_vector
 from gwpskit.tangent import derivation_vectors, hom_dimension_minus1
 from gwpskit.toric import check_degree3_generation, quadric_generators
 from gwpskit.wps import enumerate_gorenstein, invariants, weighted_space

@@ -240,12 +240,28 @@ def test_betti_verify_failure_is_reported(monkeypatch, capsys, only_2334):
     failed = cli.resolution.QuarticSyzygyReport(
         ok=False, witness=witness, blocks_checked=369, fallbacks=0
     )
-    monkeypatch.setattr(cli.resolution, "check_no_quartic_syzygies", lambda *a, **kw: failed)
+    monkeypatch.setattr(cli.resolution, "quartic_check", lambda space: failed)
     code = run(["betti", "--verify", "--check"])
     assert code == 1
     out, err = capsys.readouterr()
     assert out.splitlines()[1].split("\t")[7:] == ["pass", "FAIL"]
     assert f"VERIFY FAIL: (2,3,3,4): quartic syzygy at {witness}" in err
+
+
+def test_betti_verify_checks_the_h_vector(monkeypatch, capsys, only_2334):
+    """`betti --verify` checks the h-vector (1, g-2, g-2, 1), which confines
+    Tor_2 to degrees 3s to 5s: another stops it with one error line that
+    names the space and the vector, exit 2 and no table."""
+    import gwpskit.resolution as resolution
+
+    monkeypatch.setattr(resolution.lattice, "h_vector", lambda space: (1, 11, 11, 2))
+    assert run(["betti", "--verify", "--check"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: h-vector (1, 11, 11, 2) of (2,3,3,4) is not (1, g-2, g-2, 1) = (1, 11, 11, 1); "
+        "reg A = 3 is not shown\n"
+    )
 
 
 def test_betti_verify_reads_no_syzygy_and_no_prime(monkeypatch, only_2334):
@@ -317,59 +333,43 @@ def test_check_reports_a_wrong_reference_value(command, column, computed, monkey
     ]
 
 
-def test_betti_verify_builds_each_ideal_once(monkeypatch):
+_BETTI = ["#", "weights", "g_1", "i_S", "g", "beta_1", "beta_2"]
+
+
+def _betti_columns(r):
+    return [r["g_1"], r["i_S"], r["g"], r["beta_1"], r["beta_2"]]
+
+
+@pytest.mark.parametrize("argv, header, columns", [
+    pytest.param(["betti"], _BETTI, _betti_columns, id="betti"),
+    pytest.param(["betti", "--verify"], _BETTI + ["deg3_generation", "quartic_syzygies"],
+                 lambda r: _betti_columns(r) + ["pass", "pass"], id="betti --verify"),
+    pytest.param(["alpha"], ["#", "weights", "g_1", "i_S", "alpha_S", "alpha_P", "extendability"],
+                 lambda r: [r["g_1"], r["i_S"], r["alpha_S"], r["alpha_S"] - 1, r["alpha_S"] - 1],
+                 id="alpha"),
+])
+def test_no_command_builds_the_quadric_ideal(argv, header, columns, monkeypatch, capsys):
+    """`betti` reads beta_1, `betti --verify` its quartic check and `alpha`
+    its shifts and its derivation check off the divisor complexes: with the
+    quadric generators and the pair sums made to raise, each prints the
+    reference rows and CHECK OK."""
     import gwpskit.cli as cli
-
-    calls = []
-    build = cli.toric.quadric_generators
-
-    def counted(space, *args, **kwargs):
-        calls.append(space)
-        return build(space, *args, **kwargs)
-
-    monkeypatch.setattr(cli.toric, "quadric_generators", counted)
-    _, code = cmd_betti(RunConfig(verify=True, check=True))
-    assert code == 0
-    assert calls == cli.table_order(cli.wps.enumerate_gorenstein())
-
-
-def test_plain_betti_builds_no_ideal(monkeypatch, capsys):
-    """`betti --check` reads beta_1 off the divisor complexes: with the quadric
-    generators made to raise, it prints the reference rows and CHECK OK."""
-    import gwpskit.cli as cli
+    import gwpskit.lattice as lattice
+    import gwpskit.toric as toric
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("plain betti built the quadric generators")
+        raise AssertionError(f"{' '.join(argv)} built the quadric generators")
 
-    monkeypatch.setattr(cli.toric, "quadric_generators", forbidden)
-    assert run(["betti", "--check"]) == 0
+    monkeypatch.setattr(toric, "quadric_generators", forbidden)
+    monkeypatch.setattr(lattice, "pair_sums", forbidden)
+    assert run([*argv, "--check"]) == 0
     out, err = capsys.readouterr()
     rows = sorted(load_expected().items(), key=lambda item: item[1]["row"])
-    assert out == "#\tweights\tg_1\ti_S\tg\tbeta_1\tbeta_2\n" + "".join(
-        f"{r['row']}\t({','.join(map(str, w))})\t{r['g_1']}\t{r['i_S']}\t{r['g']}\t"
-        f"{r['beta_1']}\t{r['beta_2']}\n" for w, r in rows
-    )
-    assert err == "CHECK OK (14 rows verified)\n"
-
-
-def test_alpha_builds_no_ideal(monkeypatch, capsys):
-    """`alpha --check` reads its shifts and its derivation check off the
-    degree-2s divisor complexes: with the quadric generators made to raise,
-    it prints the reference rows, the note and CHECK OK."""
-    import gwpskit.cli as cli
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("alpha built the quadric generators")
-
-    monkeypatch.setattr(cli.toric, "quadric_generators", forbidden)
-    assert run(["alpha", "--check"]) == 0
-    out, err = capsys.readouterr()
-    rows = sorted(load_expected().items(), key=lambda item: item[1]["row"])
-    assert out == "#\tweights\tg_1\ti_S\talpha_S\talpha_P\textendability\n" + "".join(
-        f"{r['row']}\t({','.join(map(str, w))})\t{r['g_1']}\t{r['i_S']}\t{r['alpha_S']}\t"
-        f"{r['alpha_S'] - 1}\t{r['alpha_S'] - 1}\n" for w, r in rows
-    )
-    assert err == f"note: {cli.tangent.ASSUMPTION_NOTE}\nCHECK OK (14 rows verified)\n"
+    assert out == "".join("\t".join(map(str, line)) + "\n" for line in [header] + [
+        [r["row"], f"({','.join(map(str, w))})", *columns(r)] for w, r in rows
+    ])
+    note = f"note: {cli.tangent.ASSUMPTION_NOTE}\n" if argv[0] == "alpha" else ""
+    assert err == note + "CHECK OK (14 rows verified)\n"
 
 
 def test_torn_partial_blocks_at_every_offset(tmp_path, pipeline_2334):

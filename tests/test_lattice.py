@@ -9,7 +9,7 @@ from gwpskit.lattice import (
     pair_sums,
     weighted_degree,
 )
-from gwpskit.wps import enumerate_gorenstein, invariants, veronese_presentation, weighted_space
+from gwpskit.wps import invariants, veronese_presentation, weighted_space
 
 # all valid weight systems with entries <= 5, used as a hypothesis pool
 _SMALL_VALID = []

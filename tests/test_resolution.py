@@ -27,10 +27,10 @@ from gwpskit.resolution import (
     SyzygyBasis,
     SyzygyElement,
     beta2,
-    check_no_quartic_syzygies,
     incident_pairs_degree3,
     incident_pairs_degree4,
     linear_syzygies,
+    quartic_check,
 )
 from gwpskit.toric import ConnectivityReport, ToricIdeal, quadric_generators
 from gwpskit.wps import enumerate_gorenstein, invariants, weighted_space
@@ -88,10 +88,17 @@ def test_local_counts_match_incidence(pipeline_2334):
 
 def test_quartic_check_small_spaces(pipeline_2334, pipeline_231015):
     """One block per degree-4s point, each proven by its GF(2) rank."""
-    rep = check_no_quartic_syzygies(pipeline_2334["ideal"])
+    rep = quartic_check(pipeline_2334["space"])
     assert rep == QuarticSyzygyReport(ok=True, witness=None, blocks_checked=369, fallbacks=0)
-    rep = check_no_quartic_syzygies(pipeline_231015["ideal"])
+    rep = quartic_check(pipeline_231015["space"])
     assert rep == QuarticSyzygyReport(ok=True, witness=None, blocks_checked=459, fallbacks=0)
+
+
+def test_quartic_check_requires_gorenstein():
+    """The check reads the divisor complexes through the one guarded reader,
+    which refuses a space that is not Gorenstein."""
+    with pytest.raises(ValueError, match="^divisor complexes require a Gorenstein space$"):
+        quartic_check(weighted_space(1, 1, 1, 2))
 
 
 def test_quartic_check_vacuous_for_empty_ideal():
@@ -412,14 +419,14 @@ def test_two_torsion_falls_back_to_the_exact_rank(pipeline_2334, monkeypatch):
     assert (complexes.cycles[0], rational_rank(signed)) == (10, 10)
     assert complexes.gf2_rank(0) == _full_gf2_ranks(complexes, 6)[0] == 9
     monkeypatch.setattr(resolution, "_complexes", lambda space, degree: complexes)
-    rep = check_no_quartic_syzygies(pipeline_2334["ideal"])
+    rep = quartic_check(pipeline_2334["space"])
     assert rep == QuarticSyzygyReport(ok=True, witness=None, blocks_checked=1, fallbacks=1)
 
 
 def test_hollow_triangle_is_a_witness(pipeline_2334, monkeypatch):
     complexes = _complex([(0, 1), (0, 2), (1, 2)], [])
     monkeypatch.setattr(resolution, "_complexes", lambda space, degree: complexes)
-    rep = check_no_quartic_syzygies(pipeline_2334["ideal"])
+    rep = quartic_check(pipeline_2334["space"])
     assert rep == QuarticSyzygyReport(
         ok=False, witness=(0, 0, 0, 0), blocks_checked=1, fallbacks=1
     )
@@ -429,11 +436,9 @@ def test_dropped_triangle_is_a_witness(pipeline_2334, monkeypatch):
     """A triangle with an edge in no other triangle is the only one whose
     boundary covers that edge: without it, its boundary is a cycle that
     bounds nothing, and its complex's point is the witness."""
-    ideal = pipeline_2334["ideal"]
-    n = len(ideal.slice_s)
-    keys, components, faces = toric._divisor_complexes(
-        ideal.space, ideal.slice_s.points, ideal.slice_s.degree, 4, 3
-    )
+    sp = pipeline_2334["space"]
+    points, keys, components, faces = toric._anticanonical_complexes(sp, 4, 3)
+    n = len(points)
     tb, t = faces[2]
     edges = (tb[:, None] * n + t[:, [0, 0, 1]]) * n + t[:, [1, 2, 2]]
     _, at, count = np.unique(edges, return_inverse=True, return_counts=True)
@@ -441,8 +446,9 @@ def test_dropped_triangle_is_a_witness(pipeline_2334, monkeypatch):
     assert lone.size
     drop = lone[np.argmin(tb[lone])]
     faces = [*faces[:2], (np.delete(tb, drop), np.delete(t, drop, axis=0))]
-    monkeypatch.setattr(resolution, "_divisor_complexes", lambda *args: (keys, components, faces))
-    rep = check_no_quartic_syzygies(ideal)
+    monkeypatch.setattr(resolution, "_anticanonical_complexes",
+                        lambda *args: (points, keys, components, faces))
+    rep = quartic_check(sp)
     assert rep == QuarticSyzygyReport(
         ok=False, witness=keys[tb[drop]], blocks_checked=369, fallbacks=1
     )
@@ -464,13 +470,13 @@ def test_understated_components_raise(pipeline_2334, monkeypatch):
     first = degree_slice(sp, 4 * invariants(sp).s).points[0]
     with pytest.raises(AssertionError, match=re.escape(
             f"boundary rank 0 above the cycle dimension -1 at multidegree {first} of {sp}")):
-        check_no_quartic_syzygies(pipeline_2334["ideal"])
+        quartic_check(pipeline_2334["space"])
 
 
 @pytest.mark.parametrize("weights", [(2, 3, 3, 4), (1, 2, 2, 5), (1, 6, 14, 21)])
 def test_span_route_and_complexes_agree(weights):
     ideal = quadric_generators(weighted_space(*weights))
     old = span_quartic_check(ideal, linear_syzygies(ideal))
-    new = check_no_quartic_syzygies(ideal)
+    new = quartic_check(ideal.space)
     assert (old.ok, old.witness, old.fallbacks) == (new.ok, new.witness, new.fallbacks)
     assert new.ok

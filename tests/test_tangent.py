@@ -25,7 +25,6 @@ from gwpskit.tangent import (
     build_block,
     derivation_vectors,
     enumerate_shifts,
-    hom_by_shift,
     hom_dimension_minus1,
     t1_by_shift,
     t1_dimensions,
@@ -44,7 +43,7 @@ def test_hom_dimension_2334(pipeline_2334):
 def test_hom_dimension_1236():
     sp = weighted_space(1, 2, 3, 6)
     rep = alpha_report(sp)
-    assert rep.hom_dim == 27
+    assert rep.alpha_P + invariants(sp).g + 2 == 27
     assert rep.alpha_P == 0
 
 
@@ -92,10 +91,10 @@ def test_blocks_match_raw_rows(pipeline_2334):
 def test_fallback_counts_2334(pipeline_2334):
     """Measured: every quartic block of (2,3,3,4) is proven by its GF(2) rank,
     and 5 of its tangent blocks fall back to two primes."""
-    from gwpskit.resolution import check_no_quartic_syzygies
+    from gwpskit.resolution import quartic_check
 
     ideal, syz = pipeline_2334["ideal"], pipeline_2334["syzygies"]
-    assert check_no_quartic_syzygies(ideal, syz).fallbacks == 0
+    assert quartic_check(pipeline_2334["space"]).fallbacks == 0
     assert pipeline_2334["hom"].fallbacks == 5
     assert hom_dimension_minus1(ideal, syz, known=pipeline_2334["hom"].by_shift).fallbacks == 0
 
@@ -113,12 +112,25 @@ def test_certified_table_equals_two_prime_solve(pipeline_2334, pipeline_231015):
             assert dim == want, shift
 
 
-def test_alpha_report_2334():
-    rep = alpha_report(weighted_space(2, 3, 3, 4))
+def test_alpha_report_2334(pipeline_2334):
+    """alpha_P is the sum of T^1, and with the g+2 coordinate derivations
+    the Hom total of the elimination route."""
+    sp = pipeline_2334["space"]
+    rep = alpha_report(sp)
     assert (rep.alpha_S, rep.alpha_P, rep.extendability) == (6, 5, 5)
     assert rep.alpha_S == rep.alpha_P + 1
     assert rep.alpha_C == rep.alpha_P + 2
-    assert rep.t1_dim == rep.hom_dim - rep.ambient_dim
+    assert rep.alpha_P == sum(t1_by_shift(sp).values())
+    assert rep.alpha_P + invariants(sp).g + 2 == pipeline_2334["hom"].total
+
+
+def test_a_negative_t1_total_is_named(monkeypatch):
+    """alpha_report asserts that the sum of T^1, the Hom total less the g+2
+    coordinate derivations, is not negative."""
+    monkeypatch.setattr(tangent, "t1_dimensions",
+                        lambda points, shifts: [-1] + [0] * (len(shifts) - 1))
+    with pytest.raises(AssertionError, match=re.escape("hom dimension 14 below ambient 15")):
+        alpha_report(weighted_space(2, 3, 3, 4))
 
 
 def test_alpha_report_231015(pipeline_231015):
@@ -243,13 +255,16 @@ def test_hom_table_equals_the_elimination_route(pipeline_2334, pipeline_231015):
     pairs = [(pipe["ideal"], pipe["hom"]) for pipe in (pipeline_2334, pipeline_231015)]
     pairs.append((ideal, hom_dimension_minus1(ideal, linear_syzygies(ideal))))
     for ideal, hom in pairs:
-        assert hom_by_shift(ideal.space) == hom.by_shift, ideal.space
+        # T^1 plus one at each coordinate shift -u_m, whose d/dy_m is nonzero on I.
+        coordinate = {tuple(-x for x in u) for u in ideal.slice_s.points}
+        table = {d: t1 + (d in coordinate) for d, t1 in t1_by_shift(ideal.space).items()}
+        assert table == hom.by_shift, ideal.space
 
 
 def test_a_coordinate_in_no_generator_is_named(monkeypatch):
     """With slice index 7 dropped from the vertices of the degree-2s
     complexes, no generator would hold it and the derivation d/dy_7 would
-    vanish on the ideal: hom_by_shift raises and names the space and the
+    vanish on the ideal: t1_by_shift raises and names the space and the
     index."""
     read = tangent._degree_2s_complexes
 
@@ -262,7 +277,7 @@ def test_a_coordinate_in_no_generator_is_named(monkeypatch):
     monkeypatch.setattr(tangent, "_degree_2s_complexes", without_7)
     with pytest.raises(AssertionError, match=re.escape(
             "slice coordinate 7 occurs in no quadric generator of (2,3,3,4)")):
-        hom_by_shift(weighted_space(2, 3, 3, 4))
+        t1_by_shift(weighted_space(2, 3, 3, 4))
 
 
 def test_alpha_names_a_point_of_no_two_slice_points(monkeypatch):
