@@ -11,9 +11,10 @@ column count, the latter lowered by one for a verified integer kernel
 vector.
 
 `echelon` is the exact rank of every command: fraction-free elimination on
-Python integers, with no prime.  It gives T^1 its spans and their canonical
-keys, and the quartic check the rank of a boundary map whose GF(2) rank fell
-short of E - V + c.
+Python integers, with no prime.  It gives T^1 the spans, their canonical
+keys and the ranks of C that the coordinate-subspace certificate of
+gwpskit.tangent leaves, and the quartic check the rank of a boundary map
+whose GF(2) rank fell short of E - V + c.
 
 Where the bounds of a shift block do not meet, `certified_solution_dim`
 falls back to `solution_dim`: a validated coordinate-form `SparseMatrix`

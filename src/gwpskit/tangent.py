@@ -35,19 +35,35 @@ So
 
     dim T^1(-R) = 16 - rank C - sum_j (4 - rank E_j) - rank U.
 
-t1_dimensions evaluates this at many shifts at once and ranks nothing twice.
-The dimension depends only on the spans of the 11 point sets E_j & E_k (j <
-k), E_j and U: a linear form vanishes on a set exactly when it vanishes on a
-basis of its span, so C needs only one basis of each E_j & E_k, and the other
-terms are dimensions of spans.  One array comparison gives the four member
-sets of every shift; one np.unique over the packed sets finds the distinct
-member patterns, and another the distinct point sets among their 11 sets.
-Each distinct set gets the reduced echelon basis of its span
-(exactla.echelon): the reduced row echelon form with each row scaled to a
-primitive integer vector, positive at its pivot.  That basis is unique to
-the span, so it is also the span's canonical key, and C is ranked once per
-distinct tuple of the six keys of the E_j & E_k.  Every rank is exact, by
-fraction-free elimination on Python integers, with no prime and no float.
+t1_dimensions evaluates this at many shifts at once.  The dimension depends
+only on the spans of the 11 point sets E_j & E_k (j < k), E_j and U: a linear
+form vanishes on a set exactly when it vanishes on a basis of its span, so C
+needs only one basis of each E_j & E_k, and the other terms are dimensions of
+spans.  One array comparison gives the four member sets of every shift; one
+np.unique over the packed sets finds the distinct member patterns, and
+another the distinct point sets among their 11 sets.
+
+Most of these spans are coordinate subspaces, proven so without elimination
+(_coordinate_spans).  Let T be the support of a set F, the coordinates at
+which some point of F is nonzero, so span F lies in Q^T, and V the
+coordinates i at which F holds a point of support {i}, the vertex
+(s/a_i) e_i, so span F contains Q^V.  Let W = T - V.  Then span F = Q^T if
+|W| <= 1, as a point of F nonzero at the one coordinate of W is that unit
+vector plus a vector of Q^V, or if |W| = 2 and two points of F have
+projections onto W that are not parallel, a nonzero int64 cross product,
+exact as coordinates are at most s.  A proven span gets the unit vectors of
+T as its basis and |T| as its rank; every other set gets the reduced echelon
+basis of its span (exactla.echelon): the reduced row echelon form with each
+row scaled to a primitive integer vector, positive at its pivot.  The unit
+vectors of T are that basis of Q^T, and the basis is unique to the span, so
+it is also the span's canonical key.  Where all six E_j & E_k span
+coordinate subspaces Q^{T_jk}, the equations a_j(e_i) = a_k(e_i) of C split
+by coordinate, and rank C = sum_i (4 - c_i), where c_i is the number of
+components of the graph on {0, 1, 2, 3} with the edges jk for which T_jk
+holds i (_coordinate_rank_c, a table of the 64 edge sets).  Every other
+pattern has C ranked by echelon, once per distinct tuple of the six keys.
+Every rank is exact, by that proof or by fraction-free elimination on Python
+integers, with no prime and no float.
 At a shift that is no v - c, T^1 is 0, as a quotient of a zero piece of
 Hom(I, A).
 
@@ -263,30 +279,99 @@ def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, inverse
 
 
-def t1_dimensions(points, shifts) -> list[int]:
-    """dim T^1 at each shift d, by Altmann's formula at the degree R = -d (see
-    the module docstring).  `points` is the degree-s slice, `shifts` any
-    exponent vectors of weight divisible by s."""
-    pts = np.array(points, dtype=np.int64)
+def _point_sets(pts: np.ndarray, shifts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(member, ids, pattern_of) for the int64 slice points pts: the distinct
+    point sets of t1_dimensions as bool rows over pts, the indices of the 11
+    sets E_j & E_k (j < k), E_j and U of each distinct member pattern, and
+    the pattern of each shift."""
     # sets[i, j]: the member set E_j of shift i, the points u with u_j < R_j,
     # packed into bits over the slice.
     sets = np.packbits(pts.T[None] < -np.array(shifts, dtype=np.int64).reshape(-1, 4, 1), axis=2)
     first, pattern_of = _distinct_rows(sets.reshape(-1, 4 * sets.shape[2]))
     e = sets[first]
     left, right = np.array(_PAIRS).T
-    # The 11 point sets of each distinct pattern: E_j & E_k for j < k, E_j, U.
     masks = np.concatenate([e[:, left] & e[:, right], e, np.bitwise_or.reduce(e, 1)[:, None]], 1)
     masks = masks.reshape(-1, masks.shape[2])
     first, set_of = _distinct_rows(masks)
-    spans = [
-        echelon([points[i] for i in np.flatnonzero(np.unpackbits(m, count=len(pts))).tolist()], 4)
-        for m in masks[first]
-    ]
-    rank_c: dict[tuple, int] = {}
-    dims = []
-    for ids in set_of.reshape(-1, 11).tolist():
-        key = tuple(spans[i] for i in ids[:6])
-        if key not in rank_c:
+    member = np.unpackbits(masks[first], axis=1, count=len(pts)).astype(bool)
+    return member, set_of.reshape(-1, 11), pattern_of
+
+
+def _coordinate_spans(pts: np.ndarray, member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(support, proven) for the point sets whose bool rows `member` select
+    from the int64 points pts: support[f, i] when some point of set f is
+    nonzero at coordinate i, and proven[f] when the certificate of the module
+    docstring shows that set f spans the coordinate subspace on its support.
+    A False in `proven` claims nothing."""
+    nonzero = pts != 0
+    support = member @ nonzero
+    # W: the support less the coordinates i of the vertex points, support {i}.
+    w = support & ~(member @ (nonzero & (nonzero.sum(1) == 1)[:, None]))
+    size = w.sum(1)
+    proven = size <= 1
+    for a, b in _PAIRS:
+        sets = np.flatnonzero((size == 2) & w[:, a] & w[:, b])
+        if sets.size:
+            # Two points whose projections onto {a, b} are not parallel; the
+            # coordinates are at most s, so the int64 products are exact.
+            skew = np.outer(pts[:, a], pts[:, b]) != np.outer(pts[:, b], pts[:, a])
+            m = member[sets]
+            proven[sets] = (m @ skew & m).any(1)
+    return support, proven
+
+
+# The reduced echelon basis of the coordinate subspace on the coordinates of
+# the set bits of the index: their unit vectors, in coordinate order.
+_COORDINATE_BASES = [
+    tuple(tuple(int(i == j) for j in range(4)) for i in range(4) if code >> i & 1)
+    for code in range(16)
+]
+
+
+def _unit_bases(support: np.ndarray) -> list[tuple]:
+    """The reduced echelon basis of the coordinate subspace on each bool
+    support row, as exactla.echelon gives it."""
+    return [_COORDINATE_BASES[code] for code in (support @ (1, 2, 4, 8)).tolist()]
+
+
+def _graph_rank(edges: int) -> int:
+    """4 less the number of components of the graph on {0, 1, 2, 3} whose
+    edges are _PAIRS[p] for the set bits p of `edges`."""
+    label = list(range(4))
+    for p, (j, k) in enumerate(_PAIRS):
+        if edges >> p & 1:
+            label = [label[j] if x == label[k] else x for x in label]
+    return 4 - len(set(label))
+
+
+_GRAPH_RANK = np.array([_graph_rank(edges) for edges in range(64)])
+
+
+def _coordinate_rank_c(support: np.ndarray) -> np.ndarray:
+    """rank C for each bool array support[., p, i] of the supports of E_j & E_k,
+    (j, k) = _PAIRS[p], where each of these sets spans the coordinate subspace
+    on its support: C splits by coordinate, and coordinate i adds the rank of
+    the graph on {0, 1, 2, 3} with the edges jk whose support holds i."""
+    edges = (support << np.arange(6)[:, None]).sum(-2)
+    return _GRAPH_RANK[edges].sum(-1)
+
+
+def t1_dimensions(points, shifts) -> list[int]:
+    """dim T^1 at each shift d, by Altmann's formula at the degree R = -d (see
+    the module docstring).  `points` is the degree-s slice, `shifts` any
+    exponent vectors of weight divisible by s."""
+    pts = np.array(points, dtype=np.int64)
+    member, ids, pattern_of = _point_sets(pts, shifts)
+    support, proven = _coordinate_spans(pts, member)
+    spans = _unit_bases(support)
+    for f in np.flatnonzero(~proven).tolist():
+        spans[f] = echelon([points[i] for i in np.flatnonzero(member[f]).tolist()], 4)
+    rank = np.array([len(span) for span in spans])
+    rank_c = _coordinate_rank_c(support[ids[:, :6]])
+    by_key: dict[tuple, int] = {}
+    for p in np.flatnonzero(~proven[ids[:, :6]].all(1)).tolist():
+        key = tuple(spans[f] for f in ids[p, :6].tolist())
+        if key not in by_key:
             rows = []
             for (j, k), basis in zip(_PAIRS, key):
                 for u in basis:
@@ -294,10 +379,10 @@ def t1_dimensions(points, shifts) -> list[int]:
                     row[4 * j:4 * j + 4] = u
                     row[4 * k:4 * k + 4] = [-x for x in u]
                     rows.append(row)
-            rank_c[key] = len(echelon(rows, 16))
-        free = sum(4 - len(spans[i]) for i in ids[6:10])
-        dims.append(16 - rank_c[key] - free - len(spans[ids[10]]))
-    return [dims[p] for p in pattern_of.tolist()]
+            by_key[key] = len(echelon(rows, 16))
+        rank_c[p] = by_key[key]
+    dims = 16 - rank_c - (4 - rank[ids[:, 6:10]]).sum(1) - rank[ids[:, 10]]
+    return dims[pattern_of].tolist()
 
 
 def _quadrics(space: WeightedSpace):

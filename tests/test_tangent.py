@@ -1,10 +1,10 @@
 import re
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -328,19 +328,25 @@ def test_t1_vanishes_off_the_shift_set(weights, count):
     assert seen == count
 
 
+def _c_rows(spanning):
+    """The rows of C from spanning points of each E_j & E_k, j < k in pair
+    order."""
+    rows = []
+    for (j, k), chosen in zip(combinations(range(4), 2), spanning):
+        for u in chosen:
+            row = [0] * 16
+            row[4 * j:4 * j + 4] = u
+            row[4 * k:4 * k + 4] = [-x for x in u]
+            rows.append(row)
+    return rows
+
+
 def _altmann_undeduplicated(points, shift):
     """Altmann's formula at one shift, with no basis and no deduplication:
     C has one row per pair j < k and point of E_j & E_k, and every rank is
     rational_rank's."""
     sets = [[u for u in points if u[j] < -shift[j]] for j in range(4)]
-    rows = []
-    for j, k in combinations(range(4), 2):
-        for u in sets[j]:
-            if u in sets[k]:
-                row = [0] * 16
-                row[4 * j:4 * j + 4] = u
-                row[4 * k:4 * k + 4] = [-x for x in u]
-                rows.append(row)
+    rows = _c_rows([u for u in sets[j] if u in sets[k]] for j, k in combinations(range(4), 2))
     free = sum(4 - rational_rank(e) for e in sets)
     union = [u for u in points if any(u in e for e in sets)]
     return 16 - rational_rank(rows) - free - rational_rank(union)
@@ -366,6 +372,85 @@ def test_echelon_is_a_canonical_span_key(a, b):
     assert len(key_a) == rational_rank(a)
     same = rational_rank(a) == rational_rank(b) == rational_rank(a + b)
     assert (key_a == key_b) == same
+
+
+def _set_points(points, member):
+    return [[points[i] for i in np.flatnonzero(row).tolist()] for row in member]
+
+
+def test_certified_spans_and_counted_ranks_equal_echelon(gorenstein_spaces):
+    """Oracle on the point sets that t1_dimensions forms on all 14 spaces:
+    each span that the certificate proves has the unit vectors of its support
+    as its echelon basis, and each rank of C counted by coordinate is the
+    echelon rank of C.  The certified branch is taken on every space, the
+    echelon fallback on some."""
+    fallback_spaces = 0
+    for sp in gorenstein_spaces:
+        points, shifts = tangent._quadrics(sp)
+        pts = np.array(points, dtype=np.int64)
+        member, ids, _ = tangent._point_sets(pts, shifts)
+        support, proven = tangent._coordinate_spans(pts, member)
+        bases = [echelon(f, 4) for f in _set_points(points, member)]
+        keys = tangent._unit_bases(support)
+        assert proven.any(), sp
+        assert all(keys[f] == bases[f] for f in np.flatnonzero(proven).tolist()), sp
+        counted = proven[ids[:, :6]].all(1)
+        assert counted.any(), sp
+        ranks = tangent._coordinate_rank_c(support[ids[:, :6]])
+        for p in np.flatnonzero(counted).tolist():
+            assert ranks[p] == len(echelon(_c_rows(bases[f] for f in ids[p, :6]), 16)), sp
+        fallback_spaces += not proven.all()
+    assert fallback_spaces >= 1
+
+
+_UNITS4 = [tuple(4 * (i == j) for j in range(4)) for i in range(4)]
+points4 = st.lists(st.tuples(*[st.integers(0, 4)] * 4), max_size=4)
+
+
+@settings(deadline=None)
+@given(st.sets(st.integers(0, 3)), points4)
+def test_a_certified_span_is_the_coordinate_subspace(vertices, others):
+    """On every subset of vertex points 4e_i and small points, the
+    certificate claims the coordinate subspace on the support only where
+    rational_rank confirms it."""
+    points = [_UNITS4[i] for i in sorted(vertices)] + others
+    pts = np.array(points, dtype=np.int64).reshape(-1, 4)
+    member = np.array(list(product([False, True], repeat=len(points))), dtype=bool)
+    support, proven = tangent._coordinate_spans(pts, member)
+    for chosen, t, ok in zip(_set_points(points, member), support.sum(1), proven):
+        assert not ok or rational_rank(chosen) == t
+
+
+def test_parallel_projections_fall_back():
+    """Beside the vertex (4,0,0,0), two points with parallel projections onto
+    W = {1, 2} prove nothing; a third, not parallel to them, proves Q^{0,1,2}."""
+    pts = np.array([(4, 0, 0, 0), (0, 1, 1, 0), (0, 2, 2, 0), (0, 1, 2, 0)], dtype=np.int64)
+    member = np.array([[1, 1, 1, 0], [1, 1, 1, 1]], dtype=bool)
+    support, proven = tangent._coordinate_spans(pts, member)
+    assert support.tolist() == [[True, True, True, False]] * 2
+    assert proven.tolist() == [False, True]
+
+
+@settings(deadline=None)
+@given(st.sets(st.integers(0, 3)), points4,
+       st.lists(st.tuples(*[st.integers(-4, 1)] * 4), min_size=1, max_size=4))
+def test_t1_dimensions_equals_the_formula_on_small_point_sets(vertices, others, shifts):
+    """Off the slices too, where spans that are no coordinate subspace occur
+    among the E_j and U as well as among the E_j & E_k."""
+    points = [_UNITS4[i] for i in sorted(vertices)] + others
+    assume(points)
+    want = [_altmann_undeduplicated(points, d) for d in shifts]
+    assert t1_dimensions(points, shifts) == want
+
+
+@settings(deadline=None)
+@given(st.lists(st.lists(st.booleans(), min_size=4, max_size=4), min_size=6, max_size=6))
+def test_rank_c_by_coordinate_equals_echelon(support):
+    """Where each E_j & E_k spans the coordinate subspace on its support, the
+    rank of C counted per coordinate is the echelon rank of C."""
+    support = np.array(support, dtype=bool)
+    bases = tangent._unit_bases(support)
+    assert tangent._coordinate_rank_c(support) == len(echelon(_c_rows(bases), 16))
 
 
 def test_t1_dimensions_edge_cases(pipeline_2334):

@@ -1,3 +1,4 @@
+import re
 from math import comb
 
 import numpy as np
@@ -98,6 +99,23 @@ def test_beta1_names_a_point_of_no_two_slice_points(monkeypatch):
         beta1(sp)
     assert str(failure.value).startswith(f"{tuple(2 * c for c in x)} of degree 2s ")
     assert "(2,3,3,4)" in str(failure.value)
+
+
+def test_beta1_checks_the_divisor_complex_count(monkeypatch):
+    """One component too many at one degree-2s point breaks only the
+    divisor-complex leg of beta1's three-way check, which names its count."""
+    from gwpskit import toric
+
+    read = toric._degree_2s_complexes
+
+    def one_more(space):
+        points, keys, components, faces = read(space)
+        return points, keys, components + (np.arange(len(components)) == 0), faces
+
+    monkeypatch.setattr(toric, "_degree_2s_complexes", one_more)
+    with pytest.raises(BettiConsistencyError, match=re.escape(
+            "beta1 mismatch for (2,3,3,4): counting 55, closed form 55, divisor complexes 56")):
+        beta1(weighted_space(2, 3, 3, 4))
 
 
 def test_connectivity_small_spaces():
