@@ -220,6 +220,9 @@ def cmd_veronese(sp: WeightedSpace, d: int, cutoff: int) -> tuple[str, int]:
     return line + "\n", 0
 
 
+TABLE_COMMANDS = {"classify": cmd_classify, "betti": cmd_betti, "alpha": cmd_alpha}
+
+
 # -- argument parsing ---------------------------------------------------------
 
 
@@ -277,15 +280,7 @@ def run(argv=None) -> int:
         if args.command == "veronese":
             text, code = cmd_veronese(_parse_weights(args.weights), args.d, args.cutoff)
         else:
-            config = _config_from_args(args)
-            if args.command == "classify":
-                text, code = cmd_classify(config)
-            elif args.command == "betti":
-                text, code = cmd_betti(config)
-            elif args.command == "alpha":
-                text, code = cmd_alpha(config)
-            else:
-                raise ValueError(f"unknown command {args.command!r}")
+            text, code = TABLE_COMMANDS[args.command](_config_from_args(args))
     except (ValueError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

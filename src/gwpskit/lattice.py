@@ -19,10 +19,6 @@ if TYPE_CHECKING:
 Point = tuple[int, int, int, int]
 
 
-def weighted_degree(weights: tuple[int, int, int, int], point: Point) -> int:
-    return sum(a * n for a, n in zip(weights, point))
-
-
 def count_points(space: "WeightedSpace", d: int) -> int:
     """Number of exponent tuples of weighted degree exactly d.
 

@@ -360,6 +360,9 @@ def t1_dimensions(points, shifts) -> list[int]:
     """dim T^1 at each shift d, by Altmann's formula at the degree R = -d (see
     the module docstring).  `points` is the degree-s slice, `shifts` any
     exponent vectors of weight divisible by s."""
+    if not points:
+        # Every set is empty: 16 - 0 - 4 * 4 - 0.
+        return [0] * len(shifts)
     pts = np.array(points, dtype=np.int64)
     member, ids, pattern_of = _point_sets(pts, shifts)
     support, proven = _coordinate_spans(pts, member)

@@ -6,31 +6,10 @@ import pytest
 
 from conftest import src_env
 from gwpskit import cache as cache_mod
-from gwpskit.cli import (
-    RunConfig,
-    cmd_alpha,
-    cmd_betti,
-    cmd_classify,
-    cmd_veronese,
-    load_expected,
-    run,
-)
+from gwpskit.cli import RunConfig, cmd_alpha, cmd_classify, load_expected, run
 from gwpskit.toric import quadric_generators
 from gwpskit.wps import weighted_space
-
-
-def test_classify_default_rows():
-    text, code = cmd_classify(RunConfig())
-    assert code == 0
-    lines = text.strip().split("\n")
-    assert len(lines) == 15  # header + 14 rows
-    assert lines[0].split("\t") == ["#", "weights", "-K^3", "m", "s", "i_S", "g_1"]
-    assert lines[9].split("\t") == ["9", "(2,3,3,4)", "24", "12", "12", "2", "4"]
-
-
-def test_classify_check_passes():
-    _, code = cmd_classify(RunConfig(check=True))
-    assert code == 0
+from test_golden import golden
 
 
 def test_classify_check_detects_mismatch(monkeypatch):
@@ -83,59 +62,6 @@ def test_classify_check_reports_an_unexpected_space(monkeypatch, capsys):
     )
 
 
-def test_classify_deterministic():
-    a, _ = cmd_classify(RunConfig())
-    b, _ = cmd_classify(RunConfig())
-    assert a == b
-
-
-def test_betti_rows():
-    text, code = cmd_betti(RunConfig())
-    assert code == 0
-    rows = [line.split("\t") for line in text.strip().split("\n")[1:]]
-    by_weights = {r[1]: r for r in rows}
-    assert by_weights["(1,3,8,12)"][4:7] == ["25", "253", "3520"]
-    assert by_weights["(1,6,14,21)"][4:7] == ["22", "190", "2261"]
-    from math import comb
-
-    for r in rows:
-        g = int(r[4])
-        assert int(r[5]) == comb(g - 2, 2)
-
-
-def test_betti_check():
-    _, code = cmd_betti(RunConfig(check=True))
-    assert code == 0
-
-
-def test_markdown_and_latex_formats():
-    md, _ = cmd_classify(RunConfig(output_format="markdown"))
-    assert md.startswith("| # | weights |")
-    assert md.count("\n") == 16  # header, rule and 14 rows
-    tex, _ = cmd_classify(RunConfig(output_format="latex"))
-    assert tex.startswith("\\begin{tabular}")
-    assert "\\end{tabular}" in tex
-
-
-def test_tsv_contract():
-    text, _ = cmd_classify(RunConfig())
-    lines = text.splitlines()
-    assert len(lines) == 15
-    assert all("\t" in line for line in lines)
-    assert lines[0].startswith("#\t")
-
-
-def test_veronese_command_lines():
-    line, code = cmd_veronese(weighted_space(1, 1, 4, 6), 2, 4)
-    assert code == 0 and line.strip() == "(1,1,1,2,3); relations: [2]"
-    line, _ = cmd_veronese(weighted_space(1, 1, 2, 4), 2, 2)
-    assert line.strip() == "(1,1,1,1,2); relations: [2]"
-    line, _ = cmd_veronese(weighted_space(1, 1, 1, 1), 1, 3)
-    assert line.strip() == "(1,1,1,1); relations: []"
-    line, _ = cmd_veronese(weighted_space(1, 2, 2, 5), 2, 2)
-    assert "may be missing" in line
-
-
 def test_run_entrypoint(capsys):
     code = run(["classify"])
     assert code == 0
@@ -147,11 +73,9 @@ def test_run_entrypoint(capsys):
 def test_python_dash_m_runs_the_cli(module):
     done = subprocess.run(
         [sys.executable, "-m", module, "classify", "--check"],
-        env=src_env(), capture_output=True, text=True, timeout=120,
+        env=src_env(), capture_output=True, timeout=120,
     )
-    assert done.returncode == 0, done.stderr
-    assert len(done.stdout.splitlines()) == 15  # header + 14 rows
-    assert "CHECK OK (14 rows verified)" in done.stderr
+    assert (done.stdout, done.stderr, done.returncode) == golden("classify-tsv")
 
 
 @pytest.mark.parametrize("argv", [
@@ -186,11 +110,6 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(argv, tmp_path, monke
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
-
-
-def test_run_rejects_bad_weights(capsys):
-    assert run(["veronese", "2,4,6,8", "2"]) == 2
-    assert "coprime" in capsys.readouterr().err
 
 
 def test_run_config_validation():
@@ -264,24 +183,6 @@ def test_betti_verify_checks_the_h_vector(monkeypatch, capsys, only_2334):
     )
 
 
-def test_betti_verify_reads_no_syzygy_and_no_prime(monkeypatch, only_2334):
-    """The quartic check ranks boundary maps of complexes: with the syzygy
-    basis and every prime-field rank made to raise, `betti --verify --check`
-    still passes."""
-    import gwpskit.exactla as exactla
-    import gwpskit.resolution as resolution
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a syzygy or a prime field was used")
-
-    for name in ("_dense_rank", "_sparse_rank", "rank_mod_p", "kernel_basis_mod_p",
-                 "solution_dim", "certified_solution_dim"):
-        monkeypatch.setattr(exactla, name, forbidden)
-    for name in ("linear_syzygies", "_check_cancels", "_fundamental_cycles"):
-        monkeypatch.setattr(resolution, name, forbidden)
-    assert run(["betti", "--verify", "--check"]) == 0
-
-
 def test_betti_disconnected_cubic_fiber_is_an_error(monkeypatch, capsys, only_2334):
     import gwpskit.cli as cli
 
@@ -331,45 +232,6 @@ def test_check_reports_a_wrong_reference_value(command, column, computed, monkey
     assert [line for line in err.splitlines() if line.startswith("CHECK")] == [
         f"CHECK FAIL: (2,3,3,4) column {column}: computed {computed}, reference {computed + 1}"
     ]
-
-
-_BETTI = ["#", "weights", "g_1", "i_S", "g", "beta_1", "beta_2"]
-
-
-def _betti_columns(r):
-    return [r["g_1"], r["i_S"], r["g"], r["beta_1"], r["beta_2"]]
-
-
-@pytest.mark.parametrize("argv, header, columns", [
-    pytest.param(["betti"], _BETTI, _betti_columns, id="betti"),
-    pytest.param(["betti", "--verify"], _BETTI + ["deg3_generation", "quartic_syzygies"],
-                 lambda r: _betti_columns(r) + ["pass", "pass"], id="betti --verify"),
-    pytest.param(["alpha"], ["#", "weights", "g_1", "i_S", "alpha_S", "alpha_P", "extendability"],
-                 lambda r: [r["g_1"], r["i_S"], r["alpha_S"], r["alpha_S"] - 1, r["alpha_S"] - 1],
-                 id="alpha"),
-])
-def test_no_command_builds_the_quadric_ideal(argv, header, columns, monkeypatch, capsys):
-    """`betti` reads beta_1, `betti --verify` its quartic check and `alpha`
-    its shifts and its derivation check off the divisor complexes: with the
-    quadric generators and the pair sums made to raise, each prints the
-    reference rows and CHECK OK."""
-    import gwpskit.cli as cli
-    import gwpskit.lattice as lattice
-    import gwpskit.toric as toric
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError(f"{' '.join(argv)} built the quadric generators")
-
-    monkeypatch.setattr(toric, "quadric_generators", forbidden)
-    monkeypatch.setattr(lattice, "pair_sums", forbidden)
-    assert run([*argv, "--check"]) == 0
-    out, err = capsys.readouterr()
-    rows = sorted(load_expected().items(), key=lambda item: item[1]["row"])
-    assert out == "".join("\t".join(map(str, line)) + "\n" for line in [header] + [
-        [r["row"], f"({','.join(map(str, w))})", *columns(r)] for w, r in rows
-    ])
-    note = f"note: {cli.tangent.ASSUMPTION_NOTE}\n" if argv[0] == "alpha" else ""
-    assert err == note + "CHECK OK (14 rows verified)\n"
 
 
 def test_torn_partial_blocks_at_every_offset(tmp_path, pipeline_2334):
@@ -440,26 +302,6 @@ def test_store_uses_unique_temp_files(tmp_path):
     assert path.read_text() == "second\n"
     assert stray.read_text() == "another writer's entry\n"
     assert sorted(tmp_path.iterdir()) == sorted([path, stray])
-
-
-def test_alpha_runs_no_elimination(monkeypatch, only_2334):
-    """alpha reads T^1 off Altmann's formula: with every rank function of
-    exactla, the syzygy basis and the shift blocks made to raise, `alpha
-    --check` still passes."""
-    import gwpskit.exactla as exactla
-    import gwpskit.resolution as resolution
-    import gwpskit.tangent as tangent
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the elimination route was called")
-
-    for name in ("_dense_rank", "_dense_rref", "_sparse_rank", "rank_mod_p", "rank_gf2",
-                 "kernel_basis_mod_p", "solution_dim", "certified_solution_dim"):
-        monkeypatch.setattr(exactla, name, forbidden)
-    for owner, name in ((resolution, "linear_syzygies"), (tangent, "linear_syzygies"),
-                        (tangent, "hom_dimension_minus1"), (tangent, "build_block")):
-        monkeypatch.setattr(owner, name, forbidden)
-    assert run(["alpha", "--check"]) == 0
 
 
 def test_unparsable_partial_block_table_is_discarded(tmp_path):

@@ -4,7 +4,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -434,11 +434,11 @@ def test_parallel_projections_fall_back():
 @settings(deadline=None)
 @given(st.sets(st.integers(0, 3)), points4,
        st.lists(st.tuples(*[st.integers(-4, 1)] * 4), min_size=1, max_size=4))
+@example(set(), [], [(-1, 0, 0, 0)])
 def test_t1_dimensions_equals_the_formula_on_small_point_sets(vertices, others, shifts):
     """Off the slices too, where spans that are no coordinate subspace occur
-    among the E_j and U as well as among the E_j & E_k."""
+    among the E_j and U as well as among the E_j & E_k, and on no points."""
     points = [_UNITS4[i] for i in sorted(vertices)] + others
-    assume(points)
     want = [_altmann_undeduplicated(points, d) for d in shifts]
     assert t1_dimensions(points, shifts) == want
 
