@@ -183,6 +183,24 @@ def test_betti_verify_checks_the_h_vector(monkeypatch, capsys, only_2334):
     )
 
 
+def test_betti_verify_reads_no_syzygy_and_no_prime(monkeypatch, only_2334):
+    """The quartic check ranks boundary maps of complexes: with the syzygy
+    basis and every prime-field rank made to raise, `betti --verify --check`
+    still passes."""
+    import gwpskit.exactla as exactla
+    import gwpskit.resolution as resolution
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a syzygy or a prime field was used")
+
+    for name in ("_dense_rank", "_sparse_rank", "rank_mod_p", "kernel_basis_mod_p",
+                 "solution_dim", "certified_solution_dim"):
+        monkeypatch.setattr(exactla, name, forbidden)
+    for name in ("linear_syzygies", "_check_cancels", "_fundamental_cycles"):
+        monkeypatch.setattr(resolution, name, forbidden)
+    assert run(["betti", "--verify", "--check"]) == 0
+
+
 def test_betti_disconnected_cubic_fiber_is_an_error(monkeypatch, capsys, only_2334):
     import gwpskit.cli as cli
 
@@ -232,6 +250,45 @@ def test_check_reports_a_wrong_reference_value(command, column, computed, monkey
     assert [line for line in err.splitlines() if line.startswith("CHECK")] == [
         f"CHECK FAIL: (2,3,3,4) column {column}: computed {computed}, reference {computed + 1}"
     ]
+
+
+_BETTI = ["#", "weights", "g_1", "i_S", "g", "beta_1", "beta_2"]
+
+
+def _betti_columns(r):
+    return [r["g_1"], r["i_S"], r["g"], r["beta_1"], r["beta_2"]]
+
+
+@pytest.mark.parametrize("argv, header, columns", [
+    pytest.param(["betti"], _BETTI, _betti_columns, id="betti"),
+    pytest.param(["betti", "--verify"], _BETTI + ["deg3_generation", "quartic_syzygies"],
+                 lambda r: _betti_columns(r) + ["pass", "pass"], id="betti --verify"),
+    pytest.param(["alpha"], ["#", "weights", "g_1", "i_S", "alpha_S", "alpha_P", "extendability"],
+                 lambda r: [r["g_1"], r["i_S"], r["alpha_S"], r["alpha_S"] - 1, r["alpha_S"] - 1],
+                 id="alpha"),
+])
+def test_no_command_builds_the_quadric_ideal(argv, header, columns, monkeypatch, capsys):
+    """`betti` reads beta_1, `betti --verify` its quartic check and `alpha`
+    its shifts and its derivation check off the divisor complexes: with the
+    quadric generators and the pair sums made to raise, each prints the
+    reference rows and CHECK OK."""
+    import gwpskit.cli as cli
+    import gwpskit.lattice as lattice
+    import gwpskit.toric as toric
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{' '.join(argv)} built the quadric generators")
+
+    monkeypatch.setattr(toric, "quadric_generators", forbidden)
+    monkeypatch.setattr(lattice, "pair_sums", forbidden)
+    assert run([*argv, "--check"]) == 0
+    out, err = capsys.readouterr()
+    rows = sorted(load_expected().items(), key=lambda item: item[1]["row"])
+    assert out == "".join("\t".join(map(str, line)) + "\n" for line in [header] + [
+        [r["row"], f"({','.join(map(str, w))})", *columns(r)] for w, r in rows
+    ])
+    note = f"note: {cli.tangent.ASSUMPTION_NOTE}\n" if argv[0] == "alpha" else ""
+    assert err == note + "CHECK OK (14 rows verified)\n"
 
 
 def test_torn_partial_blocks_at_every_offset(tmp_path, pipeline_2334):
@@ -302,6 +359,26 @@ def test_store_uses_unique_temp_files(tmp_path):
     assert path.read_text() == "second\n"
     assert stray.read_text() == "another writer's entry\n"
     assert sorted(tmp_path.iterdir()) == sorted([path, stray])
+
+
+def test_alpha_runs_no_elimination(monkeypatch, only_2334):
+    """alpha reads T^1 off Altmann's formula: with every rank function of
+    exactla, the syzygy basis and the shift blocks made to raise, `alpha
+    --check` still passes."""
+    import gwpskit.exactla as exactla
+    import gwpskit.resolution as resolution
+    import gwpskit.tangent as tangent
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the elimination route was called")
+
+    for name in ("_dense_rank", "_dense_rref", "_sparse_rank", "rank_mod_p", "rank_gf2",
+                 "kernel_basis_mod_p", "solution_dim", "certified_solution_dim"):
+        monkeypatch.setattr(exactla, name, forbidden)
+    for owner, name in ((resolution, "linear_syzygies"), (tangent, "linear_syzygies"),
+                        (tangent, "hom_dimension_minus1"), (tangent, "build_block")):
+        monkeypatch.setattr(owner, name, forbidden)
+    assert run(["alpha", "--check"]) == 0
 
 
 def test_unparsable_partial_block_table_is_discarded(tmp_path):
