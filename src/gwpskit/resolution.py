@@ -262,21 +262,31 @@ def _fundamental_cycles(plus, minus, nv: int):
     return non_tree, lengths, edge[order], sign[order]
 
 
-# Read by perfbench and the tests' span-route oracle; ROADMAP H and O remove it.
+# Read by perfbench's census and the span-route tests; ROADMAP H and O remove it.
 def incident_pairs_degree4(ideal: ToricIdeal) -> dict[Point, list[tuple[tuple[int, int], int]]]:
-    """(quadratic monomial, generator) pairs grouped by multidegree."""
-    pts = ideal.slice_s.points
-    n = len(pts)
-    grouped: dict[Point, list[tuple[tuple[int, int], int]]] = {}
-    for k, gen in enumerate(ideal.generators):
-        c = gen.multidegree
-        for i in range(n):
-            ci = tadd(c, pts[i])
-            for j in range(i, n):
-                grouped.setdefault(tadd(ci, pts[j]), []).append(((i, j), k))
-    for pairs in grouped.values():
-        pairs.sort()
-    return grouped
+    """(quadratic monomial, generator) pairs ((i, j), k), i <= j, grouped by
+    multidegree u_i + u_j + c_k, each group sorted, the multidegrees in the
+    order that generator by generator, pair by pair, first reaches them."""
+    if not ideal.generators:
+        return {}
+    pts = np.array(ideal.slice_s.points, dtype=np.int64)
+    gen_md = np.array([gen.multidegree for gen in ideal.generators], dtype=np.int64)
+    # A multidegree here sums four slice points: each coordinate is below base.
+    base = 4 * int(pts.max()) + 1
+    i, j = np.triu_indices(len(pts))
+    code = (_pack(gen_md, base)[:, None] + _pack(pts[i] + pts[j], base)).ravel()
+    # Entry f is the pair f % P, in (i, j) order, with the generator f // P.
+    k, pair = np.divmod(np.arange(len(code)), len(i))
+    order = np.lexsort((k, pair, code))
+    starts = np.flatnonzero(np.diff(code[order], prepend=-1))
+    first = np.minimum.reduceat(order, starts)
+    at = pair[first]
+    keys = list(map(tuple, (gen_md[k[first]] + pts[i[at]] + pts[j[at]]).tolist()))
+    pairs = list(zip(i.tolist(), j.tolist()))
+    entries = [(pairs[p], g) for p, g in zip(pair[order].tolist(), k[order].tolist())]
+    bounds = [*starts.tolist(), len(entries)]
+    groups = [entries[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    return {keys[b]: groups[b] for b in np.argsort(first).tolist()}
 
 
 def _monomial_codes(n: int, a, b, c):
@@ -335,15 +345,16 @@ class _Complexes:
     """The complexes Delta_m at the points m of one degree, keys in
     descending order, after the star-cover closure (the module docstring).
     For the complex at keys[b]: cycles[b] is E - V + c, counted[b] the number
-    of its covered edges, each covered by one independent row, and rows[b]
-    its residual rows as GF(2) bitsets, the covered edges replaced.  The
-    triangles of all complexes are the ascending slice index triples
-    `triangles`, the one at row f in the complex at keys[block[f]]."""
+    of its covered edges, each covered by one independent row, and rows[b],
+    for the b whose complex has any, its residual rows as GF(2) bitsets, the
+    covered edges replaced.  The triangles of all complexes are the
+    ascending slice index triples `triangles`, the one at row f in the
+    complex at keys[block[f]]."""
 
     keys: list[Point]
-    cycles: list[int]
-    counted: list[int]
-    rows: list[list[int]]
+    cycles: np.ndarray
+    counted: np.ndarray
+    rows: dict[int, list[int]]
     block: np.ndarray
     triangles: np.ndarray
 
@@ -351,8 +362,16 @@ class _Complexes:
         """min(rank, E - V + c + 1) over GF(2) of the boundary map of the
         complex at keys[b], the number exactla.rank_gf2 reads off all its
         triangles' rows with the bound E - V + c + 1."""
-        bound, counted = self.cycles[b] + 1, self.counted[b]
-        return min(counted, max(bound, 0)) + exactla.rank_gf2(self.rows[b], bound - counted)
+        bound, counted = int(self.cycles[b]) + 1, int(self.counted[b])
+        return min(counted, max(bound, 0)) + exactla.rank_gf2(self.rows.get(b, ()), bound - counted)
+
+    def gf2_ranks(self) -> np.ndarray:
+        """gf2_rank of every complex: rank_gf2 runs only on the complexes
+        with residual rows; every other one reads min(count, E - V + c + 1)."""
+        ranks = np.minimum(self.counted, np.maximum(self.cycles + 1, 0))
+        for b in self.rows:
+            ranks[b] = self.gf2_rank(b)
+        return ranks
 
 
 def _complexes(space: WeightedSpace, degree: int) -> _Complexes:
@@ -372,7 +391,9 @@ def _star_cover(keys, components, faces, n: int) -> _Complexes:
     lowest on ties).  The edge pq, p < q, of the complex at keys[b] has the
     int32 code (b*n + p)*n + q, below 3.1 million on the 14 spaces through
     degree 5s: the closure runs on all complexes at once, one round per
-    array pass."""
+    array pass, and a row sum of the covered codes counts each complex's
+    covered edges.  In the residual rows the edge pq is the bit
+    q(q - 1)/2 + p instead, its triangular index (_residual_rows)."""
     (vb, _), (eb, _), (tb, t) = faces
     nb = len(keys)
     cycles = np.bincount(eb, minlength=nb) - np.bincount(vb, minlength=nb) + components
@@ -382,9 +403,9 @@ def _star_cover(keys, components, faces, n: int) -> _Complexes:
     covered, rest = _closure(tb, t, star, nb, n)
     return _Complexes(
         keys=keys,
-        cycles=cycles.tolist(),
-        counted=np.bincount(np.flatnonzero(covered) // (n * n), minlength=nb).tolist(),
-        rows=_residual_rows(covered, rest, star, nb, n),
+        cycles=cycles,
+        counted=covered.reshape(nb, n * n).sum(1),
+        rows=_residual_rows(covered, rest, star, n),
         block=tb,
         triangles=t,
     )
@@ -393,54 +414,66 @@ def _star_cover(keys, components, faces, n: int) -> _Complexes:
 def _closure(tb, t, star, nb: int, n: int):
     """(covered, rest) for the triangles t[f] of the complexes at tb[f] with
     the star vertices star[b]: covered marks, by code, the covered edges,
-    and rest lists the codes of the edges ij, ik and jk of every triangle
-    left with at most one covered edge."""
+    and rest[:, f] holds the codes of the edges ij, ik and jk of the f-th
+    triangle left with at most one covered edge."""
     nn = n * n
     i, j, k = t.T
     w = star[tb]
-    at_i, at_k = i == w, k == w
-    through = at_i | at_k | (j == w)
+    through = (i == w) | (j == w) | (k == w)
+    del w  # before the larger arrays below
+    base, i_n = tb * nn, i * n
+    edges = np.stack([base + i_n + j, base + i_n + k, base + j * n + k])
+    del base, i_n
+    # A triangle wxy covers its edge xy; no star edge wx is ever covered.
+    # np.compress selects columns several times faster than a boolean index.
     covered = np.zeros(nb * nn, dtype=bool)
-    # A triangle wxy covers its edge xy.
-    x, y = np.where(at_i, j, i)[through], np.where(at_k, j, k)[through]
-    covered[tb[through] * nn + x * n + y] = True
-    del w, at_i, at_k, x, y  # before the larger arrays below
+    covered[edges.compress(through, axis=1)] = True
+    vertex, w = np.arange(n, dtype=star.dtype), star[:, None]
+    star_edges = np.minimum(w, vertex) * n + np.maximum(w, vertex)
+    covered[(np.arange(nb, dtype=star_edges.dtype) * nn)[:, None] + star_edges] = False
     # Of the other triangles, one with two covered edges covers the third,
     # and one with three adds nothing.
-    other = ~through
-    base, i, j, k = tb[other] * nn, i[other] * n, j[other], k[other]
-    rest = np.empty((len(base), 3), dtype=base.dtype)
-    rest[:, 0], rest[:, 1], rest[:, 2] = base + i + j, base + i + k, base + j * n + k
-    del base, i, j, k  # before the copies of rest below
+    rest = edges.compress(~through, axis=1)
+    del edges
     as_int = covered.view(np.uint8)
     while True:
         hit = as_int[rest]
-        count = hit[:, 0] + hit[:, 1] + hit[:, 2]
+        count = hit[0] + hit[1] + hit[2]
         closing = count == 2
-        covered[rest[closing][hit[closing] == 0]] = True
-        rest = rest[count < 2]
+        covered[rest.compress(closing, axis=1)] = True
+        rest = rest.compress(count < 2, axis=1)
         if not closing.any():
             return covered, rest
 
 
-def _residual_rows(covered, rest, star, nb: int, n: int) -> list[list[int]]:
-    """The rows, after phi, of the triangles whose edge codes are rest, by
-    complex: a bit per edge code p*n + q within the complex.  A row has at
-    most one covered edge pq, which phi replaces by the star edges wp and
-    wq; with none, the fourth column repeats the first."""
+def _residual_rows(covered, rest, star, n: int) -> dict[int, list[int]]:
+    """The rows, after phi, of the triangles whose edge codes are the
+    columns of rest, by complex, for the complexes that have any: the edge
+    pq, p < q, is the bit q(q - 1)/2 + p, its triangular index, so a row has
+    at most n(n - 1)/2 bits.  A row has at most one covered edge pq, which
+    phi replaces by the star edges wp and wq; with none, the fourth column
+    repeats the first."""
     nn = n * n
-    rest = rest[np.argsort(rest[:, 0], kind="stable")]
+    rest = rest.take(np.argsort(rest[0], kind="stable"), axis=1)
     hit = covered[rest]
-    rb, local = rest[:, 0] // nn, rest % nn
+    rb, local = rest[0] // nn, rest % nn
     p, q = np.divmod(local, n)
-    w = star[rb, None]
-    wp = np.where(hit, np.minimum(w, p) * n + np.maximum(w, p), local)
-    wq = np.where(hit, np.minimum(w, q) * n + np.maximum(w, q), local)
-    cols = np.column_stack([wp, wq[np.arange(len(rest)), hit.argmax(1)]])
-    bit = [1 << code for code in range(nn)]
-    bits = [bit[a] | bit[b] | bit[c] | bit[d] for a, b, c, d in zip(*cols.T.tolist())]
-    bounds = np.searchsorted(rb, np.arange(nb + 1)).tolist()
-    return [bits[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    w = star[rb]
+    own = _edge_bit(p, q)
+    wp = np.where(hit, _edge_bit(w, p), own)
+    wq = np.where(hit, _edge_bit(w, q), own)
+    bit = [1 << code for code in range(n * (n - 1) // 2)]
+    cols = (*wp.tolist(), np.choose(hit.argmax(0), wq).tolist())
+    bits = [bit[a] | bit[b] | bit[c] | bit[d] for a, b, c, d in zip(*cols)]
+    blocks, starts = np.unique(rb, return_index=True)
+    bounds = [*starts.tolist(), len(bits)]
+    return {b: bits[lo:hi] for b, lo, hi in zip(blocks.tolist(), bounds, bounds[1:])}
+
+
+def _edge_bit(x, y):
+    """The triangular index q(q - 1)/2 + p of the edge xy, p < q its ends."""
+    p, q = np.minimum(x, y), np.maximum(x, y)
+    return q * (q - 1) // 2 + p
 
 
 def _signed_boundary(triangles) -> list[list[int]]:
@@ -465,8 +498,11 @@ def quartic_check(space: WeightedSpace) -> QuarticSyzygyReport:
     The rank of the boundary map of Delta_m is at most E - V + c; its GF(2)
     rank, taken up to E - V + c + 1, is a lower bound.  It is read as the
     count of the star-cover closure plus the rank of the residual rows (the
-    module docstring), the number a full elimination would read.  Equal to
-    E - V + c proves m; above it is an AssertionError naming the space and m
+    module docstring), the number a full elimination would read.  Only the
+    complexes left with residual rows are ranked by exactla.rank_gf2, up to
+    that bound; every other one reads min(count, E - V + c + 1) directly.
+    Equal to E - V + c proves m, and only the other points are visited, in
+    descending order: above it is an AssertionError naming the space and m
     (a wrong E, V or c); below it the signed map of all the triangles of
     Delta_m is ranked exactly (exactla.echelon) and counted as a fallback,
     and an exact shortfall makes m a witness.  The first witness in
@@ -483,8 +519,9 @@ def quartic_check(space: WeightedSpace) -> QuarticSyzygyReport:
         )
     witness = None
     fallbacks = 0
-    for b, (m, cycles) in enumerate(zip(complexes.keys, complexes.cycles)):
-        rank = complexes.gf2_rank(b)
+    ranks = complexes.gf2_ranks()
+    for b in np.flatnonzero(ranks != complexes.cycles).tolist():
+        m, cycles, rank = complexes.keys[b], int(complexes.cycles[b]), int(ranks[b])
         if rank < cycles:
             fallbacks += 1
             triangles = complexes.triangles[complexes.block == b]

@@ -33,7 +33,7 @@ blocks of a space at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -187,28 +187,38 @@ def _divisor_complexes(space: WeightedSpace, generators, unit: int, degree: int,
     minimal generators of the d-th Veronese ring below degree * d, with unit
     d.  Then a face F lies at m = sum_F g + r for every point r of the
     remaining degree, and the faces of all m are enumerated as arrays at
-    once, one slice per degree sum of the member sets."""
+    once, one slice per degree sum of the member sets.
+
+    Every such m has weighted degree D = degree * unit, which fixes its
+    coordinate 0, so m is found by its coordinates 1 to 3 alone: a dense
+    int32 index over them, with prod (D // w_i + 1) entries for i = 1 to 3,
+    a few thousand through degree 4s on the 14 spaces, holds the position of
+    each key."""
     keys = lattice.degree_slice(space, degree * unit).points
     gens = np.array(generators, dtype=np.int64).reshape(-1, 4)
     gen_degree = gens @ np.array(space.weights) // unit
-    base = degree * unit // space.weights[0] + 1
-    codes = -_pack(np.array(keys, dtype=np.int64).reshape(-1, 4), base)
+    # m -> (m_1 * n_2 + m_2) * n_3 + m_3 is linear, so the offset of
+    # sum_F g + r is the sum of their offsets.
+    _, n1, n2, n3 = (degree * unit // w + 1 for w in space.weights)
+    stride = np.array([0, n2 * n3, n3, 1])
+    index = np.empty(n1 * n2 * n3, dtype=np.int32)
+    index[np.array(keys, dtype=np.int64).reshape(-1, 4) @ stride] = np.arange(len(keys))
+    gen_offset = gens @ stride
     faces = []
     for k in range(1, size + 1):
-        members = np.array(list(combinations(range(len(gens)), k)), dtype=np.int32).reshape(-1, k)
+        members = combinations(range(len(gens)), k)
+        members = np.fromiter(chain.from_iterable(members), np.int32).reshape(-1, k)
         total = gen_degree[members].sum(1)
         pieces = [(np.empty(0, dtype=np.int32), members[:0])]
         # A set, as in tangent._shifts: np.unique's integer sort would add
         # 0.6 MB to the peak RSS of `gwpskit alpha`.
         for t in sorted(set(total[total <= degree].tolist())):
-            group = members[total == t]
+            group = members.compress(total == t, axis=0)
             rest = lattice.degree_slice(space, (degree - t) * unit).points
             rest = np.array(rest, dtype=np.int64).reshape(-1, 4)
-            # _pack is linear: the code of sum_F g + r is the sum of their codes.
-            code = _pack(gens[group].sum(1), base)[:, None] + _pack(rest, base)
-            pieces.append((np.searchsorted(codes, -code.ravel()).astype(np.int32),
-                           np.repeat(group, len(rest), axis=0)))
-            del code
+            offset = gen_offset[group].sum(1)[:, None] + rest @ stride
+            pieces.append((index[offset.ravel()], np.repeat(group, len(rest), axis=0)))
+            del offset
         # A single degree sum, as in the anticanonical ring, is not copied.
         faces.append(pieces[1] if len(pieces) == 2 else tuple(map(np.concatenate, zip(*pieces))))
     (vb, v), (eb, e) = faces[:2]

@@ -7,7 +7,9 @@ bases by mod-p elimination instead of spanning forests, tangent shift blocks
 as undeduplicated Python rows instead of deduplicated int64 arrays.  The
 per-block tuple-graph forests, the per-fiber degree-3 check and the full
 weight scan are the constructions the library replaced with whole-space
-arrays and a bounded search, kept here as oracles.  The span route of the
+arrays and a bounded search, kept here as oracles, as are the loops that
+grouped the quartic (pair, generator) columns and the face lookup by
+np.searchsorted over packed multidegrees.  The span route of the
 quartic check, the paper's own method, which the library replaced with the
 homology of squarefree divisor complexes, is kept here as their oracle.
 """
@@ -40,7 +42,6 @@ from gwpskit.resolution import (
     _check_cancels,
     _generator_ends,
     incident_pairs_degree3,
-    incident_pairs_degree4,
     linear_syzygies,
 )
 from gwpskit.tangent import hom_dimension_minus1
@@ -330,6 +331,55 @@ def per_fiber_degree3_report(space) -> ConnectivityReport:
     return ConnectivityReport(connected=True, witness=None, fibers_checked=len(fibers))
 
 
+def reference_divisor_complexes(space, generators, unit: int, degree: int, size: int = 2):
+    """toric._divisor_complexes with each face's point m found by
+    np.searchsorted over the packed codes of all four coordinates of the
+    keys, negated to ascend, where the library reads a dense index over
+    coordinates 1 to 3."""
+    keys = degree_slice(space, degree * unit).points
+    gens = np.array(generators, dtype=np.int64).reshape(-1, 4)
+    gen_degree = gens @ np.array(space.weights) // unit
+    base = degree * unit // space.weights[0] + 1
+    codes = -_pack(np.array(keys, dtype=np.int64).reshape(-1, 4), base)
+    faces = []
+    for k in range(1, size + 1):
+        members = np.array(list(combinations(range(len(gens)), k)), dtype=np.int32).reshape(-1, k)
+        total = gen_degree[members].sum(1)
+        pieces = [(np.empty(0, dtype=np.int32), members[:0])]
+        for t in sorted(set(total[total <= degree].tolist())):
+            group = members[total == t]
+            rest = degree_slice(space, (degree - t) * unit).points
+            rest = np.array(rest, dtype=np.int64).reshape(-1, 4)
+            # _pack is linear: the code of sum_F g + r is the sum of their codes.
+            code = _pack(gens[group].sum(1), base)[:, None] + _pack(rest, base)
+            pieces.append((np.searchsorted(codes, -code.ravel()).astype(np.int32),
+                           np.repeat(group, len(rest), axis=0)))
+        faces.append(pieces[1] if len(pieces) == 2 else tuple(map(np.concatenate, zip(*pieces))))
+    (vb, v), (eb, e) = faces[:2]
+    vertex = np.empty((len(keys), len(gens)), dtype=np.int32)
+    vertex[vb, v[:, 0]] = np.arange(len(vb))
+    roots = _component_roots(vertex[eb, e[:, 0]], vertex[eb, e[:, 1]], len(vb))
+    return keys, np.bincount(vb[roots], minlength=len(keys)), faces
+
+
+def reference_incident_pairs_degree4(ideal) -> dict[Point, list[tuple[tuple[int, int], int]]]:
+    """resolution.incident_pairs_degree4 as loops over the generators and
+    the pairs i <= j: the keys in the order first reached, each group
+    sorted."""
+    pts = ideal.slice_s.points
+    n = len(pts)
+    grouped: dict[Point, list[tuple[tuple[int, int], int]]] = {}
+    for k, gen in enumerate(ideal.generators):
+        c = gen.multidegree
+        for i in range(n):
+            ci = tadd(c, pts[i])
+            for j in range(i, n):
+                grouped.setdefault(tadd(ci, pts[j]), []).append(((i, j), k))
+    for pairs in grouped.values():
+        pairs.sort()
+    return grouped
+
+
 def scan_gorenstein(max_weight: int) -> list[WeightedSpace]:
     """Every Gorenstein, well-formed weight system with largest weight at most
     max_weight, by trying every a3 in [a2, max_weight]."""
@@ -616,7 +666,7 @@ def span_quartic_check(ideal, syzygies, fields=None) -> QuarticSyzygyReport:
             )
         if span_rank < kernel_dim:
             fallbacks += 1
-            grouped = grouped or incident_pairs_degree4(ideal)
+            grouped = grouped or reference_incident_pairs_degree4(ideal)
             span = span_matrix(ideal, syzygies, key, grouped[key])
             span_rank = span.cols - solution_dim(span, *fields)
         if kernel_dim != span_rank and witness is None:

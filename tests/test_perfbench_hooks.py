@@ -31,6 +31,7 @@ def test_traced_steps_on_smallest_space(bench, tmp_path):
     try:
         betti_errors = run.betti_step(gw, expected)(sp)
         betti_counts = tracer.take_counts()
+        betti_captured = tracer.take_captured()
         first = len(tracer.spans)
         alpha_errors = run.alpha_step(gw, expected, str(tmp_path))(sp)
         alpha_counts = tracer.take_counts()
@@ -65,9 +66,12 @@ def test_traced_steps_on_smallest_space(bench, tmp_path):
     assert hom_layers["exactla.solution_dim_calls"] > 0
     assert hom_layers["exactla.sparse_calls"] > 0
     assert hom_layers["exactla.dense_calls"] == 0
+    # The census of the betti step: 146 degree-3s and 334 degree-4s blocks
+    # of (2,3,3,4), the latter with 6,600 (pair, generator) columns.
+    betti_census = spans.census(gw, betti_captured)
+    assert betti_census["resolution.cubic_blocks"] == 146
+    assert betti_census["resolution.quartic_cols"] == 6600
     census = spans.census(gw, tracer.take_captured())
-    assert census["resolution.cubic_blocks"] > 0
-    assert census["resolution.quartic_cols"] > 0
     assert census["tangent.blocks"] > 0
     # Blocks arrive deduplicated: no row left for the census to merge.
     assert census["tangent.block_rows"] == census["tangent.block_rows_distinct"]

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from itertools import combinations
 
@@ -13,6 +14,7 @@ from conftest import (
     projected_span_rows_gf2,
     quartic_blocks,
     rational_rank,
+    reference_incident_pairs_degree4,
     span_matrix,
     span_quartic_check,
     span_rows,
@@ -151,6 +153,18 @@ def test_quartic_graph_dimension_matches_elimination(pipeline_2334):
         assert len(cols) - vertices + components == solution_dim(
             incidence_matrix(edges), *fields
         )
+
+
+@pytest.mark.parametrize("weights", [(2, 3, 3, 4), (2, 3, 10, 15), (1, 2, 2, 5)])
+def test_incident_pairs_degree4_equals_the_loops(weights):
+    """The array grouping returns the loops' dict: the same lists, and the
+    keys in the same first-reached order; no generators give no keys."""
+    ideal = quadric_generators(weighted_space(*weights))
+    grouped = incident_pairs_degree4(ideal)
+    want = reference_incident_pairs_degree4(ideal)
+    assert list(grouped) == list(want)
+    assert grouped == want
+    assert incident_pairs_degree4(dataclasses.replace(ideal, generators=())) == {}
 
 
 def test_certified_quartic_ranks_equal_two_prime_ranks(pipeline_2334, pipeline_231015):

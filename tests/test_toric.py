@@ -13,11 +13,12 @@ from conftest import (
     max_rooted,
     per_fiber_degree3_report,
     rational_rank,
+    reference_divisor_complexes,
     spanning_forest,
 )
 from gwpskit.exactla import SparseMatrix, default_fields, solution_dim
 from gwpskit.lattice import DegreeSlice, count_points, degree_slice
-from gwpskit import resolution
+from gwpskit import resolution, toric
 from gwpskit.resolution import incident_pairs_degree3
 from gwpskit.toric import (
     BettiConsistencyError,
@@ -26,7 +27,7 @@ from gwpskit.toric import (
     check_degree3_generation,
     quadric_generators,
 )
-from gwpskit.wps import enumerate_gorenstein, invariants, weighted_space
+from gwpskit.wps import _minimal_presentation, enumerate_gorenstein, invariants, weighted_space
 
 
 def test_generator_counts():
@@ -90,6 +91,38 @@ def test_beta1_is_the_fiber_count_at_2s(gorenstein_spaces):
         assert by_complexes == beta1(sp) == expected[sp.weights]["beta_1"]
 
 
+def _assert_same_complexes(got, want):
+    (keys, components, faces), (want_keys, want_components, want_faces) = got, want
+    assert keys == want_keys
+    assert np.array_equal(components, want_components)
+    assert len(faces) == len(want_faces)
+    for (block, members), (want_block, want_members) in zip(faces, want_faces):
+        assert block.dtype == want_block.dtype and np.array_equal(block, want_block)
+        assert members.dtype == want_members.dtype and np.array_equal(members, want_members)
+
+
+def test_divisor_complexes_equal_the_searchsorted_reference(gorenstein_spaces):
+    """The dense index over coordinates 1 to 3 finds each face's point where
+    np.searchsorted over all four packed coordinates did: the same keys,
+    components and face arrays at 2s and 3s (edges) and 4s (triangles) on
+    all 14 spaces, and at a Veronese degree whose generators have several
+    degrees, so that the faces of one size come in several pieces."""
+    for sp in gorenstein_spaces:
+        s = invariants(sp).s
+        points = degree_slice(sp, s).points
+        for degree, size in ((2, 2), (3, 2), (4, 3)):
+            _assert_same_complexes(
+                toric._divisor_complexes(sp, points, s, degree, size),
+                reference_divisor_complexes(sp, points, s, degree, size),
+            )
+    sp, d, n = weighted_space(1, 1, 4, 6), 2, 3
+    generators, _ = _minimal_presentation(sp, d, n - 1)
+    lower = [u for degree in generators for u in degree]
+    assert len({sum(w * a for w, a in zip(sp.weights, u)) for u in lower}) > 1
+    _assert_same_complexes(toric._divisor_complexes(sp, lower, d, n),
+                           reference_divisor_complexes(sp, lower, d, n))
+
+
 def test_beta1_names_a_point_of_no_two_slice_points(monkeypatch):
     # A synthetic failure: without the first point x of the degree-s slice,
     # 2x, the first point of degree 2s, is a sum of no two slice points.
@@ -104,8 +137,6 @@ def test_beta1_names_a_point_of_no_two_slice_points(monkeypatch):
 def test_beta1_checks_the_divisor_complex_count(monkeypatch):
     """One component too many at one degree-2s point breaks only the
     divisor-complex leg of beta1's three-way check, which names its count."""
-    from gwpskit import toric
-
     read = toric._degree_2s_complexes
 
     def one_more(space):
