@@ -30,19 +30,21 @@ syzygies, H~_1(Delta_m) of them at m, and H~_0(Delta_m) = c - 1 = 0 there
 is degree-3 generation (toric.check_degree3_generation).
 
 Most of that GF(2) rank is counted, not eliminated: the star-cover
-closure.  Let w be the star vertex of Delta_m.  Each triangle wxy is the
-only one through w with the edge xy, so the rows of these triangles are
-independent over every ring; their edges xy are covered.  Modulo the rows
-counted so far, a covered edge xy equals the star edges wx + wy; call this
-substitution phi, whose kernel is exactly the span of the counted rows.  A
-triangle without w whose three edges are covered then adds nothing, as
-phi of its row is zero (the boundary of the boundary of wijk is zero); one
-with exactly two covered edges pq and pr adds the row qr + wq + wr, new in
-its edge qr: it is counted, and qr is covered.  Repeated until no edge is
-added, this leaves triangles with at most one covered edge each, and only
-their rows after phi are eliminated.  The rank of the boundary map is the
-count plus their rank, so the GF(2) rank read, up to E - V + c + 1, is the
-one a full elimination of every triangle's row would read.
+closure.  Let w be the star vertex of Delta_m; K starts as its closed star,
+a cone, and each triangle wxy covers its edge xy.  A triangle without w
+with two covered edges pq and pr joins K with its edge qr, now covered: an
+elementary expansion, so H~_*(K) stays 0.  Repeated until no edge is added,
+K has one triangle per covered edge, and by the long exact sequence of the
+pair (Delta_m, K) (Munkres, Elements of Algebraic Topology, sections 23-24)
+and a count of dimensions, the rank of the boundary map over any field is
+that count plus the rank of the relative map, where an edge of K is zero.
+No star edge lies in a triangle outside K, so each row left keeps its two
+or three uncovered edges.  Over GF(2) the rows of two are the edges of a
+graph on the uncovered edges, whose rank is its vertices less its
+components; modulo them an edge equals the others of its component, its
+class, so only the rows of three are eliminated, as sums of classes, where
+equal ones cancel.  Read up to E - V + c + 1, the count and the two ranks
+sum to the GF(2) rank that a full elimination of every row would read.
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ from .toric import (
     ConnectivityReport,
     ToricIdeal,
     _anticanonical_complexes,
+    _component_labels,
     _component_roots,
     _pack,
     check_degree3_generation,
@@ -345,15 +348,16 @@ class _Complexes:
     """The complexes Delta_m at the points m of one degree, keys in
     descending order, after the star-cover closure (the module docstring).
     For the complex at keys[b]: cycles[b] is E - V + c, counted[b] the number
-    of its covered edges, each covered by one independent row, and rows[b],
-    for the b whose complex has any, its residual rows as GF(2) bitsets, the
-    covered edges replaced.  The triangles of all complexes are the
+    of its covered edges, paired[b] the GF(2) rank of its rows left with two
+    edges, and rows[b], for the b that have any, its rows left with three,
+    as bitsets over classes.  The triangles of all complexes are the
     ascending slice index triples `triangles`, the one at row f in the
     complex at keys[block[f]]."""
 
     keys: list[Point]
     cycles: np.ndarray
     counted: np.ndarray
+    paired: np.ndarray
     rows: dict[int, list[int]]
     block: np.ndarray
     triangles: np.ndarray
@@ -362,13 +366,14 @@ class _Complexes:
         """min(rank, E - V + c + 1) over GF(2) of the boundary map of the
         complex at keys[b], the number exactla.rank_gf2 reads off all its
         triangles' rows with the bound E - V + c + 1."""
-        bound, counted = int(self.cycles[b]) + 1, int(self.counted[b])
-        return min(counted, max(bound, 0)) + exactla.rank_gf2(self.rows.get(b, ()), bound - counted)
+        bound = max(int(self.cycles[b]) + 1, 0)
+        known = min(int(self.counted[b] + self.paired[b]), bound)
+        return known + exactla.rank_gf2(self.rows.get(b, ()), bound - known)
 
     def gf2_ranks(self) -> np.ndarray:
         """gf2_rank of every complex: rank_gf2 runs only on the complexes
-        with residual rows; every other one reads min(count, E - V + c + 1)."""
-        ranks = np.minimum(self.counted, np.maximum(self.cycles + 1, 0))
+        with rows; every other one reads min(counted + paired, E - V + c + 1)."""
+        ranks = np.minimum(self.counted + self.paired, np.maximum(self.cycles + 1, 0))
         for b in self.rows:
             ranks[b] = self.gf2_rank(b)
         return ranks
@@ -391,9 +396,8 @@ def _star_cover(keys, components, faces, n: int) -> _Complexes:
     lowest on ties).  The edge pq, p < q, of the complex at keys[b] has the
     int32 code (b*n + p)*n + q, below 3.1 million on the 14 spaces through
     degree 5s: the closure runs on all complexes at once, one round per
-    array pass, and a row sum of the covered codes counts each complex's
-    covered edges.  In the residual rows the edge pq is the bit
-    q(q - 1)/2 + p instead, its triangular index (_residual_rows)."""
+    array pass, a row sum of the covered codes counts each complex's covered
+    edges, and _residual_rows ranks the rows left in the relative complex."""
     (vb, _), (eb, _), (tb, t) = faces
     nb = len(keys)
     cycles = np.bincount(eb, minlength=nb) - np.bincount(vb, minlength=nb) + components
@@ -401,14 +405,9 @@ def _star_cover(keys, components, faces, n: int) -> _Complexes:
     star = sum(np.bincount(first + v, minlength=nb * n) for v in t.T).reshape(nb, n).argmax(1)
     star = star.astype(np.int32)
     covered, rest = _closure(tb, t, star, nb, n)
-    return _Complexes(
-        keys=keys,
-        cycles=cycles,
-        counted=covered.reshape(nb, n * n).sum(1),
-        rows=_residual_rows(covered, rest, star, n),
-        block=tb,
-        triangles=t,
-    )
+    paired, rows = _residual_rows(covered, rest, nb, n)
+    counted = covered.reshape(nb, n * n).sum(1)
+    return _Complexes(keys, cycles, counted, paired, rows, block=tb, triangles=t)
 
 
 def _closure(tb, t, star, nb: int, n: int):
@@ -446,34 +445,30 @@ def _closure(tb, t, star, nb: int, n: int):
             return covered, rest
 
 
-def _residual_rows(covered, rest, star, n: int) -> dict[int, list[int]]:
-    """The rows, after phi, of the triangles whose edge codes are the
-    columns of rest, by complex, for the complexes that have any: the edge
-    pq, p < q, is the bit q(q - 1)/2 + p, its triangular index, so a row has
-    at most n(n - 1)/2 bits.  A row has at most one covered edge pq, which
-    phi replaces by the star edges wp and wq; with none, the fourth column
-    repeats the first."""
+def _residual_rows(covered, rest, nb: int, n: int):
+    """_Complexes' paired and rows for the relative rows of the triangles
+    whose edge codes are the columns of rest: components by
+    toric._component_labels, and a class as the bit p*n + q of its lowest
+    edge pq, so that two equal classes cancel."""
     nn = n * n
-    rest = rest.take(np.argsort(rest[0], kind="stable"), axis=1)
     hit = covered[rest]
-    rb, local = rest[0] // nn, rest % nn
-    p, q = np.divmod(local, n)
-    w = star[rb]
-    own = _edge_bit(p, q)
-    wp = np.where(hit, _edge_bit(w, p), own)
-    wq = np.where(hit, _edge_bit(w, q), own)
-    bit = [1 << code for code in range(n * (n - 1) // 2)]
-    cols = (*wp.tolist(), np.choose(hit.argmax(0), wq).tolist())
-    bits = [bit[a] | bit[b] | bit[c] | bit[d] for a, b, c, d in zip(*cols)]
-    blocks, starts = np.unique(rb, return_index=True)
+    one = hit.any(0)
+    two, h = rest.compress(one, axis=1), hit.compress(one, axis=1)
+    three = rest.compress(~one, axis=1)
+    three = three.take(np.argsort(three[0], kind="stable"), axis=1)
+    # With ij, ik or jk covered, the row joins ik and jk, ij and jk, or ij and ik.
+    ends = [np.where(h[0], two[1], two[0]), np.where(h[2], two[1], two[2]), *three]
+    codes, at = np.unique(np.concatenate(ends), return_inverse=True)
+    label = _component_labels(*np.split(at[: 2 * len(h[0])], 2), len(codes))
+    owner = codes // nn
+    paired = np.bincount(owner, minlength=nb) - np.bincount(
+        owner[label == np.arange(len(codes))], minlength=nb)
+    x, y, z = (codes[label[at[2 * len(h[0]):]]] % nn).reshape(3, -1).tolist()
+    bit = [1 << code for code in range(nn)]
+    bits = [bit[p] ^ bit[q] ^ bit[r] for p, q, r in zip(x, y, z)]
+    blocks, starts = np.unique(three[0] // nn, return_index=True)
     bounds = [*starts.tolist(), len(bits)]
-    return {b: bits[lo:hi] for b, lo, hi in zip(blocks.tolist(), bounds, bounds[1:])}
-
-
-def _edge_bit(x, y):
-    """The triangular index q(q - 1)/2 + p of the edge xy, p < q its ends."""
-    p, q = np.minimum(x, y), np.maximum(x, y)
-    return q * (q - 1) // 2 + p
+    return paired, {b: bits[lo:hi] for b, lo, hi in zip(blocks.tolist(), bounds, bounds[1:])}
 
 
 def _signed_boundary(triangles) -> list[list[int]]:
@@ -496,11 +491,10 @@ def quartic_check(space: WeightedSpace) -> QuarticSyzygyReport:
     = 0 at every degree-4s point m (see the module docstring).
 
     The rank of the boundary map of Delta_m is at most E - V + c; its GF(2)
-    rank, taken up to E - V + c + 1, is a lower bound.  It is read as the
-    count of the star-cover closure plus the rank of the residual rows (the
-    module docstring), the number a full elimination would read.  Only the
-    complexes left with residual rows are ranked by exactla.rank_gf2, up to
-    that bound; every other one reads min(count, E - V + c + 1) directly.
+    rank, taken up to E - V + c + 1, is a lower bound, read off the
+    star-cover closure and its relative rows (the module docstring) as a
+    full elimination would read it: exactla.rank_gf2 runs only where rows
+    of three edges are left.
     Equal to E - V + c proves m, and only the other points are visited, in
     descending order: above it is an AssertionError naming the space and m
     (a wrong E, V or c); below it the signed map of all the triangles of

@@ -26,7 +26,7 @@ A binomial relation between monomials is an edge between them, and a matrix
 whose columns are such edges has the cycle space of the graph as its kernel,
 over Z and over every field, of dimension E - V + c (Sturmfels, Groebner
 Bases and Convex Polytopes, ch. 4-5).  Components are counted on integer
-arrays by min-label propagation (`_component_roots`), for all complexes or
+arrays by min-label propagation (`_component_labels`), for all complexes or
 blocks of a space at once.
 """
 
@@ -222,25 +222,31 @@ def _divisor_complexes(space: WeightedSpace, generators, unit: int, degree: int,
         # A single degree sum, as in the anticanonical ring, is not copied.
         faces.append(pieces[1] if len(pieces) == 2 else tuple(map(np.concatenate, zip(*pieces))))
     (vb, v), (eb, e) = faces[:2]
-    # vertex[b, i] numbers the vertex i of Delta_m, m = keys[b], across all m.
-    vertex = np.empty((len(keys), len(gens)), dtype=np.int32)
-    vertex[vb, v[:, 0]] = np.arange(len(vb))
-    roots = _component_roots(vertex[eb, e[:, 0]], vertex[eb, e[:, 1]], len(vb))
+    # vertex[b * G + i] numbers the vertex i of Delta_m, m = keys[b], for G gens.
+    vertex = np.empty(len(keys) * len(gens), dtype=np.int32)
+    vertex[vb * len(gens) + v[:, 0]] = np.arange(len(vb))
+    at = eb * len(gens)
+    roots = _component_roots(vertex[at + e[:, 0]], vertex[at + e[:, 1]], len(vb))
     return keys, np.bincount(vb[roots], minlength=len(keys)), faces
 
 
 def _component_roots(a, b, nv: int):
     """A mask with one True per connected component of the graph on nv
-    vertices with edges (a[e], b[e]), at the component's lowest vertex.
-    Min-label propagation: every round hooks the larger label of each edge
-    whose ends disagree onto the smaller, then jumps every label to its root,
-    until all edges agree."""
+    vertices with edges (a[e], b[e]), at the component's lowest vertex."""
+    return _component_labels(a, b, nv) == np.arange(nv)
+
+
+def _component_labels(a, b, nv: int):
+    """The lowest vertex of each vertex's component of the graph on nv
+    vertices with edges (a[e], b[e]).  Min-label propagation: every round
+    hooks the larger label of each edge whose ends disagree onto the smaller,
+    then jumps every label to its root, until all edges agree."""
     label = np.arange(nv, dtype=a.dtype)
     while True:
         la, lb = label[a], label[b]
         differ = la != lb
         if not differ.any():
-            return label == np.arange(nv)
+            return label
         np.minimum.at(label, np.maximum(la, lb)[differ], np.minimum(la, lb)[differ])
         while not np.array_equal(jumped := label[label], label):
             label = jumped

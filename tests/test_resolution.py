@@ -4,6 +4,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conftest
 from conftest import (
@@ -403,22 +405,96 @@ def _complex(edges, triangles):
     return resolution._star_cover([(0, 0, 0, 0)], np.array([1]), faces, max(vertices) + 1)
 
 
-def test_closure_counts_each_covered_edge_once_and_substitutes_the_rest():
+def _uncovered(triangles, n: int):
+    """The uncovered edges (p, q) of each triangle that the closure leaves,
+    in a complex on 0 .. n - 1 whose star vertex is 0."""
+    t = np.array(triangles, dtype=np.int32)
+    covered, rest = resolution._closure(
+        np.zeros(len(t), dtype=np.int32), t, np.zeros(1, dtype=np.int32), 1, n)
+    return [[divmod(code, n) for code in col if not covered[code]] for col in rest.T.tolist()]
+
+
+def test_closure_counts_each_covered_edge_once_and_drops_it_from_the_rest():
     """A complex whose star vertex 0 is in 9 triangles, which cover 12, 13,
     14, 15, 24, 34, 78, 89 and 9 10.  The closure then takes two rounds:
     123 and 234 both cover 23 and 145 covers 45, then 245 covers 25; 12
     rows are counted.  The cone from 6 over 123 is left, three rows with one
-    covered edge each: replaced by their star edges, they sum to zero, so
-    they add 2 and the rank is 14 = E - V + c.  Counting 23 twice, or
-    ranking the cone's rows without the replacement, reads 15."""
+    covered edge each: in the relative complex a covered edge is zero, so
+    they are 16+26, 16+36 and 26+36, a triangle on three uncovered edges,
+    of rank 3 - 1 = 2, and the rank is 14 = E - V + c.  Counting 23 twice
+    reads 15."""
     star = [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5), (0, 2, 4), (0, 3, 4),
             (0, 7, 8), (0, 8, 9), (0, 9, 10)]
     closing = [(1, 2, 3), (2, 3, 4), (1, 4, 5), (2, 4, 5)]
     cone = [(1, 2, 6), (1, 3, 6), (2, 3, 6)]
     triangles = sorted(star + closing + cone)
     complexes = _complex(sorted({e for t in triangles for e in combinations(t, 2)}), triangles)
-    assert (complexes.cycles, complexes.counted, len(complexes.rows[0])) == ([14], [12], 3)
+    assert _uncovered(triangles, 11) == [[(1, 6), (2, 6)], [(1, 6), (3, 6)], [(2, 6), (3, 6)]]
+    assert (complexes.cycles, complexes.counted, complexes.paired, complexes.rows) == (
+        [14], [12], [2], {})
     assert complexes.gf2_rank(0) == 14 == _full_gf2_ranks(complexes, 11)[0]
+    assert dataclasses.replace(complexes, counted=complexes.counted + 1).gf2_rank(0) == 15
+
+
+def test_three_edge_rows_cancel_equal_classes():
+    """Star vertex 0 covers 14, 26, 35, 36 and 45 (and 78, 89, 9 10).  The
+    two-edge rows 126, 136 and 134 make 12, 13, 16 and 34 one class, whose
+    lowest edge is 12, and 235 and 245 make 23, 24 and 25 another, lowest
+    23: rank 7 - 2 = 5.  The rows of 123 and 234, which have no covered
+    edge, are 12+13+23 and 23+24+34; two of the classes of each cancel mod
+    2, so they read the class 23 and the class 12 alone, of rank 2, where
+    the sums 12+23 of all their classes would read rank 1."""
+    star = [(0, 1, 4), (0, 2, 6), (0, 3, 5), (0, 3, 6), (0, 4, 5),
+            (0, 7, 8), (0, 8, 9), (0, 9, 10)]
+    paired = [(1, 2, 6), (1, 3, 4), (1, 3, 6), (2, 3, 5), (2, 4, 5)]
+    triangles = sorted(star + paired + [(1, 2, 3), (2, 3, 4)])
+    complexes = _complex(sorted({e for t in triangles for e in combinations(t, 2)}), triangles)
+    assert _uncovered(triangles, 11) == [
+        [(1, 2), (1, 3), (2, 3)], [(1, 2), (1, 6)], [(1, 3), (3, 4)], [(1, 3), (1, 6)],
+        [(2, 3), (2, 4), (3, 4)], [(2, 3), (2, 5)], [(2, 4), (2, 5)]]
+    assert (complexes.counted, complexes.paired) == ([8], [5])
+    assert complexes.rows == {0: [1 << 2 * 11 + 3, 1 << 1 * 11 + 2]}
+    assert complexes.gf2_rank(0) == 15 == complexes.cycles[0] == _full_gf2_ranks(complexes, 11)[0]
+
+
+@st.composite
+def _random_complexes(draw):
+    """(components, faces) of one to three complexes on at most 9 of the
+    vertices 0 .. 8 each, every vertex a face: some disconnected, some with
+    isolated vertices, some without triangles."""
+    faces = [[], [], []]
+    components = []
+    for b in range(draw(st.integers(1, 3))):
+        nv = draw(st.integers(1, 9))
+        # Each triangle on the nv vertices is kept with probability level / 4.
+        level, every = draw(st.integers(0, 4)), list(combinations(range(nv), 3))
+        draws = draw(st.lists(st.integers(0, 3), min_size=len(every), max_size=len(every)))
+        triangles = [t for t, x in zip(every, draws) if x < level]
+        edges = draw(st.sets(st.sampled_from(list(combinations(range(9), 2))), max_size=12))
+        edges = {e for e in edges if e[1] < nv} | {e for t in triangles for e in combinations(t, 2)}
+        label = list(range(nv))
+        for x, y in sorted(edges):
+            label = [label[x] if v == label[y] else v for v in label]
+        components.append(len(set(label)))
+        for size, members in enumerate(([(v,) for v in range(nv)], sorted(edges), triangles)):
+            faces[size] += [(b, f) for f in members]
+    faces[2] = draw(st.permutations(faces[2]))
+    return np.array(components), [
+        (np.array([b for b, _ in f], dtype=np.int32).reshape(-1),
+         np.array([m for _, m in f], dtype=np.int32).reshape(len(f), size + 1))
+        for size, f in enumerate(faces)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_random_complexes())
+def test_star_cover_ranks_random_complexes(complexes):
+    """Oracle on random complexes: gf2_ranks equals rank_gf2 of the rows of
+    all the triangles of each complex, up to E - V + c + 1."""
+    components, faces = complexes
+    keys = [(b, 0, 0, 0) for b in range(len(components))]
+    read = resolution._star_cover(keys, components, faces, 9)
+    assert read.gf2_ranks().tolist() == _full_gf2_ranks(read, 9)
 
 
 # The six-vertex real projective plane: H_1 is Z/2, so H~_1 vanishes over Q
